@@ -648,10 +648,8 @@ let remote_ablation (s : H.scale) =
 
 (* What does one request allocate?  The call+query round-trip workload
    on the qoq preset, measured with GC word deltas (the same idiom as
-   the transport row of the timeout ablation), with the flat-request
-   pool on (the default) and forced off ([~pooling:false]) so the
-   delta isolates the pooled flat representation.  One domain: client
-   and handler then allocate on the measured domain, so the minor-word
+   the transport row of the timeout ablation).  One domain: client and
+   handler then allocate on the measured domain, so the minor-word
    delta is the whole story. *)
 let allocation_probe (s : H.scale) =
   print_newline ();
@@ -660,21 +658,17 @@ let allocation_probe (s : H.scale) =
      the qoq preset";
   print_endline (String.make 72 '-');
   let rounds = max 2_000 s.H.m in
-  let measure ~pooling =
-    Scoop.Runtime.run ~domains:1
-      ~config:Scoop.Config.(qoq |> with_pooling pooling)
-      (fun rt ->
+  let measure () =
+    Scoop.Runtime.run ~domains:1 ~config:Scoop.Config.qoq (fun rt ->
       let h = Scoop.Runtime.processor rt in
-      let stats = Scoop.Runtime.stats rt in
       let r = ref 0 in
       Scoop.Runtime.separate rt h (fun reg ->
-        (* Warm-up: fault in the pool, the private queue and the code
-           paths before the window opens. *)
+        (* Warm-up: fault in the private queue and the code paths before
+           the window opens. *)
         for _ = 1 to 128 do
           Scoop.Registration.call reg (fun () -> incr r);
           ignore (Scoop.Registration.query reg (fun () -> !r) : int)
         done;
-        let before = Scoop.Stats.snapshot stats in
         let minor0 = Gc.minor_words () in
         let major0 = (Gc.quick_stat ()).Gc.major_words in
         let t0 = Unix.gettimeofday () in
@@ -685,42 +679,24 @@ let allocation_probe (s : H.scale) =
         let secs = Unix.gettimeofday () -. t0 in
         let minor = Gc.minor_words () -. minor0 in
         let major = (Gc.quick_stat ()).Gc.major_words -. major0 in
-        let d = Scoop.Stats.diff (Scoop.Stats.snapshot stats) before in
         let requests = float_of_int (2 * rounds) in
-        ( minor /. requests,
-          major /. requests,
-          secs *. 1e9 /. requests,
-          d.Scoop.Stats.s_requests_flat,
-          d.Scoop.Stats.s_requests_pooled,
-          d.Scoop.Stats.s_pool_misses )))
+        (minor /. requests, major /. requests, secs *. 1e9 /. requests)))
   in
-  (* Best-of-reps on each side: per-request allocation is deterministic,
-     the timing is the quietest observed interleaving. *)
-  let best side =
-    List.init (max 3 s.H.reps) (fun _ -> measure ~pooling:side)
+  (* Best-of-reps: per-request allocation is deterministic, the timing
+     is the quietest observed interleaving. *)
+  let minor, major, ns =
+    List.init (max 3 s.H.reps) (fun _ -> measure ())
     |> List.fold_left
-         (fun acc ((_, _, ns, _, _, _) as m) ->
-           match acc with
-           | Some ((_, _, best_ns, _, _, _) as b) ->
-             Some (if ns < best_ns then m else b)
-           | None -> Some m)
+         (fun best ((_, _, ns) as m) ->
+           match best with
+           | Some (_, _, best_ns) when best_ns <= ns -> best
+           | _ -> Some m)
          None
     |> Option.get
   in
-  let pooled_minor, pooled_major, pooled_ns, p_flat, p_pooled, p_miss =
-    best true
-  in
-  let plain_minor, plain_major, plain_ns, _, _, _ = best false in
-  Printf.printf
-    "%-36s %10.1f minor + %6.1f major words, %6.0f ns/request (%d flat: %d \
-     pooled, %d misses)\n"
-    "pooled flat requests (default)" pooled_minor pooled_major pooled_ns
-    p_flat p_pooled p_miss;
   Printf.printf "%-36s %10.1f minor + %6.1f major words, %6.0f ns/request\n"
-    "pooling disabled" plain_minor plain_major plain_ns;
-  ( (pooled_minor, pooled_major, pooled_ns),
-    (plain_minor, plain_major, plain_ns),
-    2 * rounds )
+    "call + query round trip" minor major ns;
+  ((minor, major, ns), 2 * rounds)
 
 (* -- trace conformance probe ------------------------------------------------- *)
 
@@ -731,8 +707,9 @@ let allocation_probe (s : H.scale) =
    handler never executes a call before it was logged, and every
    dynamically elided sync happened in the synced state (a round trip
    established the drained log and nothing was logged since).  This is
-   the evidence that the pooled fast path and the handler-side elision
-   preserve the reasoning rules.
+   the evidence that the request path and the handler-side elision
+   preserve the reasoning rules — and, since tracing no longer changes
+   the request representation, the path checked is the path that runs.
 
    The partitioning matters: this probe used to feed the merged
    multi-client stream straight into Qs_semantics.Replay, whose
@@ -1043,19 +1020,16 @@ let write_json path (s : H.scale) micro_rows batching_rows pipeline_rows
   let alloc_json =
     match alloc_info with
     | None -> []
-    | Some ((p_minor, p_major, p_ns), (u_minor, u_major, u_ns), requests) ->
+    | Some ((minor, major, ns), requests) ->
       [
         ( "allocation",
           Obj
             [
               ("preset", String "qoq");
               ("requests", Int requests);
-              ("minor_words_per_request", Float p_minor);
-              ("major_words_per_request", Float p_major);
-              ("ns_per_request", Float p_ns);
-              ("minor_words_per_request_unpooled", Float u_minor);
-              ("major_words_per_request_unpooled", Float u_major);
-              ("ns_per_request_unpooled", Float u_ns);
+              ("minor_words_per_request", Float minor);
+              ("major_words_per_request", Float major);
+              ("ns_per_request", Float ns);
             ] );
       ]
   in
@@ -1104,7 +1078,6 @@ let write_json path (s : H.scale) micro_rows batching_rows pipeline_rows
             ( "promises_forced_blocking",
               Int snap.Scoop.Stats.s_promises_blocked );
             ("overlap_ratio", Float (Scoop.Stats.overlap_ratio snap));
-            ("requests_flat", Int snap.Scoop.Stats.s_requests_flat);
             ("syncs_elided", Int snap.Scoop.Stats.s_syncs_elided);
           ])
       pipeline_rows

@@ -60,11 +60,6 @@ type t = {
   pool : string option;
       (* pool new processors' handler fibers are pinned to by default;
          [None] = the spawner's pool *)
-  pooling : bool;
-      (* pooled flat request representation on the arity-named API;
-         [false] forces the packaged-closure path everywhere (debug /
-         equivalence-testing knob — also disables the handler-side
-         drained hint that feeds dynamic sync elision) *)
   endpoint : endpoint; (* where processors live; see [endpoint] above *)
   trace : bool;
       (* record runtime events even when no explicit sink is passed
@@ -88,7 +83,6 @@ let none =
     overflow = `Block;
     pools = [];
     pool = None;
-    pooling = true;
     endpoint = In_process;
     trace = false;
   }
@@ -112,7 +106,6 @@ let all =
     overflow = `Block;
     pools = [];
     pool = None;
-    pooling = true;
     endpoint = In_process;
     trace = false;
   }
@@ -136,7 +129,6 @@ let eve_qs =
     overflow = `Block;
     pools = [];
     pool = None;
-    pooling = true;
     endpoint = In_process;
     trace = false;
   }
@@ -183,7 +175,6 @@ let with_overflow overflow t = { t with overflow }
 let with_pools pools t = { t with pools }
 let with_pool pool t = { t with pool = Some pool }
 let with_default_pool t = { t with pool = None }
-let with_pooling pooling t = { t with pooling }
 let with_trace trace t = { t with trace }
 let with_endpoint endpoint t = { t with endpoint }
 let with_listen addr t = { t with endpoint = Listen addr }

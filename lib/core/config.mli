@@ -62,12 +62,6 @@ type t = {
   pool : string option;
       (** pool new processors' handler fibers are pinned to by default;
           [None] (every preset) = the spawner's pool *)
-  pooling : bool;
-      (** pooled flat request representation on the arity-named API
-          ([true] in every preset); [false] forces the packaged-closure
-          path everywhere — a debugging / differential-testing knob
-          that also disables the handler-side drained hint feeding
-          dynamic sync elision *)
   endpoint : endpoint;
       (** where processors live ({!In_process} in every preset) *)
   trace : bool;
@@ -143,7 +137,6 @@ val with_overflow : [ `Block | `Fail | `Shed_oldest ] -> t -> t
 val with_pools : string list -> t -> t
 val with_pool : string -> t -> t
 val with_default_pool : t -> t
-val with_pooling : bool -> t -> t
 val with_trace : bool -> t -> t
 val with_endpoint : endpoint -> t -> t
 val with_listen : addr -> t -> t

@@ -22,21 +22,20 @@
    wakeups and delivered requests, making the batch efficiency
    observable ([Stats.mean_batch]).
 
-   Failures are first-class: a packaged closure that raises has the
-   exception routed into the request's typed [fail] completion (rejecting
-   the client's ivar/promise, or poisoning its registration) instead of
-   dying in a log line, and the processor remembers that it has ever
-   failed so its terminal lifecycle state is [Failed] rather than
-   [Stopped].  Flat requests route failures structurally, from the tag:
-   calls poison through the preallocated [fail_to], blocking queries
-   reject the embedded cell, pipelined queries reject the promise.
+   Failures are first-class: a request whose closure raises has the
+   exception routed into its typed completion (poisoning the call's
+   registration, rejecting the query's ivar or the pipelined promise)
+   instead of dying in a log line, and the processor remembers that it
+   has ever failed so its terminal lifecycle state is [Failed] rather
+   than [Stopped].  Discarded and shed requests fail through the same
+   completion, with [Aborted] / [Overloaded].
 
    The lifecycle is an explicit state machine:
 
        Running --shutdown/abort--> Draining --loop exit--> Stopped/Failed
 
    [shutdown] is the graceful half (serve everything already logged, then
-   stop); [abort] additionally discards still-pending packaged requests,
+   stop); [abort] additionally discards still-pending requests,
    failing their completions with [Aborted].  [await_stopped] blocks on
    the exit latch the handler fiber fills when its loop returns.
 
@@ -109,7 +108,7 @@ type t = {
   id : int;
   config : Config.t;
   stats : Stats.t;
-  sink : Qs_obs.Sink.t option; (* shared event sink; handler batch spans *)
+  trace : Trace.t option; (* the runtime's shared event sink, if any *)
   comm : comm;
   reserve : Qs_queues.Spinlock.t; (* multi-reservation spinlock (§3.3) *)
   shadow : int array; (* EVE shadow stack simulation *)
@@ -120,14 +119,8 @@ type t = {
   stream_closed : bool Atomic.t; (* close the request stream exactly once *)
   exited : unit Qs_sched.Ivar.t; (* filled when the handler fiber returns *)
   (* backpressure accounting, used only when [config.bound > 0] *)
-  pending : int Atomic.t; (* admitted Call/Query requests not yet drained *)
+  pending : int Atomic.t; (* admitted requests not yet drained *)
   shed_debt : int Atomic.t; (* drained requests still owed a shedding *)
-  (* handler-local recycle buffer: slots of flat records served during
-     the current drain batch, spliced back into the pool with a single
-     CAS at batch end instead of one per request (the pool head is the
-     line clients and handler contend on).  Handler-fiber only. *)
-  recycle_buf : int array;
-  mutable recycle_n : int;
   (* The handler's current notion of "now" (ns), used as the service
      start stamp of the next request it serves: refreshed once per
      drained batch and after every completed request, so latency
@@ -135,28 +128,6 @@ type t = {
      completion stamp, which doubles as the successor's start stamp.
      Handler-fiber only. *)
   mutable h_now : int;
-  (* flat-request free list (the §3.2 queue-cache pattern applied to
-     request records).  Per-processor rather than per-domain: the
-     handler recycles on its own domain while clients allocate on
-     theirs, so domain-local pools would never see records come back —
-     a processor-owned free list is where the two sides naturally meet
-     (clients pop, the handler pushes). *)
-  flat_pool : pool;
-}
-
-(* The free list itself: an intrusive Treiber stack threaded through
-   slot indices of a preallocated record array, with the head packing
-   {version, index + 1} into one tagged int.  Push and pop are a CAS
-   and two array accesses — no node, no option, no tuple: the pool
-   exists to take allocation off the request hot path, so its own
-   bookkeeping must not put any back.  The version tag makes the
-   concurrent pops ABA-safe (a pop that slept through a pop/push cycle
-   fails its CAS because the version advanced); 16 bits of index leave
-   47 bits of version on 64-bit, which never wraps in practice. *)
-and pool = {
-  slots : Request.flat array; (* slot i holds the record with [slot = i] *)
-  links : int array; (* free-list next per slot; -1 terminates *)
-  head : int Atomic.t; (* (version lsl 16) lor (index + 1); low 0 = empty *)
 }
 
 (* The handler's view of its request stream.  [drain buf] blocks until at
@@ -168,152 +139,85 @@ and pool = {
    the client-side watermark check in [Registration] is the authority. *)
 type mailbox = { drain : Request.t array -> int; quiet : unit -> bool }
 
-(* -- flat request pool ------------------------------------------------------- *)
-
-let pool_cap = 64 (* preallocated records per processor (~a few KB) *)
-
-let make_pool enabled =
-  if not enabled then { slots = [||]; links = [||]; head = Atomic.make 0 }
-  else begin
-    let slots =
-      Array.init pool_cap (fun i ->
-        let r = Request.make_flat () in
-        r.Request.slot <- i;
-        r)
-    in
-    (* Thread the initial free list straight down the array: slot i
-       links to i - 1, slot 0 terminates, the head starts at the top. *)
-    let links = Array.init pool_cap (fun i -> i - 1) in
-    { slots; links; head = Atomic.make pool_cap }
-  end
-
-let rec pool_pop p =
-  let h = Atomic.get p.head in
-  let i = (h land 0xFFFF) - 1 in
-  if i < 0 then -1
-  else
-    let h' = (((h lsr 16) + 1) lsl 16) lor (p.links.(i) + 1) in
-    if Atomic.compare_and_set p.head h h' then i else pool_pop p
-
-let rec pool_push p i =
-  let h = Atomic.get p.head in
-  p.links.(i) <- (h land 0xFFFF) - 1;
-  let h' = (((h lsr 16) + 1) lsl 16) lor (i + 1) in
-  if not (Atomic.compare_and_set p.head h h') then pool_push p i
-
-(* Splice [n] slots back in one CAS: chain them through their links
-   (safe without synchronization — buffered slots are not in the pool,
-   nobody else touches their link entries), then swing the head onto the
-   top of the chain. *)
-let pool_splice p buf n =
-  for k = n - 1 downto 1 do
-    p.links.(buf.(k)) <- buf.(k - 1)
-  done;
-  let bottom = buf.(0) and top = buf.(n - 1) in
-  let rec go () =
-    let h = Atomic.get p.head in
-    p.links.(bottom) <- (h land 0xFFFF) - 1;
-    let h' = (((h lsr 16) + 1) lsl 16) lor (top + 1) in
-    if not (Atomic.compare_and_set p.head h h') then go ()
-  in
-  go ()
-
-(* Shared sentinel returned on a pool miss.  Clients compare against it
-   physically and fall back to the packaged representation: allocating a
-   fresh flat record on a miss would cost *more* than a packaged closure
-   (the record is bigger), so an empty pool — e.g. a client flooding
-   asynchronous calls faster than the handler recycles — degrades to
-   exactly the baseline path instead of a slower one.  The sentinel is
-   never filled, enqueued or recycled. *)
-let no_flat = Request.make_flat ()
-
-(* Pop a pooled record, or [no_flat] on a miss (the caller then issues
-   the request in packaged form). *)
-let alloc_flat t =
-  let i = pool_pop t.flat_pool in
-  if i >= 0 then begin
-    Qs_obs.Counter.incr t.stats.Stats.requests_flat;
-    Qs_obs.Counter.incr t.stats.Stats.requests_pooled;
-    t.flat_pool.slots.(i)
-  end
-  else begin
-    Qs_obs.Counter.incr t.stats.Stats.pool_misses;
-    no_flat
-  end
-
-(* Reset and return a record to the free list, immediately (one CAS).
-   Used by clients (consumed blocking queries) and the cold discard /
-   shed paths; the handler's hot path buffers into [recycle_buf]
-   instead. *)
-let recycle_flat t r =
-  Request.reset_flat r;
-  if r.Request.slot >= 0 then pool_push t.flat_pool r.Request.slot
-
-(* Handler-fiber recycle: reset now (drop captured references without
-   waiting for batch end) but defer the pool push to the batch splice. *)
-let recycle_local t r =
-  Request.reset_flat r;
-  if r.Request.slot >= 0 then begin
-    t.recycle_buf.(t.recycle_n) <- r.Request.slot;
-    t.recycle_n <- t.recycle_n + 1
-  end
-
-let flush_recycled t =
-  if t.recycle_n > 0 then begin
-    pool_splice t.flat_pool t.recycle_buf t.recycle_n;
-    t.recycle_n <- 0
-  end
+let trace_event t ~reg kind =
+  match t.trace with
+  | Some tr -> Trace.record tr ~proc:t.id ~client:reg kind
+  | None -> ()
 
 (* Latency recording at request completion, into the per-class
-   histogram (birth -> done) plus the two pipeline-splitting ones
-   (admitted -> served, served -> done).  [birth = 0] marks a request
-   issued before stamping existed (never happens through Registration)
-   and is skipped.  Control requests (Sync, End) and the discard/shed
-   paths never record and never refresh [h_now]; their cost lands in
-   the next request's queueing time, keeping them off the clock-read
-   budget. *)
-let record_served t ~kind ~birth ~admit =
-  if birth > 0 then begin
-    let served = t.h_now in
-    let done_ = Qs_obs.Clock.now_ns () in
-    t.h_now <- done_;
-    let h =
-      match kind with
-      | Request.K_call -> t.stats.Stats.h_call_local
-      | Request.K_query -> t.stats.Stats.h_query_local
-      | Request.K_pipelined -> t.stats.Stats.h_pipelined_local
-    in
-    Qs_obs.Histogram.record h (done_ - birth);
-    Qs_obs.Histogram.record t.stats.Stats.h_queue_wait (served - admit);
-    Qs_obs.Histogram.record t.stats.Stats.h_exec (done_ - served)
-  end
+   histogram [h] (birth -> done) plus the two pipeline-splitting ones
+   (admitted -> served, served -> done).  Control requests (Sync, End)
+   and the discard/shed paths never record and never refresh [h_now];
+   their cost lands in the next request's queueing time, keeping them
+   off the clock-read budget. *)
+let record_served t h ~birth ~admit =
+  let served = t.h_now in
+  let done_ = Qs_obs.Clock.now_ns () in
+  t.h_now <- done_;
+  Qs_obs.Histogram.record h (done_ - birth);
+  Qs_obs.Histogram.record t.stats.Stats.h_queue_wait (served - admit);
+  Qs_obs.Histogram.record t.stats.Stats.h_exec (done_ - served)
 
 let log_failure t req e =
   Logs.err (fun m ->
     m "scoop: processor %d: %a raised %s" t.id Request.pp req
       (Printexc.to_string e))
 
-(* Run a packaged request.  On failure: count it, emit an instant, mark
-   the processor dirty, and route the exception into the request's typed
-   completion (itself guarded — a completion must never kill the handler
-   loop).  Returns whether the closure succeeded. *)
-let guarded t req (pk : Request.packaged) =
-  try
-    pk.Request.run ();
-    true
+(* Deliver a failure into a request's typed completion without running
+   it: a call poisons its registration, a blocking query rejects the
+   client's ivar, a pipelined query rejects its promise.  The one fail
+   path, shared by handler failures, abort and shedding.  Guarded: a
+   completion must never kill the handler loop. *)
+let fail t req e bt =
+  match req with
+  | Request.Call { poison; _ } -> (
+    try poison e bt with e2 -> log_failure t req e2)
+  | Request.Query { result; _ } ->
+    ignore (Qs_sched.Ivar.try_fill_error ~bt result e : bool)
+  | Request.Pipelined { promise; reg; _ } ->
+    if Qs_sched.Promise.try_fulfill_error ~bt promise e then begin
+      Qs_obs.Counter.incr t.stats.Stats.rejected_promises;
+      trace_event t ~reg Trace.Promise_rejected
+    end
+  | Request.Sync _ | Request.End -> ()
+
+(* Run a request and deliver its value.  A pipelined query fulfilled at
+   the tail of a batch with nothing further pending ([last]/[quiet])
+   marks its promise drained {e before} fulfilment, so a forcing client
+   can elide its sync re-establishment round trip (dynamic sync
+   coalescing, §3.4.1, generalized to the handler side).  A traced call
+   records its queueing delay here, from the stamps [queue_wait_ns]
+   uses: tracing observes the request path without changing it. *)
+let perform t ~last ~quiet req =
+  match req with
+  | Request.Call { run; reg; admit; _ } ->
+    (match t.trace with
+    | Some tr ->
+      Trace.record tr ~proc:t.id ~client:reg
+        (Trace.Call_executed (float_of_int (t.h_now - admit) *. 1e-9))
+    | None -> ());
+    run ()
+  | Request.Query { run; result; _ } -> Qs_sched.Ivar.fill result (run ())
+  | Request.Pipelined { run; promise; _ } ->
+    let v = run () in
+    if last && quiet () then Qs_sched.Promise.mark_drained promise;
+    Qs_sched.Promise.fulfill promise v;
+    Qs_obs.Counter.incr t.stats.Stats.promises_fulfilled
+  | Request.Sync _ | Request.End -> ()
+
+(* Run a request; on failure count it, emit an instant, mark the
+   processor dirty and route the exception into the completion. *)
+let guarded t ~last ~quiet req =
+  try perform t ~last ~quiet req
   with e ->
     let bt = Printexc.get_raw_backtrace () in
     Qs_obs.Counter.incr t.stats.Stats.handler_failures;
     Atomic.set t.failed true;
-    (match t.sink with
-    | Some s ->
-      Qs_obs.Sink.instant s ~cat:"core" ~name:"handler_failure" ~track:t.id ()
-    | None -> ());
+    trace_event t ~reg:(Request.reg req) Trace.Handler_failed;
     log_failure t req e;
-    (try pk.Request.fail e bt with e2 -> log_failure t req e2);
-    false
+    fail t req e bt
 
-let execute t req pk =
+let execute t ~last ~quiet req =
   if t.config.Config.eve then begin
     (* Push a frame on the simulated shadow stack, run, pop.  The writes
        model the per-call root registration that prevented tight-loop
@@ -324,149 +228,23 @@ let execute t req pk =
       t.shadow.(top + 1) <- top;
       t.shadow_top <- top + 2
     end;
-    let ok = guarded t req pk in
-    t.shadow_top <- top;
-    ok
-  end
-  else guarded t req pk
-
-(* -- flat request serving ---------------------------------------------------- *)
-
-(* The pipelined promise rides [pr] under the uniform-representation
-   coercion (set by Registration together with the [Pipelined] tag). *)
-let flat_promise (r : Request.flat) : Obj.t Qs_sched.Promise.t =
-  Obj.magic r.Request.pr
-
-(* Route a failure into a flat request's completion, structurally from
-   the tag (no per-request fail closure exists to call): asynchronous
-   calls poison the registration through the preallocated [fail_to],
-   blocking queries reject the embedded cell, pipelined queries reject
-   the promise (accounted like the packaged rejection path). *)
-let fail_flat t req (r : Request.flat) e bt =
-  match r.Request.tag with
-  | Request.Call0 | Request.Call1 -> (
-    try r.Request.fail_to e bt with e2 -> log_failure t req e2)
-  | Request.Query0 | Request.Query1 ->
-    (* A failed fill means the awaiting client abandoned the rendezvous
-       (timed out and error-filled the cell first): the abandoning side
-       cannot recycle — the handler might still have been about to run
-       the query — so the loser of the cell's CAS does it here. *)
-    if
-      not
-        (Qs_sched.Cell.try_fill_error ~bt r.Request.cell ~gen:r.Request.cgen e)
-    then recycle_local t r
-  | Request.Pipelined ->
-    if Qs_sched.Promise.try_fulfill_error ~bt (flat_promise r) e then begin
-      Qs_obs.Counter.incr t.stats.Stats.rejected_promises;
-      match t.sink with
-      | Some s ->
-        Qs_obs.Sink.instant s ~cat:"client" ~name:"promise_rejected"
-          ~track:t.id ()
-      | None -> ()
-    end
-  | Request.Free -> ()
-
-(* Decode the tag and run the inline function — the flat counterpart of
-   a packaged [run], with no closure ever built.  [last]/[quiet] feed
-   the drained hint: a pipelined query fulfilled at the tail of a batch
-   with nothing further pending marks its promise drained {e before}
-   fulfilment, so a forcing client can elide its sync re-establishment
-   round trip (dynamic sync coalescing, §3.4.1, generalized to the
-   handler side). *)
-let run_flat t ~last ~quiet (r : Request.flat) =
-  match r.Request.tag with
-  | Request.Call0 -> r.Request.f0 ()
-  | Request.Call1 -> r.Request.f1 r.Request.a1
-  | Request.Query0 ->
-    let v = r.Request.q0 () in
-    (* Fill lost: the client timed out and error-filled the cell first.
-       It will never touch the record again, so the handler recycles
-       (the cell's CAS decides exactly one recycler). *)
-    if not (Qs_sched.Cell.try_fill r.Request.cell ~gen:r.Request.cgen v) then
-      recycle_local t r
-  | Request.Query1 ->
-    let v = r.Request.q1 r.Request.a1 in
-    if not (Qs_sched.Cell.try_fill r.Request.cell ~gen:r.Request.cgen v) then
-      recycle_local t r
-  | Request.Pipelined ->
-    let p = flat_promise r in
-    let v = r.Request.q0 () in
-    if last && quiet () then Qs_sched.Promise.mark_drained p;
-    Qs_sched.Promise.fulfill p v;
-    Qs_obs.Counter.incr t.stats.Stats.promises_fulfilled
-  | Request.Free -> ()
-
-let guarded_flat t req ~last ~quiet (r : Request.flat) =
-  try run_flat t ~last ~quiet r
-  with e ->
-    let bt = Printexc.get_raw_backtrace () in
-    Qs_obs.Counter.incr t.stats.Stats.handler_failures;
-    Atomic.set t.failed true;
-    (match t.sink with
-    | Some s ->
-      Qs_obs.Sink.instant s ~cat:"core" ~name:"handler_failure" ~track:t.id ()
-    | None -> ());
-    log_failure t req e;
-    fail_flat t req r e bt
-
-(* Handler-side recycling: calls and pipelined queries are done with
-   their record the moment they have been served (the promise, not the
-   record, is the pipelined rendezvous), so the handler returns them to
-   the pool immediately.  Blocking queries hand the record to the
-   awaiting client, which recycles after consuming the embedded cell —
-   unless its await timed out, in which case nobody recycles and the
-   record is left to the GC. *)
-let execute_flat t req ~last ~quiet (r : Request.flat) =
-  (* Capture the tag (and the stamps) before running: filling a blocking
-     query's cell wakes the awaiting client, which may consume and
-     recycle the record (resetting the tag to [Free]) before this
-     function returns — a post-run read could then recycle a second
-     time, putting the record in the pool twice. *)
-  let tag = r.Request.tag in
-  let birth = r.Request.t_birth and admit = r.Request.t_admit in
-  if t.config.Config.eve then begin
-    let top = t.shadow_top in
-    if top + 2 < Array.length t.shadow then begin
-      t.shadow.(top) <- t.id;
-      t.shadow.(top + 1) <- top;
-      t.shadow_top <- top + 2
-    end;
-    guarded_flat t req ~last ~quiet r;
+    guarded t ~last ~quiet req;
     t.shadow_top <- top
   end
-  else guarded_flat t req ~last ~quiet r;
-  (match tag with
-  | Request.Query0 | Request.Query1 -> ()
-  | Request.Call0 | Request.Call1 | Request.Pipelined | Request.Free ->
-    recycle_local t r);
-  match tag with
-  | Request.Free -> ()
-  | Request.Call0 | Request.Call1 ->
-    record_served t ~kind:Request.K_call ~birth ~admit
-  | Request.Query0 | Request.Query1 ->
-    record_served t ~kind:Request.K_query ~birth ~admit
-  | Request.Pipelined ->
-    record_served t ~kind:Request.K_pipelined ~birth ~admit
+  else guarded t ~last ~quiet req
 
 (* One request, uniformly in both modes (the run / release / end rules). *)
 let serve t ~last ~quiet req =
   match req with
-  | Request.Call pk ->
-    ignore (execute t req pk : bool);
-    record_served t ~kind:pk.Request.kind ~birth:pk.Request.t_birth
-      ~admit:pk.Request.t_admit
-  | Request.Flat r -> execute_flat t req ~last ~quiet r
-  | Request.Query pk ->
-    (* A pipelined query: the packaged closure computes the result and
-       fulfils the client's promise (resuming any already-blocked
-       forcer through the promise's waiter list).  Counted separately
-       so the overlap of issue and fulfilment is observable; a raising
-       closure rejects the promise instead, counted under
-       [rejected_promises] by the completion. *)
-    if execute t req pk then
-      Qs_obs.Counter.incr t.stats.Stats.promises_fulfilled;
-    record_served t ~kind:pk.Request.kind ~birth:pk.Request.t_birth
-      ~admit:pk.Request.t_admit
+  | Request.Call { birth; admit; _ } ->
+    execute t ~last ~quiet req;
+    record_served t t.stats.Stats.h_call_local ~birth ~admit
+  | Request.Query { birth; admit; _ } ->
+    execute t ~last ~quiet req;
+    record_served t t.stats.Stats.h_query_local ~birth ~admit
+  | Request.Pipelined { birth; admit; _ } ->
+    execute t ~last ~quiet req;
+    record_served t t.stats.Stats.h_pipelined_local ~birth ~admit
   | Request.Sync resume ->
     (* Release half of the wait/release pair: wake the client.  The
        scheduler's hot slot turns this into a direct handoff, and the
@@ -480,26 +258,15 @@ let serve t ~last ~quiet req =
        marker silently). *)
     Qs_obs.Counter.incr t.stats.Stats.ends_drained
 
-(* Abort path: fail packaged requests without executing them.  Syncs are
-   still resumed (a client blocked in a sync round trip must not be left
+(* Abort path: fail requests without executing them.  Syncs are still
+   resumed (a client blocked in a sync round trip must not be left
    suspended forever) and Ends still accounted, so the drain invariants
    survive an abort as far as possible. *)
 let discard t req =
   match req with
-  | (Request.Call pk | Request.Query pk) as r ->
+  | Request.Call _ | Request.Query _ | Request.Pipelined _ ->
     Qs_obs.Counter.incr t.stats.Stats.aborted_requests;
-    let bt = Printexc.get_callstack 0 in
-    (try pk.Request.fail (Aborted t.id) bt with e -> log_failure t r e)
-  | Request.Flat r ->
-    Qs_obs.Counter.incr t.stats.Stats.aborted_requests;
-    let bt = Printexc.get_callstack 0 in
-    (* Tag captured before the fail: failing a blocking query fills its
-       cell, and the woken client may recycle the record concurrently. *)
-    let tag = r.Request.tag in
-    fail_flat t req r (Aborted t.id) bt;
-    (match tag with
-    | Request.Query0 | Request.Query1 -> () (* the woken client recycles *)
-    | _ -> recycle_flat t r)
+    fail t req (Aborted t.id) (Printexc.get_callstack 0)
   | Request.Sync resume -> resume ()
   | Request.End -> Qs_obs.Counter.incr t.stats.Stats.ends_drained
 
@@ -507,7 +274,7 @@ let discard t req =
    and End are control-flow, not work — they are always admitted, always
    served. *)
 let countable = function
-  | Request.Call _ | Request.Query _ | Request.Flat _ -> true
+  | Request.Call _ | Request.Query _ | Request.Pipelined _ -> true
   | Request.Sync _ | Request.End -> false
 
 let rec take_debt t =
@@ -517,48 +284,23 @@ let rec take_debt t =
   else take_debt t
 
 (* Shed one request from the backlog: fail its completion with
-   [Overloaded] without executing it.  For a Call this poisons the
+   [Overloaded] without executing it.  For a call this poisons the
    client's registration (the dirty-processor rule — load shedding is a
-   failure the client must observe); for a Query it rejects the promise. *)
+   failure the client must observe); for a query it rejects the
+   rendezvous.  The shed event carries the request's registration id so
+   a conformance checker can attribute it to the client whose logged
+   slot it consumed.  Call sheds and query sheds are distinct events:
+   only a call shed consumes a logged slot and poisons the registration
+   — a query shed merely rejects the rendezvous, which the awaiting
+   client observes directly as [Overloaded]. *)
 let shed t req =
-  (* The shed event carries the request's registration id (arg) so a
-     conformance checker can attribute it to the client whose logged
-     slot it consumed.  Call sheds and query sheds are distinct events:
-     only a call shed consumes a logged slot and poisons the
-     registration — a query shed merely rejects the rendezvous, which
-     the awaiting client observes directly as [Overloaded]. *)
-  let trace_shed name reg =
-    match t.sink with
-    | Some s -> Qs_obs.Sink.instant s ~cat:"core" ~name ~track:t.id ~arg:reg ()
-    | None -> ()
-  in
-  match req with
-  | Request.Call pk as r ->
-    Qs_obs.Counter.incr t.stats.Stats.shed_requests;
-    trace_shed "shed" pk.Request.reg;
-    let bt = Printexc.get_callstack 0 in
-    (try pk.Request.fail (Overloaded t.id) bt with e -> log_failure t r e)
-  | Request.Query pk as r ->
-    Qs_obs.Counter.incr t.stats.Stats.shed_requests;
-    trace_shed "shed_query" pk.Request.reg;
-    let bt = Printexc.get_callstack 0 in
-    (try pk.Request.fail (Overloaded t.id) bt with e -> log_failure t r e)
-  | Request.Flat r ->
-    Qs_obs.Counter.incr t.stats.Stats.shed_requests;
-    (* Captured before the fail: failing a blocking query wakes the
-       client, which may recycle (and zero) the record concurrently. *)
-    let reg = r.Request.reg in
-    let tag = r.Request.tag in
-    (match tag with
-    | Request.Query0 | Request.Query1 | Request.Pipelined ->
-      trace_shed "shed_query" reg
-    | _ -> trace_shed "shed" reg);
-    let bt = Printexc.get_callstack 0 in
-    fail_flat t req r (Overloaded t.id) bt;
-    (match tag with
-    | Request.Query0 | Request.Query1 -> ()
-    | _ -> recycle_flat t r)
-  | Request.Sync _ | Request.End -> assert false
+  Qs_obs.Counter.incr t.stats.Stats.shed_requests;
+  let reg = Request.reg req in
+  (match req with
+  | Request.Call _ -> trace_event t ~reg Trace.Request_shed
+  | Request.Query _ | Request.Pipelined _ -> trace_event t ~reg Trace.Query_shed
+  | Request.Sync _ | Request.End -> assert false);
+  fail t req (Overloaded t.id) (Printexc.get_callstack 0)
 
 (* Admission control, called by registrations before enqueueing a Call or
    Query.  With [bound = 0] (every preset) this is one branch.  Remote
@@ -610,7 +352,7 @@ let handler_loop t mailbox =
       Qs_obs.Counter.incr t.stats.Stats.handler_wakeups;
       Qs_obs.Counter.add t.stats.Stats.batched_requests n;
       let t0 =
-        match t.sink with Some s -> Qs_obs.Sink.now s | None -> 0.0
+        match t.trace with Some tr -> Trace.now tr | None -> 0.0
       in
       (* Service-start stamp of the batch's first request; subsequent
          requests reuse their predecessor's completion stamp. *)
@@ -637,9 +379,9 @@ let handler_loop t mailbox =
         else serve t ~last ~quiet req;
         buf.(i) <- Request.End (* drop the closure so the GC can reclaim it *)
       done;
-      flush_recycled t;
-      (match t.sink with
-      | Some s ->
+      (match t.trace with
+      | Some tr ->
+        let s = Trace.sink tr in
         (* One span per drained batch (arg = batch size): the handler-side
            counterpart of the client-side trace events. *)
         Qs_obs.Sink.complete s ~cat:"core" ~name:"batch" ~track:t.id ~arg:n
@@ -677,7 +419,8 @@ let qoq_mailbox qoq cache =
       | Request.End ->
         current := None;
         Qs_queues.Treiber_stack.push cache pq
-      | Request.Call _ | Request.Query _ | Request.Flat _ | Request.Sync _ ->
+      | Request.Call _ | Request.Query _ | Request.Pipelined _ | Request.Sync _
+        ->
         ());
       n
   in
@@ -718,7 +461,7 @@ let create ?sink ?pool ~id ~config ~stats () =
       id;
       config;
       stats;
-      sink;
+      trace = Option.map Trace.of_sink sink;
       comm;
       reserve = Qs_queues.Spinlock.create ();
       shadow = (if config.Config.eve then Array.make 256 0 else [||]);
@@ -730,11 +473,7 @@ let create ?sink ?pool ~id ~config ~stats () =
       exited = Qs_sched.Ivar.create ();
       pending = Atomic.make 0;
       shed_debt = Atomic.make 0;
-      recycle_buf =
-        (if config.Config.pooling then Array.make pool_cap 0 else [||]);
-      recycle_n = 0;
       h_now = 0;
-      flat_pool = make_pool config.Config.pooling;
     }
   in
   let mailbox =
@@ -760,16 +499,14 @@ let create ?sink ?pool ~id ~config ~stats () =
 
 (* A remote processor: same [t], no handler fiber — the handler runs on
    the node.  The exit latch is pre-filled (there is nothing to await
-   locally; teardown of the connection is the runtime's job) and the
-   flat pool is disabled (remote registrations always use the packaged
-   wire representation). *)
+   locally; teardown of the connection is the runtime's job). *)
 let create_remote ?sink ~id ~config ~stats ~ops () =
   Qs_obs.Counter.incr stats.Stats.processors;
   {
     id;
     config;
     stats;
-    sink;
+    trace = Option.map Trace.of_sink sink;
     comm = Remote ops;
     reserve = Qs_queues.Spinlock.create ();
     shadow = [||];
@@ -781,10 +518,7 @@ let create_remote ?sink ~id ~config ~stats ~ops () =
     exited = Qs_sched.Ivar.create_full ();
     pending = Atomic.make 0;
     shed_debt = Atomic.make 0;
-    recycle_buf = [||];
-    recycle_n = 0;
     h_now = 0;
-    flat_pool = make_pool false;
   }
 
 let id t = t.id

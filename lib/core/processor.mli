@@ -21,8 +21,8 @@ type lifecycle =
   | Failed  (** handler fiber exited after at least one closure raised *)
 
 exception Aborted of int
-(** Failure completion delivered to packaged requests discarded by
-    {!abort} (argument: processor id). *)
+(** Failure completion delivered to requests discarded by {!abort}
+    (argument: processor id). *)
 
 exception Overloaded of int
 (** A bounded mailbox refused or shed a request (argument: processor
@@ -79,9 +79,8 @@ val create_remote :
 (** A remote processor: a client-side stand-in whose handler runs on a
     node reached through [ops].  No handler fiber is spawned and the
     exit latch is pre-filled ({!await_stopped} returns immediately —
-    connection teardown is the runtime's job); the flat pool is disabled
-    (remote registrations always use the packaged wire representation);
-    {!admit} is a no-op (backpressure is enforced node-side). *)
+    connection teardown is the runtime's job); {!admit} is a no-op
+    (backpressure is enforced node-side). *)
 
 val id : t -> int
 
@@ -104,36 +103,6 @@ val admit : t -> unit
     raises {!Overloaded}, [`Shed_oldest] admits and marks the oldest
     pending request for shedding.  Sync and End are never admitted
     through this (they are control flow, not work). *)
-
-(** {1 Flat request pool}
-
-    A per-processor free list of preallocated {!Request.flat} records
-    (the §3.2 queue-cache pattern applied to requests): clients pop a
-    record, fill its inline fields and enqueue its knotted [self]; the
-    handler loop pushes it back after serving (blocking queries are
-    recycled by the awaiting client instead, after it consumes the
-    embedded cell).  Both operations are allocation-free — an intrusive
-    ABA-tagged Treiber stack over the preallocated slot array. *)
-
-val no_flat : Request.flat
-(** Shared sentinel returned by {!alloc_flat} on a pool miss (compare
-    physically).  Callers must then issue the request in packaged form:
-    the sentinel is never filled, enqueued or recycled. *)
-
-val alloc_flat : t -> Request.flat
-(** A reset record ready to fill when the free list has one (counted
-    under [requests_flat] / [requests_pooled]), {!no_flat} otherwise
-    (counted under [pool_misses] — the caller falls back to the packaged
-    representation, so an empty pool degrades to the baseline path). *)
-
-val recycle_flat : t -> Request.flat -> unit
-(** Reset a record ({!Request.reset_flat} — recycling its embedded cell,
-    so stale awaiters observe [Cell.Stale]) and return it to the free
-    list.  Call only when the record's current use is provably over:
-    after the handler served a call/pipelined query, after the awaiting
-    client consumed a blocking query's cell, or — for an abandoned
-    (timed-out) blocking query — on whichever side lost the cell's fill
-    CAS, which proves the other side is done with the record. *)
 
 (** {1 Queue-of-queues mode ([`Qoq])}
 
@@ -176,7 +145,7 @@ val shutdown : t -> unit
     afterwards. *)
 
 val abort : t -> unit
-(** Like {!shutdown}, but still-pending packaged requests are discarded
+(** Like {!shutdown}, but still-pending requests are discarded
     unexecuted: their completions fail with {!Aborted} (counted under
     [Stats.aborted_requests]), pending syncs are still resumed so no
     client is left suspended, and [End] markers still accounted. *)

@@ -43,11 +43,6 @@ type t = {
   proc : Processor.t;
   ctx : Ctx.t;
   enqueue : Request.t -> unit;
-  flat : bool;
-      (* may this registration issue pooled flat requests?  True for the
-         single-reservation (arity-named) entries, false for multi-
-         reservation blocks ([many]/[when_]), which keep the packaged
-         fallback *)
   mutable synced : bool;
   mutable closed : bool;
   mutable logged : int;
@@ -89,14 +84,13 @@ let poison t e bt =
     | None -> ()
   end
 
-let make ?(flat = false) ~proc ~ctx ~enqueue () =
+let make ~proc ~ctx ~enqueue () =
   let t =
     {
       rid = Atomic.fetch_and_add next_rid 1;
       proc;
       ctx;
       enqueue;
-      flat;
       synced = false;
       closed = false;
       logged = 0;
@@ -123,7 +117,6 @@ let make_remote ~proc ~ctx () =
       enqueue =
         (fun _ ->
           invalid_arg "Scoop.Registration: remote registration has no local queue");
-      flat = false;
       synced = false;
       closed = false;
       logged = 0;
@@ -136,20 +129,8 @@ let make_remote ~proc ~ctx () =
   px.Processor.px_on_poison t.fail_to;
   t
 
-(* Flat fast path available?  Requires a single-reservation registration
-   and the pooling knob. *)
-let use_flat t = t.flat && t.ctx.Ctx.config.Config.pooling
-
-(* Pop a record from the processor's pool; [Processor.no_flat] on a
-   miss, which sends the request down the packaged fallback (an empty
-   pool degrades to the baseline, never below it).  The processor
-   accounts the representation counters. *)
-let alloc_flat t = Processor.alloc_flat t.proc
-
-let no_flat = Processor.no_flat
-
-(* Lifecycle stamps.  [t_birth] is read once at operation entry; the
-   second clock read for [t_admit] is only paid when admission can
+(* Lifecycle stamps.  [birth] is read once at operation entry; the
+   second clock read for [admit] is only paid when admission can
    actually block (a bounded mailbox) — otherwise the birth stamp is
    reused and the nanoscale admit branch folds into queueing time. *)
 let admit_stamp t birth =
@@ -185,44 +166,11 @@ let timed_out t =
   | None -> ());
   raise Qs_sched.Timer.Timeout
 
-(* Log an asynchronous call in the packaged-closure representation —
-   the fallback for multi-reservation registrations, disabled pooling,
-   and traced runs (the trace wraps [run] with span bookkeeping, which
-   needs the closure form). *)
-let log_call_packaged t ~birth ~admit run =
+let trace_logged t =
   match t.ctx.Ctx.trace with
-  | None ->
-    t.enqueue
-      (Request.Call
-         {
-           run;
-           fail = t.fail_to;
-           kind = Request.K_call;
-           reg = t.rid;
-           t_birth = birth;
-           t_admit = admit;
-         })
   | Some tr ->
-    (* Trace the queueing delay: logged now, executed by the handler
-       later (§7 instrumentation). *)
-    let proc = Processor.id t.proc in
-    let rid = t.rid in
-    Trace.record tr ~proc ~client:rid Trace.Call_logged;
-    let logged = Trace.now tr in
-    t.enqueue
-      (Request.Call
-         {
-           run =
-             (fun () ->
-               Trace.record tr ~proc ~client:rid
-                 (Trace.Call_executed (Trace.now tr -. logged));
-               run ());
-           fail = t.fail_to;
-           kind = Request.K_call;
-           reg = rid;
-           t_birth = birth;
-           t_admit = admit;
-         })
+    Trace.record tr ~proc:(Processor.id t.proc) ~client:t.rid Trace.Call_logged
+  | None -> ()
 
 let call t f =
   touch t;
@@ -234,14 +182,8 @@ let call t f =
   let birth = Qs_obs.Clock.now_ns () in
   match t.remote with
   | Some px ->
-    (* Remote: ship the thunk itself.  No trace wrapper — a wrapper
-       closure would capture the local trace buffer, which must not
-       cross the wire; the logging instant is recorded locally. *)
-    (match t.ctx.Ctx.trace with
-    | Some tr ->
-      Trace.record tr ~proc:(Processor.id t.proc) ~client:t.rid
-        Trace.Call_logged
-    | None -> ());
+    (* Remote: ship the thunk itself. *)
+    trace_logged t;
     px.Processor.px_call f;
     (* Fire-and-forget: no reply carries a completion to time against,
        so the remote call histogram measures the send-side handoff
@@ -251,62 +193,12 @@ let call t f =
   | None ->
     Processor.admit t.proc;
     let admit = admit_stamp t birth in
-    let r =
-      if use_flat t && Option.is_none t.ctx.Ctx.trace then alloc_flat t
-      else no_flat
-    in
-    if r != no_flat then begin
-      (* Flat fast path: the thunk goes straight into the pooled record's
-         inline slot — no packaged record, no Call block, no per-call
-         failure closure.  [fail_to] is rewritten only when the record
-         last served a different registration. *)
-      r.Request.tag <- Request.Call0;
-      r.Request.f0 <- f;
-      r.Request.reg <- t.rid;
-      r.Request.t_birth <- birth;
-      r.Request.t_admit <- admit;
-      if r.Request.fail_to != t.fail_to then r.Request.fail_to <- t.fail_to;
-      t.enqueue r.Request.self
-    end
-    else log_call_packaged t ~birth ~admit f
-
-let call1 t f x =
-  touch t;
-  Qs_obs.Counter.incr t.ctx.Ctx.stats.Stats.calls;
-  t.synced <- false;
-  t.logged <- t.logged + 1;
-  let birth = Qs_obs.Clock.now_ns () in
-  match t.remote with
-  | Some px ->
-    (match t.ctx.Ctx.trace with
-    | Some tr ->
-      Trace.record tr ~proc:(Processor.id t.proc) ~client:t.rid
-        Trace.Call_logged
-    | None -> ());
-    px.Processor.px_call (fun () -> f x);
-    Qs_obs.Histogram.record t.ctx.Ctx.stats.Stats.h_call_remote
-      (Qs_obs.Clock.now_ns () - birth)
-  | None ->
-    Processor.admit t.proc;
-    let admit = admit_stamp t birth in
-    let r =
-      if use_flat t && Option.is_none t.ctx.Ctx.trace then alloc_flat t
-      else no_flat
-    in
-    if r != no_flat then begin
-      (* One-argument flat call: function and argument stored inline under
-         the uniform-representation coercion (the [f1]/[a1] pairing
-         invariant — both written here, from this one typed call site). *)
-      r.Request.tag <- Request.Call1;
-      r.Request.f1 <- (Obj.magic (f : _ -> unit) : Obj.t -> unit);
-      r.Request.a1 <- Obj.repr x;
-      r.Request.reg <- t.rid;
-      r.Request.t_birth <- birth;
-      r.Request.t_admit <- admit;
-      if r.Request.fail_to != t.fail_to then r.Request.fail_to <- t.fail_to;
-      t.enqueue r.Request.self
-    end
-    else log_call_packaged t ~birth ~admit (fun () -> f x)
+    (* Logged only once admitted: a call refused at admission never
+       enters the log.  The handler traces its execution. *)
+    trace_logged t;
+    t.enqueue
+      (Request.Call
+         { run = f; poison = t.fail_to; reg = t.rid; birth; admit })
 
 let force_sync ?timeout t =
   Qs_obs.Counter.incr t.ctx.Ctx.stats.Stats.syncs_sent;
@@ -374,8 +266,8 @@ let sync ?timeout t =
      and any failure among them recorded. *)
   check_poison t
 
-(* Tail of a packaged-flavour round trip, shared by the ivar and cell
-   representations: close the trace span, re-establish synced (the
+(* Tail of a packaged-flavour round trip, shared by the local and remote
+   flavours: close the trace span, re-establish synced (the
    handler has drained everything logged up to the query), surface an
    earlier failed call (matching the client-executed flavour, where
    [sync] raises before [f] ever runs), then unwrap. *)
@@ -406,36 +298,6 @@ let await_ivar ?timeout t result ~t0 =
         timed_out t)
   in
   finish_round_trip t ~t0 outcome
-
-(* Blocking wait on a flat query's embedded cell.  On success the record
-   is recycled here — the awaiting client is the last party touching it,
-   after the outcome has been consumed.  On timeout the client abandons
-   the rendezvous by error-filling the cell at its generation: the
-   cell's CAS then elects exactly one recycler — if the abandon wins,
-   the handler's later fill fails and *it* recycles; if the handler
-   already filled, the handler is done with the record and the client
-   recycles on its way out.  Either way the slot returns to the pool
-   (an abandoned record must never be recycled by the abandoning side
-   alone: the handler might be about to run the query). *)
-let await_cell ?timeout t (r : Request.flat) ~gen ~t0 =
-  let outcome =
-    match effective_timeout t timeout with
-    | None -> Qs_sched.Cell.result r.Request.cell ~gen
-    | Some dt -> (
-      Qs_obs.Counter.incr t.ctx.Ctx.stats.Stats.timer_arms;
-      match Qs_sched.Cell.result_timeout r.Request.cell ~gen dt with
-      | Some outcome -> outcome
-      | None ->
-        let bt = Printexc.get_callstack 0 in
-        if
-          not
-            (Qs_sched.Cell.try_fill_error ~bt r.Request.cell ~gen
-               Qs_sched.Timer.Timeout)
-        then Processor.recycle_flat t.proc r;
-        timed_out t)
-  in
-  Processor.recycle_flat t.proc r;
-  Obj.obj (finish_round_trip t ~t0 outcome)
 
 (* Remote packaged query (Fig. 10a over the wire): the producer closure
    ships to the node; the demultiplexer fills the rendezvous with the
@@ -501,90 +363,9 @@ let query ?timeout t f =
     t.logged <- t.logged + 1;
     Processor.admit t.proc;
     let admit = admit_stamp t birth in
-    let r = if use_flat t then alloc_flat t else no_flat in
-    if r != no_flat then begin
-      (* Flat round trip: the completion cell is embedded in the pooled
-         record — no ivar allocation, no result-filling closure. *)
-      let gen = Qs_sched.Cell.generation r.Request.cell in
-      r.Request.tag <- Request.Query0;
-      r.Request.cgen <- gen;
-      r.Request.q0 <- (Obj.magic (f : unit -> _) : unit -> Obj.t);
-      r.Request.reg <- t.rid;
-      r.Request.t_birth <- birth;
-      r.Request.t_admit <- admit;
-      t.enqueue r.Request.self;
-      await_cell ?timeout t r ~gen ~t0
-    end
-    else begin
-      let result = Qs_sched.Ivar.create () in
-      t.enqueue
-        (Request.Call
-           {
-             run = (fun () -> Qs_sched.Ivar.fill result (f ()));
-             fail =
-               (fun e bt ->
-                 ignore (Qs_sched.Ivar.try_fill_error ~bt result e : bool));
-             kind = Request.K_query;
-             reg = t.rid;
-             t_birth = birth;
-             t_admit = admit;
-           });
-      await_ivar ?timeout t result ~t0
-    end
-  end
-
-let query1 ?timeout t f x =
-  touch t;
-  Qs_obs.Counter.incr t.ctx.Ctx.stats.Stats.queries;
-  match t.remote with
-  | Some px ->
-    Obj.obj (remote_query ?timeout t px (fun () -> Obj.repr (f x)))
-  | None ->
-  let birth = Qs_obs.Clock.now_ns () in
-  if t.ctx.Ctx.config.Config.client_query then begin
-    sync ?timeout t;
-    let v = f x in
-    Qs_obs.Histogram.record t.ctx.Ctx.stats.Stats.h_query_local
-      (Qs_obs.Clock.now_ns () - birth);
-    v
-  end
-  else begin
-    Qs_obs.Counter.incr t.ctx.Ctx.stats.Stats.packaged_queries;
-    let t0 =
-      match t.ctx.Ctx.trace with Some tr -> Trace.now tr | None -> 0.0
-    in
-    t.logged <- t.logged + 1;
-    Processor.admit t.proc;
-    let admit = admit_stamp t birth in
-    let r = if use_flat t then alloc_flat t else no_flat in
-    if r != no_flat then begin
-      let gen = Qs_sched.Cell.generation r.Request.cell in
-      r.Request.tag <- Request.Query1;
-      r.Request.cgen <- gen;
-      r.Request.q1 <- (Obj.magic (f : _ -> _) : Obj.t -> Obj.t);
-      r.Request.a1 <- Obj.repr x;
-      r.Request.reg <- t.rid;
-      r.Request.t_birth <- birth;
-      r.Request.t_admit <- admit;
-      t.enqueue r.Request.self;
-      await_cell ?timeout t r ~gen ~t0
-    end
-    else begin
-      let result = Qs_sched.Ivar.create () in
-      t.enqueue
-        (Request.Call
-           {
-             run = (fun () -> Qs_sched.Ivar.fill result (f x));
-             fail =
-               (fun e bt ->
-                 ignore (Qs_sched.Ivar.try_fill_error ~bt result e : bool));
-             kind = Request.K_query;
-             reg = t.rid;
-             t_birth = birth;
-             t_admit = admit;
-           });
-      await_ivar ?timeout t result ~t0
-    end
+    let result = Qs_sched.Ivar.create () in
+    t.enqueue (Request.Query { run = f; result; reg = t.rid; birth; admit });
+    await_ivar ?timeout t result ~t0
   end
 
 (* Promise-pipelined query (the deferred flavour of Fig. 10a): package
@@ -600,11 +381,12 @@ let query1 ?timeout t f x =
 
    Synced-status rules (§3.4.1 extended to deferred rendezvous): issuing
    the query invalidates [synced] exactly like a call, because the
-   handler has pending work again.  Forcing the promise re-establishes
-   [synced] — the handler has provably drained everything logged up to
-   the query — but only if nothing was logged through this registration
-   in between (checked via the [logged] watermark) and the block is
-   still open.  The [synced] write happens in the promise's force hook,
+   handler has pending work again.  Forcing a fulfilled promise
+   re-establishes [synced] — the handler has provably drained everything
+   logged up to the query — but only if nothing was logged through this
+   registration in between (checked via the [logged] watermark) and the
+   block is still open.  A rejected promise never does: shedding and
+   abort reject without draining.  The [synced] write happens in the promise's force hook,
    which runs on the forcing client fiber, never on the handler: the
    field stays single-writer. *)
 let query_async t f =
@@ -626,7 +408,13 @@ let query_async t f =
     Qs_obs.Counter.incr
       (if was_ready then stats.Stats.promises_ready
        else stats.Stats.promises_blocked);
-    if (not t.closed) && t.logged = mark then begin
+    match !promise_slot with
+    | Some p
+      when (not t.closed) && t.logged = mark
+           && not (Qs_sched.Promise.is_rejected p) -> (
+      (* Only a fulfilled promise proves the handler reached the query:
+         a rejection may come from shedding or abort, which discard the
+         request without draining anything before it. *)
       t.synced <- true;
       (* Dynamic handler-side sync elision (§3.4.1 generalized to
          pipelined traffic): the handler saw a drained log at
@@ -634,19 +422,17 @@ let query_async t f =
          since, so this force doubles as the sync — the separate
          round trip that would re-establish synced status is
          skipped, and counted as elided. *)
-      match !promise_slot with
-      | Some p
-        when dyn && Qs_sched.Promise.was_drained p
-             && Atomic.get t.poison = None -> (
+      if dyn && Qs_sched.Promise.was_drained p && Atomic.get t.poison = None
+      then begin
         (* Never counted on a dirty registration: an elision there
            would claim a sync the conformance model forbids — the
            pending failure still has to surface at a real sync point. *)
         Qs_obs.Counter.incr stats.Stats.syncs_elided;
         match trace with
         | Some tr -> Trace.record tr ~proc ~client:rid Trace.Sync_elided
-        | None -> ())
-      | _ -> ()
-    end
+        | None -> ()
+      end)
+    | _ -> ()
   in
   let promise =
     match t.remote with
@@ -655,9 +441,9 @@ let query_async t f =
          back the promise the demultiplexer will fulfil.  The drained
          hint is not forwarded over the wire, so [was_drained] stays
          false and forcing never elides a remote sync — conservative,
-         and correct.  The uniform-representation coercion mirrors the
-         flat [q0] pairing invariant: producer and promise are paired at
-         this one typed call site. *)
+         and correct.  The proxy is untyped (its closures cross the
+         wire), so producer and promise go through the uniform-
+         representation coercion, paired at this one typed call site. *)
       (Obj.magic
          (px.Processor.px_query_async
             (Obj.magic (f : unit -> _) : unit -> Obj.t)
@@ -682,39 +468,7 @@ let query_async t f =
     let birth = Qs_obs.Clock.now_ns () in
     Processor.admit t.proc;
     let admit = admit_stamp t birth in
-    let r = if use_flat t then alloc_flat t else no_flat in
-    if r != no_flat then begin
-      (* Flat pipelined query: producer and promise stored inline; the
-         handler decodes the tag, fulfils the promise (recording the
-         drained hint first) and recycles the record itself — the promise,
-         not the record, is the client's rendezvous. *)
-      r.Request.tag <- Request.Pipelined;
-      r.Request.q0 <- (Obj.magic (f : unit -> _) : unit -> Obj.t);
-      r.Request.pr <- Obj.repr promise;
-      r.Request.reg <- t.rid;
-      r.Request.t_birth <- birth;
-      r.Request.t_admit <- admit;
-      t.enqueue r.Request.self
-    end
-    else
-      t.enqueue
-        (Request.Query
-           {
-             run = (fun () -> Qs_sched.Promise.fulfill promise (f ()));
-             fail =
-               (fun e bt ->
-                 Qs_obs.Counter.incr stats.Stats.rejected_promises;
-                 (match trace with
-                 | Some tr ->
-                   Trace.record tr ~proc ~client:rid Trace.Promise_rejected
-                 | None -> ());
-                 ignore
-                   (Qs_sched.Promise.try_fulfill_error ~bt promise e : bool));
-             kind = Request.K_pipelined;
-             reg = rid;
-             t_birth = birth;
-             t_admit = admit;
-           }));
+    t.enqueue (Request.Pipelined { run = f; promise; reg = rid; birth; admit }));
   promise
 
 (* Block exit: append the END marker in both modes (the end rule).  In

@@ -20,21 +20,7 @@ val call : t -> (unit -> unit) -> unit
     [f] raises on the handler, the registration is poisoned:
     [Handler_failure] surfaces at the next operation, sync point, or the
     separate block's exit.
-
-    On single-reservation registrations with pooling enabled (and
-    tracing off), the call is logged in the pooled flat representation:
-    no closure record, no queue-node payload allocation — the thunk goes
-    into a recycled request record.  Otherwise it falls back to the
-    packaged-closure form.  The two are observationally identical.
     @raise Handler_failure if already poisoned. *)
-
-val call1 : t -> ('a -> unit) -> 'a -> unit
-(** [call1 t f x] logs the asynchronous call [f x] with [f] and [x]
-    stored {e inline} in the flat request record — the zero-allocation
-    shape for the overwhelmingly common one-argument call, avoiding even
-    the [fun () -> f x] closure that {!call} would need.  Semantically
-    identical to [call t (fun () -> f x)], including the packaged
-    fallback when the flat path is unavailable. *)
 
 val query : ?timeout:float -> t -> (unit -> 'a) -> 'a
 (** Execute a synchronous query.  Depending on the runtime configuration
@@ -53,19 +39,7 @@ val query : ?timeout:float -> t -> (unit -> 'a) -> 'a
     sync (client-executed flavour).  At the deadline the query raises
     {!Qs_sched.Timer.Timeout} ([Scoop.Timeout]) {e without} poisoning
     the registration: the handler still serves the request, and
-    subsequent operations through the handle remain valid.
-
-    In the packaged flavour on a single-reservation registration with
-    pooling on, the round trip rides a pooled flat record whose embedded
-    generation-stamped cell replaces the per-query ivar; a timed-out
-    wait abandons the record (never recycles it), so a late handler fill
-    can only hit the abandoned generation. *)
-
-val query1 : ?timeout:float -> t -> ('a -> 'b) -> 'a -> 'b
-(** [query1 t f x] is {!query} for the one-argument shape: [f] and [x]
-    are stored inline in the flat record (no [fun () -> f x] closure)
-    when the flat path is available; otherwise it behaves exactly like
-    [query t (fun () -> f x)]. *)
+    subsequent operations through the handle remain valid. *)
 
 val query_async : t -> (unit -> 'a) -> 'a Qs_sched.Promise.t
 (** Issue a promise-pipelined query: package [f] for the handler and
@@ -83,13 +57,14 @@ val query_async : t -> (unit -> 'a) -> 'a Qs_sched.Promise.t
 
     Synced status: issuing invalidates {!is_synced} like a call does.
     Forcing the returned promise re-establishes it — equivalent to a
-    blocking {!query} — provided nothing else was logged through this
-    registration since the promise was issued and the separate block is
-    still open.  Forcing after the block closed is allowed and returns
+    blocking {!query} — provided the promise was fulfilled, nothing else
+    was logged through this registration since the promise was issued
+    and the separate block is still open.  A rejected promise never
+    re-establishes it: shedding and abort reject without draining the
+    log.  Forcing after the block closed is allowed and returns
     the value, but no longer updates the registration.
 
-    Dynamic sync elision: on the flat path the fulfilling handler
-    records whether the registration's log was drained at fulfilment
+    Dynamic sync elision: the fulfilling handler records whether the registration's log was drained at fulfilment
     ({!Qs_sched.Promise.was_drained}); when it was, and the force's
     watermark check passes, and the configuration enables [dyn_sync],
     the force doubles as the sync round trip — counted under
@@ -137,21 +112,12 @@ val check_poison : t -> unit
 (**/**)
 
 val make :
-  ?flat:bool ->
-  proc:Processor.t ->
-  ctx:Ctx.t ->
-  enqueue:(Request.t -> unit) ->
-  unit ->
-  t
-(** [flat] (default [false]) permits the pooled flat representation —
-    set by the single-reservation entries of {!Separate}; multi-
-    reservation blocks keep the packaged fallback. *)
+  proc:Processor.t -> ctx:Ctx.t -> enqueue:(Request.t -> unit) -> unit -> t
 
 val make_remote : proc:Processor.t -> ctx:Ctx.t -> unit -> t
 (** Registration on a remote processor: opens a wire-level registration
     on the node ({!Processor.remote_open}) and reroutes every operation
-    through the resulting proxy.  Always packaged; [client_query] and
-    the flat pool do not apply.  The proxy's poison callback is wired to
+    through the resulting proxy.  [client_query] does not apply.  The proxy's poison callback is wired to
     this registration, so the dirty-processor rule crosses the
     connection (including connection loss, which poisons with
     [Connection_lost]). *)

@@ -1,184 +1,67 @@
 (* Requests logged by clients in private queues (paper §2.3 syntax).
 
-   Two representations coexist:
+   One representation: each request is a single heap block carrying the
+   work closure, its typed completion and the issue stamps — the OCaml
+   analogue of the libffi-packaged call of Fig. 9 (cif + argument block)
+   with the completion attached.  The constructor says which completion:
 
-   - The *packaged* form — a heap closure per request, the OCaml
-     analogue of the libffi-packaged call of Fig. 9 (cif + argument
-     block) plus a typed failure completion.  Fully general: any arity,
-     any capture, trace-wrapped runs.  [Call] is an asynchronous
-     packaged call; [Query] the same shape for a promise-pipelined
-     query (the closure fulfils the client's promise).
+   - [Call]: an asynchronous call.  It has no rendezvous, so a failure
+     goes to [poison], the issuing registration's poison completion (one
+     preallocated closure per registration, shared by all its calls).
+   - [Query]: a blocking packaged query (Fig. 10a); the result, or the
+     exception, fills the client's ivar.
+   - [Pipelined]: a promise-pipelined query; the result fulfils (or
+     rejects) the client's promise.
 
-   - The *flat* form — a preallocated, pooled, mutable record covering
-     the hot shapes (0/1-argument calls, blocking queries, pipelined
-     queries) with zero allocation at issue time: the function and its
-     argument are stored inline in dedicated fields, the completion
-     cell is embedded in the record (generation-stamped so a recycled
-     record can never satisfy a stale await), and [self] knots the
-     record to its own [Flat] constructor so enqueueing reuses one
-     preallocated block.  The handler decodes the [tag] structurally —
-     no closure is ever built — and routes failures through the same
-     typed completions ([fail_to] for calls, the cell for blocking
-     queries, the promise for pipelined ones).
-
-   One-argument payloads are stored as [Obj.t].  This is the uniform-
-   representation coercion: every OCaml value (boxed or immediate) has
-   the same machine representation, so [Obj.repr]/[Obj.obj] merely
-   forget and restore the static type.  Soundness rests on the pairing
-   invariant kept by [Registration]: [f1]/[a1] (and [q0]'s result type
-   vs the cell) are always written together from a single well-typed
-   call site, and the record is reset before reuse.  The coercions are
-   confined to this module, [Registration] and the handler in
-   [Processor].
+   The query result type is existential, so the handler routes values
+   and failures into the right completion without any closure built
+   for the purpose and without coercions.
 
    [Sync] is the release half of the wait/release pair introduced by
    the modified query rule of §3.2.  [End] is the end-of-private-queue
-   marker appended when a separate block closes. *)
+   marker appended when a separate block closes.
 
-(* Request class, for routing a completed request's latency into the
-   per-class histogram.  Packaged blocking queries are enqueued as
-   [Call] blocks (the closure fills the client's ivar), so the
-   constructor alone cannot distinguish a call from a blocking query —
-   the kind can. *)
-type kind = K_call | K_query | K_pipelined
+   [reg] is the issuing registration's id (for shed and failure event
+   attribution); [birth] and [admit] are ns stamps (Clock.now_ns) taken
+   at client issue and after backpressure admission. *)
 
-type packaged = {
-  run : unit -> unit;
-  fail : exn -> Printexc.raw_backtrace -> unit;
-  kind : kind;
-  reg : int;  (* issuing registration id, for shed-event attribution *)
-  mutable t_birth : int;  (* ns stamp at client issue (Clock.now_ns) *)
-  mutable t_admit : int;  (* ns stamp after backpressure admission *)
-}
-
-type tag =
-  | Free  (* in the pool, or freshly reset *)
-  | Call0  (* 0-arg asynchronous call: [f0] *)
-  | Call1  (* 1-arg asynchronous call: [f1] applied to [a1] *)
-  | Query0  (* blocking query: [q0]'s result fills [cell] at [cgen] *)
-  | Query1  (* blocking 1-arg query: [q1] applied to [a1] *)
-  | Pipelined  (* promise-pipelined query: [q0]'s result fulfils [pr] *)
-
-type flat = {
-  mutable gen : int;  (* bumped on every recycle (debug/qcheck aid) *)
-  mutable tag : tag;
-  mutable f0 : unit -> unit;
-  mutable f1 : Obj.t -> unit;
-  mutable q0 : unit -> Obj.t;
-  mutable q1 : Obj.t -> Obj.t;
-  mutable a1 : Obj.t;
-  mutable pr : Obj.t;  (* Obj.t Qs_sched.Promise.t when tag = Pipelined *)
-  cell : Obj.t Qs_sched.Cell.t;
-      (* embedded completion cell for blocking queries; owned by this
-         record for its whole life, never reallocated *)
-  mutable cgen : int;  (* cell generation captured when the query was issued *)
-  mutable fail_to : exn -> Printexc.raw_backtrace -> unit;
-      (* call-failure completion: the registration's preallocated
-         poison closure (one per registration, not per request) *)
-  mutable self : t;
-      (* knot: the one [Flat] block wrapping this record, built once at
-         record creation so enqueueing allocates nothing *)
-  mutable slot : int;
-      (* index in the owning processor's pool slot array, or -1 for a
-         record allocated on a pool miss (recycled to the GC instead) *)
-  mutable reg : int;
-      (* issuing registration id, stamped at every issue (an immediate
-         int, so no write barrier); read by the shed path to attribute
-         the shed event to its registration *)
-  mutable t_birth : int;
-      (* ns stamp at client issue; immediate int, so stamping a pooled
-         (major-heap) record never triggers a write barrier *)
-  mutable t_admit : int;  (* ns stamp after backpressure admission *)
-}
-
-and t =
-  | Call of packaged
-  | Query of packaged
-  | Flat of flat
-  | Sync of Qs_sched.Sched.resumer
-  | End
-
-let nop0 () = ()
-let nop1 (_ : Obj.t) = ()
-let unit_obj = Obj.repr ()
-let dq0 () = unit_obj
-let dq1 (_ : Obj.t) = unit_obj
-let nofail (_ : exn) (_ : Printexc.raw_backtrace) = ()
-
-let make_flat () =
-  let r =
-    {
-      gen = 0;
-      tag = Free;
-      f0 = nop0;
-      f1 = nop1;
-      q0 = dq0;
-      q1 = dq1;
-      a1 = unit_obj;
-      pr = unit_obj;
-      cell = Qs_sched.Cell.create ();
-      cgen = 0;
-      fail_to = nofail;
-      self = End;
-      slot = -1;
-      reg = 0;
-      t_birth = 0;
-      t_admit = 0;
+type t =
+  | Call : {
+      run : unit -> unit;
+      poison : exn -> Printexc.raw_backtrace -> unit;
+      reg : int;
+      birth : int;
+      admit : int;
     }
-  in
-  r.self <- Flat r;
-  r
+      -> t
+  | Query : {
+      run : unit -> 'a;
+      result : 'a Qs_sched.Ivar.t;
+      reg : int;
+      birth : int;
+      admit : int;
+    }
+      -> t
+  | Pipelined : {
+      run : unit -> 'a;
+      promise : 'a Qs_sched.Promise.t;
+      reg : int;
+      birth : int;
+      admit : int;
+    }
+      -> t
+  | Sync : Qs_sched.Sched.resumer -> t
+  | End : t
 
-(* Reset before returning to the pool: drop every captured reference
-   (so pooled records don't pin client data against the GC), bump the
-   generation.  Tag-directed: pooled records live in the major heap, so
-   each field write is a potential old-to-young barrier — only the
-   fields the served tag actually wrote are cleared, which keeps the
-   hot call path at two or three writes instead of ten.  The embedded
-   cell is recycled only when the use consumed it (blocking queries):
-   any straggling awaiter from the previous use then gets [Cell.Stale]
-   instead of the next use's value; the next query issue re-reads the
-   cell generation itself.  [fail_to] is deliberately *not* cleared: it
-   points at a registration's preallocated poison closure, which the
-   next issue overwrites only when it differs — a record cycling within
-   one registration never rewrites it (no repeated old-to-young
-   barrier), at the cost of pinning at most [pool_cap] registration
-   records per processor between uses. *)
-let reset_flat r =
-  r.gen <- r.gen + 1;
-  (match r.tag with
-  | Free -> ()
-  | Call0 -> r.f0 <- nop0
-  | Call1 ->
-    r.f1 <- nop1;
-    r.a1 <- unit_obj
-  | Query0 ->
-    r.q0 <- dq0;
-    Qs_sched.Cell.recycle r.cell
-  | Query1 ->
-    r.q1 <- dq1;
-    r.a1 <- unit_obj;
-    Qs_sched.Cell.recycle r.cell
-  | Pipelined ->
-    r.q0 <- dq0;
-    r.pr <- unit_obj);
-  (* Immediate ints: clearing costs plain stores, never a barrier. *)
-  r.reg <- 0;
-  r.t_birth <- 0;
-  r.t_admit <- 0;
-  r.tag <- Free
-
-let pp_tag ppf = function
-  | Free -> Format.pp_print_string ppf "free"
-  | Call0 -> Format.pp_print_string ppf "call0"
-  | Call1 -> Format.pp_print_string ppf "call1"
-  | Query0 -> Format.pp_print_string ppf "query0"
-  | Query1 -> Format.pp_print_string ppf "query1"
-  | Pipelined -> Format.pp_print_string ppf "pipelined"
+let reg = function
+  | Call { reg; _ } -> reg
+  | Query { reg; _ } -> reg
+  | Pipelined { reg; _ } -> reg
+  | Sync _ | End -> 0
 
 let pp ppf = function
   | Call _ -> Format.pp_print_string ppf "call"
   | Query _ -> Format.pp_print_string ppf "query"
-  | Flat r -> Format.fprintf ppf "flat:%a" pp_tag r.tag
+  | Pipelined _ -> Format.pp_print_string ppf "pipelined"
   | Sync _ -> Format.pp_print_string ppf "sync"
   | End -> Format.pp_print_string ppf "end"

@@ -1,79 +1,46 @@
 (** Requests exchanged between clients and handlers.
 
     The runtime counterpart of the statement syntax in paper §2.3, in
-    two representations:
-
-    - {e packaged}: a heap closure per request plus a typed failure
-      completion — the general fallback (any arity, trace-wrapped runs,
-      multi-reservation blocks).  [Call] is an asynchronous packaged
-      call, [Query] a packaged promise-pipelined query.
-
-    - {e flat}: a preallocated pooled record ([Flat]) for the hot
-      shapes — 0/1-argument calls, blocking queries and pipelined
-      queries — with the function and argument stored inline, a
-      generation-stamped completion cell embedded for the record's
-      whole life, and a knotted [self] constructor so issuing a request
-      allocates nothing.  One-argument payloads are [Obj.t] under the
-      uniform-representation coercion; the pairing invariant (fields
-      written together from one typed call site, reset before reuse) is
-      kept by [Registration] and the coercions never escape the
-      core request path.
+    one representation: a single heap block per request carrying the
+    work closure, its typed completion and the issue stamps.  The
+    constructor selects the completion — an asynchronous [Call] poisons
+    its registration through [poison], a blocking [Query] fills the
+    client's ivar, a [Pipelined] query fulfils the client's promise.
 
     [Sync] is the wait/release pair of the (client-executed) query
     protocol; [End] the end-of-registration marker a client appends
     when its separate block closes. *)
 
-type kind = K_call | K_query | K_pipelined
-(** Request class for per-class latency accounting.  Packaged blocking
-    queries ship as [Call] blocks (the closure fills the client's
-    ivar), so the constructor alone cannot tell a call from a blocking
-    query — the kind can. *)
+type t =
+  | Call : {
+      run : unit -> unit;
+      poison : exn -> Printexc.raw_backtrace -> unit;
+          (** the issuing registration's poison completion *)
+      reg : int;  (** issuing registration id ([Registration.rid]) *)
+      birth : int;  (** ns stamp at client issue *)
+      admit : int;  (** ns stamp after backpressure admission *)
+    }
+      -> t
+  | Query : {
+      run : unit -> 'a;
+      result : 'a Qs_sched.Ivar.t;
+      reg : int;
+      birth : int;
+      admit : int;
+    }
+      -> t
+  | Pipelined : {
+      run : unit -> 'a;
+      promise : 'a Qs_sched.Promise.t;
+      reg : int;
+      birth : int;
+      admit : int;
+    }
+      -> t
+  | Sync : Qs_sched.Sched.resumer -> t
+  | End : t
 
-type packaged = {
-  run : unit -> unit;
-  fail : exn -> Printexc.raw_backtrace -> unit;
-  kind : kind;
-  reg : int;  (** issuing registration id ([Registration.rid]) *)
-  mutable t_birth : int;  (** ns stamp at client issue *)
-  mutable t_admit : int;  (** ns stamp after backpressure admission *)
-}
-
-type tag = Free | Call0 | Call1 | Query0 | Query1 | Pipelined
-
-type flat = {
-  mutable gen : int;
-  mutable tag : tag;
-  mutable f0 : unit -> unit;
-  mutable f1 : Obj.t -> unit;
-  mutable q0 : unit -> Obj.t;
-  mutable q1 : Obj.t -> Obj.t;
-  mutable a1 : Obj.t;
-  mutable pr : Obj.t;
-  cell : Obj.t Qs_sched.Cell.t;
-  mutable cgen : int;
-  mutable fail_to : exn -> Printexc.raw_backtrace -> unit;
-  mutable self : t;
-  mutable slot : int;
-  mutable reg : int;  (** issuing registration id, stamped per issue *)
-  mutable t_birth : int;
-  mutable t_admit : int;
-}
-
-and t =
-  | Call of packaged
-  | Query of packaged
-  | Flat of flat
-  | Sync of Qs_sched.Sched.resumer
-  | End
-
-val make_flat : unit -> flat
-(** A fresh flat record (tag [Free], nop fields, embedded cell at
-    generation 0) with [self] knotted to its own [Flat] block. *)
-
-val reset_flat : flat -> unit
-(** Reset to tag [Free] for return to the pool: drops captured
-    references, bumps [gen], recycles the embedded cell (stale awaiters
-    of the previous use get [Cell.Stale]) and refreshes [cgen]. *)
+val reg : t -> int
+(** The issuing registration id; [0] for [Sync] and [End]. *)
 
 val pp : Format.formatter -> t -> unit
-val pp_tag : Format.formatter -> tag -> unit

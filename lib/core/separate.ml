@@ -71,12 +71,12 @@ let enter_one ?deadline ctx proc =
     else if Config.uses_qoq ctx.Ctx.config then begin
       let pq = Processor.take_private_queue proc in
       Processor.enqueue_private_queue proc pq;
-      Registration.make ~flat:true ~proc ~ctx
+      Registration.make ~proc ~ctx
         ~enqueue:(Qs_sched.Bqueue.Spsc.enqueue pq) ()
     end
     else begin
       lock_within ctx proc deadline;
-      Registration.make ~flat:true ~proc ~ctx
+      Registration.make ~proc ~ctx
         ~enqueue:(Processor.enqueue_direct proc) ()
     end
   in
@@ -142,9 +142,6 @@ let enter_many ?deadline ctx procs =
     List.iter (fun (p, pq) -> Processor.enqueue_private_queue p pq) pqs;
     List.iter (fun p -> Qs_queues.Spinlock.release (Processor.reserve p))
       (List.rev sorted);
-    (* Multi-reservation registrations keep the packaged fallback
-       (no [~flat]): the flat pooled path is reserved for the
-       single-reservation entries. *)
     let regs =
       List.map
         (fun (p, pq) ->
@@ -220,10 +217,10 @@ let enter_two ?deadline ctx p1 p2 =
     Qs_queues.Spinlock.release (Processor.reserve hi);
     Qs_queues.Spinlock.release (Processor.reserve lo);
     let r1 =
-      Registration.make ~flat:true ~proc:p1 ~ctx
+      Registration.make ~proc:p1 ~ctx
         ~enqueue:(Qs_sched.Bqueue.Spsc.enqueue pq1) ()
     and r2 =
-      Registration.make ~flat:true ~proc:p2 ~ctx
+      Registration.make ~proc:p2 ~ctx
         ~enqueue:(Qs_sched.Bqueue.Spsc.enqueue pq2) ()
     in
     trace_reserved ctx r1;
@@ -237,10 +234,10 @@ let enter_two ?deadline ctx p1 p2 =
        Processor.unlock_handler lo;
        raise e);
     let r1 =
-      Registration.make ~flat:true ~proc:p1 ~ctx
+      Registration.make ~proc:p1 ~ctx
         ~enqueue:(Processor.enqueue_direct p1) ()
     and r2 =
-      Registration.make ~flat:true ~proc:p2 ~ctx
+      Registration.make ~proc:p2 ~ctx
         ~enqueue:(Processor.enqueue_direct p2) ()
     in
     trace_reserved ctx r1;

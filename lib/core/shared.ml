@@ -5,24 +5,9 @@
    reserves their handler.  We enforce the same discipline dynamically:
    every access checks that the registration used actually reserves the
    owning processor, which is the runtime analogue of the static
-   "protected by the same separate block" rule of §2.1.
+   "protected by the same separate block" rule of §2.1. *)
 
-   The accessor closures ([apply_f]/[get_f]/[set_f]) are hoisted into
-   the object at creation: [apply]/[get]/[set] then log one-argument
-   flat requests through [Registration.call1]/[query1] with the caller's
-   function (or value) as the inline argument, so a hot access loop
-   allocates nothing per access — previously every access built a fresh
-   [fun () -> ...] capture.  [get] routes its polymorphic result through
-   the uniform-representation coercion ([Obj.magic]/[Obj.obj]), sound
-   because the value produced by [f] is returned unchanged. *)
-
-type 'a t = {
-  proc : Processor.t;
-  mutable data : 'a;
-  apply_f : ('a -> unit) -> unit;
-  get_f : ('a -> Obj.t) -> Obj.t;
-  set_f : 'a -> unit;
-}
+type 'a t = { proc : Processor.t; mutable data : 'a }
 
 let create proc data =
   (* A shared object's payload lives in *this* process; a remote
@@ -32,16 +17,7 @@ let create proc data =
   if Processor.is_remote proc then
     invalid_arg
       "Scoop.Shared: remote processors cannot own in-process shared        objects; keep their state in module-level globals on the node";
-  let rec t =
-    {
-      proc;
-      data;
-      apply_f = (fun f -> f t.data);
-      get_f = (fun f -> f t.data);
-      set_f = (fun v -> t.data <- v);
-    }
-  in
-  t
+  { proc; data }
 
 let proc t = t.proc
 
@@ -53,15 +29,15 @@ let check reg t =
 
 let apply reg t f =
   check reg t;
-  Registration.call1 reg t.apply_f f
+  Registration.call reg (fun () -> f t.data)
 
-let get (type b) reg t (f : _ -> b) : b =
+let get reg t f =
   check reg t;
-  Obj.obj (Registration.query1 reg t.get_f (Obj.magic f : _ -> Obj.t))
+  Registration.query reg (fun () -> f t.data)
 
 let set reg t v =
   check reg t;
-  Registration.call1 reg t.set_f v
+  Registration.call reg (fun () -> t.data <- v)
 
 let read_synced reg t =
   check reg t;

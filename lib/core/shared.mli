@@ -3,13 +3,7 @@
 
     Ownership is checked dynamically on every access
     (@raise Invalid_argument on violation) — the runtime analogue of
-    SCOOP's static [separate] typing rule.
-
-    The accessor closures are hoisted into the object at creation and
-    accesses go through the one-argument flat request path
-    ([Registration.call1]/[query1]), so on a single-reservation
-    registration with pooling enabled, {!apply}/{!get}/{!set} allocate
-    nothing per access. *)
+    SCOOP's static [separate] typing rule. *)
 
 type 'a t
 

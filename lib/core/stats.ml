@@ -17,9 +17,6 @@ type t = {
   calls : Qs_obs.Counter.t; (* asynchronous calls enqueued *)
   queries : Qs_obs.Counter.t; (* queries issued (any flavour) *)
   packaged_queries : Qs_obs.Counter.t; (* round trips via packaged closures *)
-  requests_flat : Qs_obs.Counter.t; (* requests issued in the flat representation *)
-  requests_pooled : Qs_obs.Counter.t; (* flat records reused from a processor pool *)
-  pool_misses : Qs_obs.Counter.t; (* flat records freshly allocated (pool empty) *)
   promises_created : Qs_obs.Counter.t; (* pipelined queries issued *)
   promises_fulfilled : Qs_obs.Counter.t; (* promise results produced (handler) *)
   promises_ready : Qs_obs.Counter.t; (* promises resolved before first force *)
@@ -35,7 +32,7 @@ type t = {
   handler_failures : Qs_obs.Counter.t; (* handler-side closure exceptions *)
   poisoned_registrations : Qs_obs.Counter.t; (* registrations dirtied by a failed call *)
   rejected_promises : Qs_obs.Counter.t; (* pipelined queries resolved with an exception *)
-  aborted_requests : Qs_obs.Counter.t; (* packaged requests discarded by abort *)
+  aborted_requests : Qs_obs.Counter.t; (* requests discarded by abort *)
   timer_arms : Qs_obs.Counter.t; (* deadline timers armed by the request path *)
   timeouts_fired : Qs_obs.Counter.t; (* armed deadlines that expired *)
   deadline_exceeded : Qs_obs.Counter.t; (* client operations that raised Timeout *)
@@ -77,9 +74,6 @@ let create () =
   let calls = h "calls" in
   let queries = h "queries" in
   let packaged_queries = c "packaged_queries" in
-  let requests_flat = h "requests_flat" in
-  let requests_pooled = h "requests_pooled" in
-  let pool_misses = c "pool_misses" in
   let promises_created = c "promises_created" in
   let promises_fulfilled = c "promises_fulfilled" in
   let promises_ready = c "promises_ready_on_first_poll" in
@@ -121,9 +115,6 @@ let create () =
     calls;
     queries;
     packaged_queries;
-    requests_flat;
-    requests_pooled;
-    pool_misses;
     promises_created;
     promises_fulfilled;
     promises_ready;
@@ -170,9 +161,6 @@ type snapshot = {
   s_calls : int;
   s_queries : int;
   s_packaged_queries : int;
-  s_requests_flat : int;
-  s_requests_pooled : int;
-  s_pool_misses : int;
   s_promises_created : int;
   s_promises_fulfilled : int;
   s_promises_ready : int;
@@ -207,9 +195,6 @@ let snapshot t =
     s_calls = g t.calls;
     s_queries = g t.queries;
     s_packaged_queries = g t.packaged_queries;
-    s_requests_flat = g t.requests_flat;
-    s_requests_pooled = g t.requests_pooled;
-    s_pool_misses = g t.pool_misses;
     s_promises_created = g t.promises_created;
     s_promises_fulfilled = g t.promises_fulfilled;
     s_promises_ready = g t.promises_ready;
@@ -244,9 +229,6 @@ let diff later earlier =
     s_calls = later.s_calls - earlier.s_calls;
     s_queries = later.s_queries - earlier.s_queries;
     s_packaged_queries = later.s_packaged_queries - earlier.s_packaged_queries;
-    s_requests_flat = later.s_requests_flat - earlier.s_requests_flat;
-    s_requests_pooled = later.s_requests_pooled - earlier.s_requests_pooled;
-    s_pool_misses = later.s_pool_misses - earlier.s_pool_misses;
     s_promises_created = later.s_promises_created - earlier.s_promises_created;
     s_promises_fulfilled =
       later.s_promises_fulfilled - earlier.s_promises_fulfilled;
@@ -295,7 +277,6 @@ let pp_snapshot ppf s =
      reservations:      %d (multi: %d)@,\
      async calls:       %d@,\
      queries:           %d (packaged: %d, pipelined: %d)@,\
-     flat requests:     %d (pooled: %d, pool misses: %d)@,\
      promises:          %d fulfilled, %d ready on first poll, %d forced blocking@,\
      syncs sent:        %d@,\
      syncs elided:      %d@,\
@@ -308,8 +289,8 @@ let pp_snapshot ppf s =
      shed requests:     %d@,\
      remote:            %d requests, %d replies, %d failures@]"
     s.s_processors s.s_reservations s.s_multi_reservations s.s_calls
-    s.s_queries s.s_packaged_queries s.s_promises_created s.s_requests_flat
-    s.s_requests_pooled s.s_pool_misses s.s_promises_fulfilled s.s_promises_ready s.s_promises_blocked
+    s.s_queries s.s_packaged_queries s.s_promises_created
+    s.s_promises_fulfilled s.s_promises_ready s.s_promises_blocked
     s.s_syncs_sent s.s_syncs_elided s.s_eve_lookups s.s_wait_retries
     s.s_wait_backoffs s.s_handler_wakeups s.s_batched_requests (mean_batch s)
     s.s_ends_drained s.s_handler_failures s.s_poisoned_registrations

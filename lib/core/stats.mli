@@ -16,15 +16,6 @@ type t = {
   calls : Qs_obs.Counter.t;
   queries : Qs_obs.Counter.t;
   packaged_queries : Qs_obs.Counter.t;
-  requests_flat : Qs_obs.Counter.t;
-      (** requests issued in the pooled flat representation (no closure
-          packaging) rather than as heap-packaged closures *)
-  requests_pooled : Qs_obs.Counter.t;
-      (** flat request records reused from a processor's free list *)
-  pool_misses : Qs_obs.Counter.t;
-      (** flat request records freshly allocated because the free list
-          was empty (pool warm-up, or more requests in flight than the
-          pool cap) *)
   promises_created : Qs_obs.Counter.t;
       (** pipelined queries issued ({!Registration.query_async}) *)
   promises_fulfilled : Qs_obs.Counter.t;
@@ -55,7 +46,7 @@ type t = {
   rejected_promises : Qs_obs.Counter.t;
       (** pipelined query promises resolved with an exception *)
   aborted_requests : Qs_obs.Counter.t;
-      (** packaged requests discarded unexecuted by {!Processor.abort} *)
+      (** requests discarded unexecuted by {!Processor.abort} *)
   timer_arms : Qs_obs.Counter.t;
       (** deadline timers armed by the request path (timed queries and
           syncs) — the per-operation cost knob of the timeout ablation *)
@@ -118,9 +109,6 @@ type snapshot = {
   s_calls : int;
   s_queries : int;
   s_packaged_queries : int;
-  s_requests_flat : int;
-  s_requests_pooled : int;
-  s_pool_misses : int;
   s_promises_created : int;
   s_promises_fulfilled : int;
   s_promises_ready : int;

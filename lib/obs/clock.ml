@@ -4,8 +4,7 @@
    CLOCK_MONOTONIC returning an immediate OCaml int, so stamping a
    timestamp on the request hot path costs one vDSO call and zero
    allocation (the boxed-float return of [Unix.gettimeofday] would cost
-   ~3 minor words per read, which the pooled flat request path cannot
-   afford).  Monotonicity also means a latency difference can never go
+   ~3 minor words per read, twice per request on the hot path).  Monotonicity also means a latency difference can never go
    negative across a wall-clock step. *)
 
 external now_ns : unit -> int = "qs_obs_clock_now_ns" [@@noalloc]

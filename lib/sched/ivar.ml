@@ -17,18 +17,20 @@ type 'a state =
   | Empty of Sched.resumer list
   | Resolved of 'a outcome
 
-type 'a t = { state : 'a state Atomic.t }
+(* The ivar is its atomic state cell itself: no wrapper record, so a
+   packaged query's rendezvous costs one small block. *)
+type 'a t = 'a state Atomic.t
 
-let create () = { state = Atomic.make (Empty []) }
+let create () = Atomic.make (Empty [])
 
-let create_full v = { state = Atomic.make (Resolved (Ok v)) }
+let create_full v = Atomic.make (Resolved (Ok v))
 
 let try_resolve t outcome =
   let rec loop () =
-    match Atomic.get t.state with
+    match Atomic.get t with
     | Resolved _ -> false
     | Empty waiters as old ->
-      if Atomic.compare_and_set t.state old (Resolved outcome) then begin
+      if Atomic.compare_and_set t old (Resolved outcome) then begin
         (* FIFO wake-up: waiters accumulated head-first. *)
         List.iter (fun resume -> resume ()) (List.rev waiters);
         true
@@ -53,21 +55,21 @@ let fill_error ?bt t e =
     invalid_arg "Ivar.fill_error: already resolved"
 
 let peek_result t =
-  match Atomic.get t.state with
+  match Atomic.get t with
   | Resolved outcome -> Some outcome
   | Empty _ -> None
 
 let peek t =
-  match Atomic.get t.state with
+  match Atomic.get t with
   | Resolved (Ok v) -> Some v
   | Resolved (Error (e, bt)) -> Printexc.raise_with_backtrace e bt
   | Empty _ -> None
 
 let is_filled t =
-  match Atomic.get t.state with Resolved _ -> true | Empty _ -> false
+  match Atomic.get t with Resolved _ -> true | Empty _ -> false
 
 let is_rejected t =
-  match Atomic.get t.state with
+  match Atomic.get t with
   | Resolved (Error _) -> true
   | Resolved (Ok _) | Empty _ -> false
 
@@ -76,15 +78,15 @@ let is_rejected t =
    Runs in the resolver's context, immediately if already resolved. *)
 let on_resolve t f =
   let rec subscribe () =
-    match Atomic.get t.state with
+    match Atomic.get t with
     | Resolved outcome -> f outcome
     | Empty waiters as old ->
       let cb () =
-        match Atomic.get t.state with
+        match Atomic.get t with
         | Resolved outcome -> f outcome
         | Empty _ -> assert false
       in
-      if not (Atomic.compare_and_set t.state old (Empty (cb :: waiters))) then
+      if not (Atomic.compare_and_set t old (Empty (cb :: waiters))) then
         subscribe ()
   in
   subscribe ()
@@ -93,23 +95,23 @@ let on_fill t f =
   on_resolve t (function Ok v -> f v | Error _ -> ())
 
 let result t =
-  match Atomic.get t.state with
+  match Atomic.get t with
   | Resolved outcome -> outcome
   | Empty _ ->
     Sched.suspend (fun resume ->
       let rec subscribe () =
-        match Atomic.get t.state with
+        match Atomic.get t with
         | Resolved _ ->
           (* Resolved between our first check and suspension. *)
           resume ()
         | Empty waiters as old ->
           if
             not
-              (Atomic.compare_and_set t.state old (Empty (resume :: waiters)))
+              (Atomic.compare_and_set t old (Empty (resume :: waiters)))
           then subscribe ()
       in
       subscribe ());
-    (match Atomic.get t.state with
+    (match Atomic.get t with
     | Resolved outcome -> outcome
     | Empty _ -> assert false)
 
@@ -119,19 +121,19 @@ let result t =
    cells resolve at most once, so the leak is one closure per timed-out
    reader, reclaimed with the cell. *)
 let result_timeout t dt =
-  match Atomic.get t.state with
+  match Atomic.get t with
   | Resolved outcome -> Some outcome
   | Empty _ -> (
     let verdict =
       Sched.suspend_timeout
         (fun resume ->
           let rec subscribe () =
-            match Atomic.get t.state with
+            match Atomic.get t with
             | Resolved _ -> resume ()
             | Empty waiters as old ->
               if
                 not
-                  (Atomic.compare_and_set t.state old
+                  (Atomic.compare_and_set t old
                      (Empty (resume :: waiters)))
               then subscribe ()
           in
@@ -141,7 +143,7 @@ let result_timeout t dt =
     match verdict with
     | `Timed_out -> None
     | `Resumed -> (
-      match Atomic.get t.state with
+      match Atomic.get t with
       | Resolved outcome -> Some outcome
       | Empty _ -> assert false))
 

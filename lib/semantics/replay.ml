@@ -6,13 +6,12 @@
    known to have executed or shed, whether the synced status currently
    holds, and whether the registration is dirty (a failure completion
    was delivered — poison — or a request was shed).  The checked
-   properties are the ones the pooled flat request path, the dynamic
-   sync elision and the PR 4–5 failure paths could plausibly break:
+   properties are the ones the request path, the dynamic sync elision
+   and the failure paths could plausibly break:
 
    - execution order: a handler must never execute more calls than were
-     logged minus those shed (a recycled record served twice, served
-     before its enqueue, or served after having been shed, shows up
-     here);
+     logged minus those shed (a request served twice, served before its
+     enqueue, or served after having been shed, shows up here);
    - shed accounting: a shed must consume a logged-but-unexecuted slot;
    - elision legality: a skipped sync round trip must coincide with the
      synced state on a clean registration — an elision on a dirty

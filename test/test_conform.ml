@@ -153,6 +153,48 @@ let test_shed_differential () =
   check_bool "some request was shed" true (has_kind tr T.Request_shed);
   assert_member "shed" (List.rev !acts) allowed
 
+let test_shed_pipelined () =
+  (* A pipelined query shed from the backlog: client A's query waits
+     behind A's slow call, and client B's call arrives past the bound of
+     one, so the handler pays the debt with A's query.  Forcing the
+     rejected promise proves nothing was drained, so it must not count
+     as a sync: A's next query syncs for real and the trace replays
+     clean (an elided sync there would be a violation). *)
+  let synced_after_shed = ref true in
+  let tr =
+    traced ~domains:1
+      Cfg.(all |> with_bound 1 |> with_overflow `Shed_oldest)
+      (fun rt ->
+        let h = R.processor rt in
+        let started = Atomic.make false in
+        let issued = Qs_sched.Ivar.create () in
+        let flooded = Qs_sched.Ivar.create () in
+        S.spawn (fun () ->
+          Qs_sched.Ivar.read issued;
+          R.separate rt h (fun reg ->
+            Reg.call reg (fun () -> ());
+            Qs_sched.Ivar.fill flooded ()));
+        R.separate rt h (fun reg ->
+          Reg.call reg (fun () ->
+            Atomic.set started true;
+            S.sleep 0.05);
+          while not (Atomic.get started) do
+            S.yield ()
+          done;
+          let p = Reg.query_async reg (fun () -> 0) in
+          Qs_sched.Ivar.fill issued ();
+          Qs_sched.Ivar.read flooded;
+          (match Scoop.Promise.await p with
+          | (_ : int) -> Alcotest.fail "expected the query to be shed"
+          | exception Scoop.Overloaded _ -> ());
+          synced_after_shed := Reg.is_synced reg;
+          ignore (Reg.query reg (fun () -> 0) : int)))
+  in
+  assert_conforms "shed pipelined" tr;
+  check_bool "the query was shed" true (has_kind tr T.Query_shed);
+  check_bool "the rejected force did not sync" false !synced_after_shed;
+  check_bool "no sync elided" false (has_kind tr T.Sync_elided)
+
 (* -- poison ------------------------------------------------------------------- *)
 
 let test_poison_differential () =
@@ -393,6 +435,7 @@ let () =
           Alcotest.test_case "timeout" `Quick test_timeout_differential;
           Alcotest.test_case "shed" `Quick test_shed_differential;
           Alcotest.test_case "poison" `Quick test_poison_differential;
+          Alcotest.test_case "shed pipelined query" `Quick test_shed_pipelined;
         ] );
       ( "partitioning",
         [

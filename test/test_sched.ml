@@ -201,6 +201,79 @@ let test_ivar_peek () =
     let iv = Ivar.create_full 9 in
     Alcotest.(check (option int)) "peek" (Some 9) (Ivar.peek iv))
 
+(* The typed-completion half of a blocking query: the handler rejects
+   the client's ivar, and the client re-raises. *)
+let test_ivar_error () =
+  S.run (fun () ->
+    let iv : int Ivar.t = Ivar.create () in
+    check_bool "error fill" true (Ivar.try_fill_error iv Exit);
+    check_bool "second fill refused" false (Ivar.try_fill iv 1);
+    (match Ivar.result iv with
+    | Error (Exit, _) -> ()
+    | _ -> Alcotest.fail "expected Error Exit");
+    check_bool "read re-raises" true
+      (try
+         ignore (Ivar.read iv : int);
+         false
+       with Exit -> true))
+
+(* A timed-out reader abandons the wait, never the work: the late fill
+   still succeeds and a later reader sees its value. *)
+let test_ivar_timeout_late_fill () =
+  S.run (fun () ->
+    let iv : int Ivar.t = Ivar.create () in
+    check_bool "times out unfilled" true (Ivar.result_timeout iv 0.02 = None);
+    check_bool "late fill lands" true (Ivar.try_fill iv 9);
+    check_int "later read" 9 (Ivar.read iv))
+
+(* One fresh ivar per round trip: across 4 domains, value and error
+   fillers race for each one while blocking, timed and peeking readers
+   wait on it.  Exactly one filler wins, and every reader observes the
+   winner's outcome — never another round's. *)
+let test_ivar_racing_fills () =
+  let rounds = 300 in
+  let wrong = Atomic.make 0 in
+  S.run ~domains:4 (fun () ->
+    for g = 0 to rounds - 1 do
+      let iv : int Ivar.t = Ivar.create () in
+      let wins = Atomic.make 0 in
+      let resolved = Atomic.make 0 in
+      Ivar.on_resolve iv (fun _ -> Atomic.incr resolved);
+      let latch = Latch.create 5 in
+      let expect = function
+        | Ok v -> v = g || v = -g - 1
+        | Error (Exit, _) -> true
+        | Error _ -> false
+      in
+      (* every reader holds the very outcome the winner stored *)
+      let agree outcome =
+        match Ivar.peek_result iv with
+        | Some stored when stored == outcome && expect outcome -> ()
+        | _ -> Atomic.incr wrong
+      in
+      S.spawn (fun () ->
+        agree (Ivar.result iv);
+        Latch.count_down latch);
+      S.spawn (fun () ->
+        (match Ivar.result_timeout iv 5.0 with
+        | Some outcome -> agree outcome
+        | None -> Atomic.incr wrong);
+        Latch.count_down latch);
+      S.spawn (fun () ->
+        if Ivar.try_fill iv g then Atomic.incr wins;
+        Latch.count_down latch);
+      S.spawn (fun () ->
+        if Ivar.try_fill iv (-g - 1) then Atomic.incr wins;
+        Latch.count_down latch);
+      S.spawn (fun () ->
+        if Ivar.try_fill_error iv Exit then Atomic.incr wins;
+        Latch.count_down latch);
+      Latch.wait latch;
+      if Atomic.get wins <> 1 || Atomic.get resolved <> 1 then
+        Atomic.incr wrong
+    done);
+  check_int "one winner per ivar, seen by every reader" 0 (Atomic.get wrong)
+
 (* -- promise ------------------------------------------------------------------- *)
 
 module Promise = Qs_sched.Promise
@@ -653,6 +726,41 @@ let prop_spawn_all_run =
         done);
       Atomic.get hits = n)
 
+(* Write-once under contention: any number of fillers and readers,
+   spawned in any order over 2 domains.  Exactly one fill succeeds, every
+   reader reads the winning value, and fill callbacks fire once. *)
+let prop_ivar_one_winner =
+  QCheck2.Test.make ~count:50 ~name:"ivar: one fill wins, every reader sees it"
+    QCheck2.Gen.(pair (int_range 1 8) (int_range 0 8))
+    (fun (fillers, readers) ->
+      S.run ~domains:2 (fun () ->
+        let iv : int Ivar.t = Ivar.create () in
+        let wins = Atomic.make 0 in
+        let winner = Atomic.make (-1) in
+        let fired = Atomic.make 0 in
+        let read_ok = Atomic.make true in
+        let seen = Array.make readers (-1) in
+        Ivar.on_fill iv (fun _ -> Atomic.incr fired);
+        let latch = Latch.create (fillers + readers) in
+        for r = 0 to readers - 1 do
+          S.spawn (fun () ->
+            seen.(r) <- Ivar.read iv;
+            Latch.count_down latch)
+        done;
+        for f = 0 to fillers - 1 do
+          S.spawn (fun () ->
+            if Ivar.try_fill iv f then begin
+              Atomic.incr wins;
+              Atomic.set winner f
+            end;
+            Latch.count_down latch)
+        done;
+        Latch.wait latch;
+        Array.iter
+          (fun v -> if v <> Atomic.get winner then Atomic.set read_ok false)
+          seen;
+        Atomic.get wins = 1 && Atomic.get fired = 1 && Atomic.get read_ok))
+
 (* -- timers and timeouts ---------------------------------------------------- *)
 
 (* CAS-append for collecting completion order from multiple domains. *)
@@ -927,163 +1035,6 @@ let test_pool_counters_assoc_shape () =
   check_bool "per-pool hot" true (has "pool.hot.workers");
   check_bool "empty outside a scheduler" true (S.current_pool_counters () = [])
 
-(* -- generation-stamped cells ------------------------------------------------ *)
-
-module Cell = Qs_sched.Cell
-
-let test_cell_roundtrip () =
-  S.run (fun () ->
-    let c : int Cell.t = Cell.create () in
-    let gen = Cell.generation c in
-    check_int "fresh generation" 0 gen;
-    check_bool "fill" true (Cell.try_fill c ~gen 41);
-    check_bool "double fill refused" false (Cell.try_fill c ~gen 42);
-    (match Cell.result c ~gen with
-    | Ok v -> check_int "value" 41 v
-    | Error _ -> Alcotest.fail "expected Ok");
-    Cell.recycle c;
-    check_int "generation bumped" 1 (Cell.generation c);
-    let gen = Cell.generation c in
-    check_bool "refill after recycle" true (Cell.try_fill c ~gen 7);
-    check_int "next generation's value" 7 (Cell.read c ~gen))
-
-let test_cell_error () =
-  S.run (fun () ->
-    let c : int Cell.t = Cell.create () in
-    let gen = Cell.generation c in
-    check_bool "error fill" true (Cell.try_fill_error c ~gen Exit);
-    (match Cell.result c ~gen with
-    | Error (Exit, _) -> ()
-    | _ -> Alcotest.fail "expected Error Exit");
-    check_bool "read re-raises" true
-      (try
-         ignore (Cell.read c ~gen : int);
-         false
-       with Exit -> true))
-
-let test_cell_stale_read () =
-  S.run (fun () ->
-    let c : int Cell.t = Cell.create () in
-    let old = Cell.generation c in
-    check_bool "fill old" true (Cell.try_fill c ~gen:old 1);
-    Cell.recycle c;
-    let gen = Cell.generation c in
-    check_bool "fill new" true (Cell.try_fill c ~gen 2);
-    (* A reader still holding the recycled generation must never see the
-       new generation's value. *)
-    check_bool "stale result raises" true
-      (try
-         ignore (Cell.result c ~gen:old : int Cell.outcome);
-         false
-       with Cell.Stale -> true);
-    check_bool "stale peek raises" true
-      (try
-         ignore (Cell.peek_result c ~gen:old : int Cell.outcome option);
-         false
-       with Cell.Stale -> true);
-    (* The current generation still reads its own value. *)
-    check_int "current generation unaffected" 2 (Cell.read c ~gen))
-
-let test_cell_stale_while_empty () =
-  S.run (fun () ->
-    let c : int Cell.t = Cell.create () in
-    let old = Cell.generation c in
-    check_bool "fill+consume" true (Cell.try_fill c ~gen:old 1);
-    Cell.recycle c;
-    (* Recycled but not yet refilled: a stale reader must raise, not
-       block forever waiting for a generation that is over. *)
-    check_bool "stale read of empty next gen" true
-      (try
-         ignore (Cell.result c ~gen:old : int Cell.outcome);
-         false
-       with Cell.Stale -> true))
-
-let test_cell_timeout_abandon () =
-  S.run (fun () ->
-    let c : int Cell.t = Cell.create () in
-    let gen = Cell.generation c in
-    check_bool "times out unfilled" true
-      (Cell.result_timeout c ~gen 0.02 = None);
-    (* The abandon protocol: the timed-out reader error-fills; the late
-       real fill then fails, telling the filler the rendezvous is dead. *)
-    check_bool "abandon fill wins" true (Cell.try_fill_error c ~gen Exit);
-    check_bool "late real fill loses" false (Cell.try_fill c ~gen 9))
-
-(* The qcheck property behind the pooled request path: across an
-   arbitrary sequence of generations with an awaiter each, every awaiter
-   either reads exactly its own generation's value or observes [Stale] —
-   a recycled cell is never observed by a stale awaiter.  Readers are
-   spawned concurrently and the owner recycles as soon as the value is
-   consumed, across 4 domains to give stale wake-ups a chance. *)
-let prop_cell_generations =
-  QCheck2.Test.make ~count:30 ~name:"cell: stale awaiter never sees a value"
-    QCheck2.Gen.(int_range 1 40)
-    (fun gens ->
-      S.run ~domains:4 (fun () ->
-        let c : int Cell.t = Cell.create () in
-        let ok = Atomic.make true in
-        let mism = Atomic.make 0 in
-        for g = 0 to gens - 1 do
-          let gen = Cell.generation c in
-          if gen <> g then Atomic.set ok false;
-          let consumed = Ivar.create () in
-          (* the generation's awaiter *)
-          S.spawn (fun () ->
-            (match Cell.result c ~gen with
-            | Ok v -> if v <> g * 1000 then Atomic.set ok false
-            | Error _ -> Atomic.set ok false
-            | exception Cell.Stale ->
-              (* possible only if the owner recycled first, which it
-                 never does before consumption — count, don't fail *)
-              Atomic.incr mism);
-            Ivar.fill consumed ());
-          (* a straggler holding the previous generation: it may observe
-             its own generation's leftover value or [Stale], never the
-             current generation's value *)
-          if g > 0 then
-            S.spawn (fun () ->
-              match Cell.peek_result c ~gen:(g - 1) with
-              | Some (Ok v) -> if v <> (g - 1) * 1000 then Atomic.set ok false
-              | Some (Error _) -> Atomic.set ok false
-              | None -> ()
-              | exception Cell.Stale -> ());
-          ignore (Cell.try_fill c ~gen (g * 1000) : bool);
-          Ivar.read consumed;
-          Cell.recycle c
-        done;
-        Atomic.get ok && Atomic.get mism = 0))
-
-let test_cell_multi_domain_stress () =
-  (* 4 domains, many generations: one filler domain races the awaiter
-     and a pack of stale readers; nobody may ever observe a value from a
-     generation they did not issue. *)
-  let rounds = 500 in
-  let wrong = Atomic.make 0 in
-  S.run ~domains:4 (fun () ->
-    let c : int Cell.t = Cell.create () in
-    for g = 0 to rounds - 1 do
-      let gen = Cell.generation c in
-      let consumed = Ivar.create () in
-      S.spawn (fun () ->
-        (match Cell.result c ~gen with
-        | Ok v -> if v <> g then Atomic.incr wrong
-        | Error _ -> Atomic.incr wrong
-        | exception Cell.Stale -> ());
-        Ivar.fill consumed ());
-      S.spawn (fun () -> ignore (Cell.try_fill c ~gen g : bool));
-      (* stale readers from arbitrary earlier generations *)
-      if g mod 7 = 0 && g > 0 then
-        S.spawn (fun () ->
-          match Cell.peek_result c ~gen:(g - 1) with
-          | Some (Ok v) -> if v <> g - 1 then Atomic.incr wrong
-          | Some (Error _) -> Atomic.incr wrong
-          | None -> ()
-          | exception Cell.Stale -> ());
-      Ivar.read consumed;
-      Cell.recycle c
-    done);
-  check_int "no cross-generation value observed" 0 (Atomic.get wrong)
-
 (* -- poller: fd readiness as a wake source ------------------------------- *)
 
 let nonblock_pipe () =
@@ -1263,6 +1214,11 @@ let () =
           Alcotest.test_case "many readers" `Quick test_ivar_many_readers;
           Alcotest.test_case "double fill" `Quick test_ivar_double_fill;
           Alcotest.test_case "peek" `Quick test_ivar_peek;
+          Alcotest.test_case "error outcome" `Quick test_ivar_error;
+          Alcotest.test_case "timed-out reader, late fill" `Quick
+            test_ivar_timeout_late_fill;
+          Alcotest.test_case "racing fills, multi-domain" `Quick
+            test_ivar_racing_fills;
         ] );
       ( "promise",
         [
@@ -1315,23 +1271,10 @@ let () =
           Alcotest.test_case "reduce" `Quick test_parfor_reduce;
           Alcotest.test_case "single chunk" `Quick test_parfor_single_chunk;
         ] );
-      ( "cells",
-        [
-          Alcotest.test_case "fill/read/recycle roundtrip" `Quick
-            test_cell_roundtrip;
-          Alcotest.test_case "error outcome" `Quick test_cell_error;
-          Alcotest.test_case "stale read" `Quick test_cell_stale_read;
-          Alcotest.test_case "stale read of empty next gen" `Quick
-            test_cell_stale_while_empty;
-          Alcotest.test_case "timeout abandon handoff" `Quick
-            test_cell_timeout_abandon;
-          Alcotest.test_case "multi-domain stress" `Quick
-            test_cell_multi_domain_stress;
-        ] );
       ( "properties",
         [
           qc prop_parfor_partition;
           qc prop_spawn_all_run;
-          qc prop_cell_generations;
+          qc prop_ivar_one_winner;
         ] );
     ]

@@ -1306,101 +1306,83 @@ let prop_generous_timeout_equiv config mailbox =
         Latch.wait latch);
       Atomic.get ok)
 
-(* -- pooled flat requests ----------------------------------------------------- *)
+(* -- the request path ---------------------------------------------------------- *)
 
-(* One mixed workload, parameterized only by the pooling knob: calls,
-   1-arg calls, blocking queries (0- and 1-arg), pipelined queries.
-   Returns the observable outcome — final balance plus every query
-   result — so pooled and unpooled runs can be compared bit for bit. *)
-let flat_workload ~pooling config =
-  R.run ~domains:2 ~config:(Cfg.with_pooling pooling config) (fun rt ->
+(* One mixed workload: calls, shared-object accesses, blocking queries
+   and pipelined queries.  Returns the observable outcome — final value
+   plus every query result — and the number of requests served per
+   class, so traced and untraced runs can be compared request for
+   request. *)
+let request_workload ~trace config =
+  R.run ~domains:2 ~config:(Cfg.with_trace trace config) (fun rt ->
     let h = R.processor rt in
     let r = ref 0 in
+    let obj = Sh.create h (ref 0) in
     let results = ref [] in
     let keep v = results := v :: !results in
     R.separate rt h (fun reg ->
       for i = 1 to 40 do
         Reg.call reg (fun () -> r := !r + 1);
-        Reg.call1 reg (fun n -> r := !r + n) i;
+        Sh.apply reg obj (fun c -> c := !c + i);
         keep (Reg.query reg (fun () -> !r));
-        keep (Reg.query1 reg (fun n -> !r + n) 100);
+        keep (Sh.get reg obj (fun c -> !c + 100));
+        Sh.set reg obj (ref i);
         let p = Reg.query_async reg (fun () -> !r) in
         keep (Scoop.Promise.await p)
       done);
     let final = R.separate rt h (fun reg -> Reg.query reg (fun () -> !r)) in
-    let s = Scoop.Stats.snapshot (R.stats rt) in
-    (final, List.rev !results, s))
-
-let test_pooled_unpooled_equiv config =
-  let f_pooled, rs_pooled, s_pooled = flat_workload ~pooling:true config in
-  let f_plain, rs_plain, s_plain = flat_workload ~pooling:false config in
-  check_int "same final balance" f_plain f_pooled;
-  Alcotest.(check (list int)) "same query results" rs_plain rs_pooled;
-  check_int "same calls" s_plain.Scoop.Stats.s_calls s_pooled.Scoop.Stats.s_calls;
-  check_int "same queries" s_plain.Scoop.Stats.s_queries
-    s_pooled.Scoop.Stats.s_queries;
-  check_int "unpooled run issued no flat requests" 0
-    s_plain.Scoop.Stats.s_requests_flat;
-  (* Single-reservation traffic under a pooling config must actually
-     exercise the flat path (the qoq preset and friends enable it). *)
-  if config.Cfg.pooling then
-    check_bool "pooled run issued flat requests" true
-      (s_pooled.Scoop.Stats.s_requests_flat > 0)
-
-let test_pool_recycles config =
-  (* Far more round-trip requests than the pool holds: the free list
-     must cycle (requests_pooled keeps growing) instead of draining
-     once and falling back forever. *)
-  if config.Cfg.pooling then begin
-    let s =
-      R.run ~config:(Cfg.with_pooling true config) (fun rt ->
-        let h = R.processor rt in
-        let r = ref 0 in
-        R.separate rt h (fun reg ->
-          for _ = 1 to 500 do
-            Reg.call reg (fun () -> incr r);
-            ignore (Reg.query reg (fun () -> !r) : int)
-          done);
-        Scoop.Stats.snapshot (R.stats rt))
+    let stats = R.stats rt in
+    let served name =
+      (Qs_obs.Histogram.dist (Scoop.Stats.histograms stats) name)
+        .Qs_obs.Histogram.total
     in
-    check_bool "pool cycled many times" true
-      (s.Scoop.Stats.s_requests_pooled > 400);
-    check_int "flat == pooled under the fallback design"
-      s.Scoop.Stats.s_requests_pooled s.Scoop.Stats.s_requests_flat
-  end
-
-let test_pool_miss_falls_back config =
-  (* Flood asynchronous calls without ever syncing: the 64-slot pool
-     empties and every further call must degrade to the packaged path
-     (counted as misses), with nothing lost. *)
-  if config.Cfg.pooling then begin
-    let n = 2_000 in
-    let total, s =
-      R.run ~config:(Cfg.with_pooling true config) (fun rt ->
-        let h = R.processor rt in
-        let r = ref 0 in
-        let total =
-          R.separate rt h (fun reg ->
-            for _ = 1 to n do
-              Reg.call reg (fun () -> incr r)
-            done;
-            Reg.query reg (fun () -> !r))
-        in
-        (total, Scoop.Stats.snapshot (R.stats rt)))
+    let mix =
+      [
+        ("calls", Qs_obs.Counter.value (Scoop.Stats.assoc stats) "calls");
+        ("queries", Qs_obs.Counter.value (Scoop.Stats.assoc stats) "queries");
+        ("call_local_ns", served "call_local_ns");
+        ("query_local_ns", served "query_local_ns");
+        ("pipelined_local_ns", served "pipelined_local_ns");
+      ]
     in
-    check_int "every call served" n total;
-    check_bool "some calls fell back" true (s.Scoop.Stats.s_pool_misses > 0)
-  end
+    (final, List.rev !results, mix))
 
-let test_flat_timeout_recovers config =
-  (* A timed-out flat query abandons its record; the cell CAS hands the
-     recycle to whichever side finishes last, so the pool keeps working
-     and later round trips still succeed.  Only packaged-flavour queries
-     round-trip through the handler (under [client_query] the body runs
-     on the client fiber, which would self-deadlock on the gate). *)
-  if config.Cfg.pooling && not config.Cfg.client_query then begin
+(* Tracing observes the request path without changing it: a traced run
+   issues and serves the same requests, per kind, as an untraced one. *)
+let test_traced_same_requests config =
+  let f_plain, rs_plain, mix_plain = request_workload ~trace:false config in
+  let f_traced, rs_traced, mix_traced = request_workload ~trace:true config in
+  check_int "same final value" f_plain f_traced;
+  Alcotest.(check (list int)) "same query results" rs_plain rs_traced;
+  Alcotest.(check (list (pair string int)))
+    "same request mix per kind" mix_plain mix_traced;
+  check_int "every call served" 120 (List.assoc "call_local_ns" mix_plain)
+
+let test_call_flood config =
+  (* Flood asynchronous calls without ever syncing: every one is logged
+     and served, in order, with nothing lost. *)
+  let n = 2_000 in
+  let total =
+    R.run ~config (fun rt ->
+      let h = R.processor rt in
+      let r = ref 0 in
+      R.separate rt h (fun reg ->
+        for _ = 1 to n do
+          Reg.call reg (fun () -> incr r)
+        done;
+        Reg.query reg (fun () -> !r)))
+  in
+  check_int "every call served" n total
+
+let test_timeout_abandons_wait config =
+  (* A timed-out query abandons the wait, never the work: the handler
+     still runs it, and later round trips through the same registration
+     still succeed.  Only packaged-flavour queries round-trip through
+     the handler (under [client_query] the body runs on the client
+     fiber, which would self-deadlock on the gate). *)
+  if not config.Cfg.client_query then begin
     let after =
-      R.run ~domains:2 ~config:(Cfg.with_pooling true config) (fun rt ->
+      R.run ~domains:2 ~config (fun rt ->
         let h = R.processor rt in
         let gate = Atomic.make false in
         let r = ref 0 in
@@ -1416,8 +1398,6 @@ let test_flat_timeout_recovers config =
           | (_ : int) -> Alcotest.fail "expected Timeout"
           | exception Qs_sched.Timer.Timeout -> ());
           Atomic.set gate true;
-          (* the handler finishes the abandoned query; subsequent flat
-             round trips must observe a healthy pool *)
           for _ = 1 to 50 do
             ignore (Reg.query reg (fun () -> !r) : int)
           done;
@@ -1425,6 +1405,58 @@ let test_flat_timeout_recovers config =
     in
     check_int "abandoned query still executed" 1 after
   end
+
+let test_round_trips_own_results config =
+  (* Every request is its own block with its own completion: across many
+     rounds of calls, blocking queries and pipelined queries forced out
+     of issue order, each query returns the value at its own issue point
+     and the counters account for every request. *)
+  let rounds = 300 in
+  let results, calls, queries =
+    R.run ~domains:2 ~config (fun rt ->
+      let h = R.processor rt in
+      let r = ref 0 in
+      let results =
+        R.separate rt h (fun reg ->
+          List.init rounds (fun _ ->
+            Reg.call reg (fun () -> incr r);
+            let p1 = Reg.query_async reg (fun () -> !r) in
+            Reg.call reg (fun () -> incr r);
+            let p2 = Reg.query_async reg (fun () -> !r) in
+            let v2 = Scoop.Promise.await p2 in
+            let v1 = Scoop.Promise.await p1 in
+            (v1, v2, Reg.query reg (fun () -> !r))))
+      in
+      let counters = Scoop.Stats.assoc (R.stats rt) in
+      ( results,
+        Qs_obs.Counter.value counters "calls",
+        Qs_obs.Counter.value counters "queries" ))
+  in
+  List.iteri
+    (fun i (v1, v2, v3) ->
+      check_int "first pipelined" ((2 * i) + 1) v1;
+      check_int "second pipelined" ((2 * i) + 2) v2;
+      check_int "blocking" ((2 * i) + 2) v3)
+    results;
+  check_int "calls counted" (2 * rounds) calls;
+  check_int "queries counted" (3 * rounds) queries
+
+let test_rejected_promise_unsynced config =
+  (* Only a fulfilled promise re-establishes synced status: a rejected
+     one may come from shedding or abort, which drain nothing, so the
+     next sync is a real one and the next query sees every earlier call. *)
+  R.run ~config (fun rt ->
+    let h = R.processor rt in
+    let r = ref 0 in
+    R.separate rt h (fun reg ->
+      Reg.call reg (fun () -> incr r);
+      let p = Reg.query_async reg (fun () -> failwith "reject") in
+      (match Scoop.Promise.await p with
+      | (_ : int) -> Alcotest.fail "must reject"
+      | exception Failure _ -> ());
+      check_bool "rejected force leaves unsynced" false (Reg.is_synced reg);
+      check_int "later query sees the call" 1 (Reg.query reg (fun () -> !r));
+      check_bool "the query's round trip syncs" true (Reg.is_synced reg)))
 
 let test_handler_elision_pipelined () =
   (* The handler-side drained hint: pipelined query fulfilled at the
@@ -1446,21 +1478,6 @@ let test_handler_elision_pipelined () =
       Scoop.Stats.snapshot (R.stats rt))
   in
   check_bool "syncs elided" true (s.Scoop.Stats.s_syncs_elided > 0)
-
-let test_pooling_knob_off () =
-  (* Config.pooling=false (or the per-run override) must disable the
-     flat path entirely. *)
-  let s =
-    R.run ~config:Cfg.(qoq |> with_pooling false) (fun rt ->
-      let h = R.processor rt in
-      let r = ref 0 in
-      R.separate rt h (fun reg ->
-        Reg.call reg (fun () -> incr r);
-        ignore (Reg.query reg (fun () -> !r) : int));
-      Scoop.Stats.snapshot (R.stats rt))
-  in
-  check_int "no flat requests" 0 s.Scoop.Stats.s_requests_flat;
-  check_int "no pool traffic" 0 s.Scoop.Stats.s_requests_pooled
 
 (* -- config builders and the endpoint grammar ----------------------------- *)
 
@@ -1583,15 +1600,17 @@ let () =
         @ per_config "shared ownership" test_shared_wrong_block
         @ per_config "handler as client" test_handler_as_client
         @ per_config "sequential blocks" test_sequential_blocks );
-      ( "flat requests",
-        per_config "pooled = unpooled" test_pooled_unpooled_equiv
-        @ per_config "pool recycles" test_pool_recycles
-        @ per_config "miss falls back" test_pool_miss_falls_back
-        @ per_config "timeout recovers" test_flat_timeout_recovers
+      ( "request path",
+        per_config "traced = untraced" test_traced_same_requests
+        @ per_config "call flood served" test_call_flood
+        @ per_config "timeout abandons the wait" test_timeout_abandons_wait
+        @ per_config "round trips get their own results"
+            test_round_trips_own_results
+        @ per_config "rejected promise stays unsynced"
+            test_rejected_promise_unsynced
         @ [
             Alcotest.test_case "handler-side elision" `Quick
               test_handler_elision_pipelined;
-            Alcotest.test_case "pooling knob off" `Quick test_pooling_knob_off;
           ] );
       ( "mailbox",
         [
