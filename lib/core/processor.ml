@@ -121,6 +121,11 @@ type t = {
   (* backpressure accounting, used only when [config.bound > 0] *)
   pending : int Atomic.t; (* admitted requests not yet drained *)
   shed_debt : int Atomic.t; (* drained requests still owed a shedding *)
+  (* Wait-condition wake-ups: [changes] counts the registrations whose
+     [End] announced a change; [waiters] holds the resumers of the wait
+     conditions parked on this handler (see [announce]). *)
+  changes : int Atomic.t;
+  waiters : Qs_sched.Sched.resumer list Atomic.t;
   (* The handler's current notion of "now" (ns), used as the service
      start stamp of the next request it serves: refreshed once per
      drained batch and after every completed request, so latency
@@ -179,7 +184,7 @@ let fail t req e bt =
       Qs_obs.Counter.incr t.stats.Stats.rejected_promises;
       trace_event t ~reg Trace.Promise_rejected
     end
-  | Request.Sync _ | Request.End -> ()
+  | Request.Sync _ | Request.End _ -> ()
 
 (* Run a request and deliver its value.  A pipelined query fulfilled at
    the tail of a batch with nothing further pending ([last]/[quiet])
@@ -203,7 +208,7 @@ let perform t ~last ~quiet req =
     if last && quiet () then Qs_sched.Promise.mark_drained promise;
     Qs_sched.Promise.fulfill promise v;
     Qs_obs.Counter.incr t.stats.Stats.promises_fulfilled
-  | Request.Sync _ | Request.End -> ()
+  | Request.Sync _ | Request.End _ -> ()
 
 (* Run a request; on failure count it, emit an instant, mark the
    processor dirty and route the exception into the completion. *)
@@ -233,6 +238,22 @@ let execute t ~last ~quiet req =
   end
   else guarded t ~last ~quiet req
 
+(* Wake every wait condition parked on this handler.  The list is taken
+   whole, so each resumer runs at most once per wake; a stale one (its
+   wait already resumed or timed out) is a no-op. *)
+let wake_waiters t =
+  match Atomic.get t.waiters with
+  | [] -> ()
+  | _ -> List.iter (fun resume -> resume ()) (Atomic.exchange t.waiters [])
+
+(* A registration that may have changed this handler's state has ended:
+   bump the count first, then wake.  A waiter subscribes first, then
+   re-reads the count ([subscribe]), so it either is in the list this
+   wake takes or sees the new count — no wake-up is lost. *)
+let announce t =
+  Atomic.incr t.changes;
+  wake_waiters t
+
 (* One request, uniformly in both modes (the run / release / end rules). *)
 let serve t ~last ~quiet req =
   match req with
@@ -251,12 +272,13 @@ let serve t ~last ~quiet req =
        client was suspended when it logged this request, so nothing can
        follow it in the already-drained batch. *)
     resume ()
-  | Request.End ->
+  | Request.End changed ->
     (* End of one registration.  Counting it keeps the drain invariant
        observable in both modes: every registration that closes is
        eventually accounted here (the lock-based loop used to drop the
        marker silently). *)
-    Qs_obs.Counter.incr t.stats.Stats.ends_drained
+    Qs_obs.Counter.incr t.stats.Stats.ends_drained;
+    if changed then announce t
 
 (* Abort path: fail requests without executing them.  Syncs are still
    resumed (a client blocked in a sync round trip must not be left
@@ -268,14 +290,14 @@ let discard t req =
     Qs_obs.Counter.incr t.stats.Stats.aborted_requests;
     fail t req (Aborted t.id) (Printexc.get_callstack 0)
   | Request.Sync resume -> resume ()
-  | Request.End -> Qs_obs.Counter.incr t.stats.Stats.ends_drained
+  | Request.End _ -> Qs_obs.Counter.incr t.stats.Stats.ends_drained
 
 (* Backpressure: requests that count against the admission bound.  Sync
    and End are control-flow, not work — they are always admitted, always
    served. *)
 let countable = function
   | Request.Call _ | Request.Query _ | Request.Pipelined _ -> true
-  | Request.Sync _ | Request.End -> false
+  | Request.Sync _ | Request.End _ -> false
 
 let rec take_debt t =
   let d = Atomic.get t.shed_debt in
@@ -299,7 +321,7 @@ let shed t req =
   (match req with
   | Request.Call _ -> trace_event t ~reg Trace.Request_shed
   | Request.Query _ | Request.Pipelined _ -> trace_event t ~reg Trace.Query_shed
-  | Request.Sync _ | Request.End -> assert false);
+  | Request.Sync _ | Request.End _ -> assert false);
   fail t req (Overloaded t.id) (Printexc.get_callstack 0)
 
 (* Admission control, called by registrations before enqueueing a Call or
@@ -343,7 +365,7 @@ let admit t =
 
 (* The single handler loop (Fig. 7), parameterized by the mailbox. *)
 let handler_loop t mailbox =
-  let buf = Array.make (max 1 t.config.Config.batch) Request.End in
+  let buf = Array.make (max 1 t.config.Config.batch) (Request.End false) in
   let quiet = mailbox.quiet in
   let rec loop () =
     match mailbox.drain buf with
@@ -377,7 +399,7 @@ let handler_loop t mailbox =
         end
         else if aborted then discard t req
         else serve t ~last ~quiet req;
-        buf.(i) <- Request.End (* drop the closure so the GC can reclaim it *)
+        buf.(i) <- Request.End false (* drop the closure so the GC can reclaim it *)
       done;
       (match t.trace with
       | Some tr ->
@@ -416,7 +438,7 @@ let qoq_mailbox qoq cache =
     | Some pq ->
       let n = Qs_sched.Bqueue.Spsc.drain pq buf in
       (match buf.(n - 1) with
-      | Request.End ->
+      | Request.End _ ->
         current := None;
         Qs_queues.Treiber_stack.push cache pq
       | Request.Call _ | Request.Query _ | Request.Pipelined _ | Request.Sync _
@@ -473,6 +495,8 @@ let create ?sink ?pool ~id ~config ~stats () =
       exited = Qs_sched.Ivar.create ();
       pending = Atomic.make 0;
       shed_debt = Atomic.make 0;
+      changes = Atomic.make 0;
+      waiters = Atomic.make [];
       h_now = 0;
     }
   in
@@ -493,7 +517,10 @@ let create ?sink ?pool ~id ~config ~stats () =
     Fun.protect
       ~finally:(fun () ->
         Atomic.set t.state (if Atomic.get t.failed then Failed else Stopped);
-        Qs_sched.Ivar.fill t.exited ())
+        Qs_sched.Ivar.fill t.exited ();
+        (* No registration will end here again: release the parked wait
+           conditions, which see the new state and give up. *)
+        wake_waiters t)
       (fun () -> handler_loop t mailbox));
   t
 
@@ -518,6 +545,8 @@ let create_remote ?sink ~id ~config ~stats ~ops () =
     exited = Qs_sched.Ivar.create_full ();
     pending = Atomic.make 0;
     shed_debt = Atomic.make 0;
+    changes = Atomic.make 0;
+    waiters = Atomic.make [];
     h_now = 0;
   }
 
@@ -580,6 +609,29 @@ let enqueue_direct t req =
   match t.comm with
   | Direct { q; _ } -> Qs_sched.Bqueue.Mpsc.enqueue q req
   | Qoq _ | Remote _ -> wrong_mode "enqueue_direct"
+
+(* -- wait conditions ---------------------------------------------------------- *)
+
+let changes t = Atomic.get t.changes
+
+(* Subscribe, then re-check: a change or a shutdown that happened since
+   the waiter read [seen] may have woken the list before [resume] was in
+   it, so the waiter resumes itself. *)
+let subscribe t resume ~seen =
+  let rec push () =
+    let ws = Atomic.get t.waiters in
+    if not (Atomic.compare_and_set t.waiters ws (resume :: ws)) then push ()
+  in
+  push ();
+  if Atomic.get t.changes <> seen || Atomic.get t.state <> Running then
+    resume ()
+
+let rec unsubscribe t resume =
+  let ws = Atomic.get t.waiters in
+  if List.memq resume ws then begin
+    let rest = List.filter (fun r -> r != resume) ws in
+    if not (Atomic.compare_and_set t.waiters ws rest) then unsubscribe t resume
+  end
 
 (* -- lifecycle ---------------------------------------------------------------- *)
 

@@ -130,6 +130,27 @@ val unlock_handler : t -> unit
 val enqueue_direct : t -> Request.t -> unit
 (** Log a request into the handler's single request queue. *)
 
+(** {1 Wait conditions}
+
+    A wait condition that fails parks its fiber until one of its
+    reserved handlers ends another registration that may have changed
+    its state ([Request.End true]).  Remote processors never announce:
+    their waits poll. *)
+
+val changes : t -> int
+(** How many registrations have ended on this handler announcing a
+    change.  Read inside the block whose condition failed, it is the
+    [seen] value to {!subscribe} with. *)
+
+val subscribe : t -> Qs_sched.Sched.resumer -> seen:int -> unit
+(** Park [resume] until the next announced change or handler exit.
+    Resumes at once when the count already differs from [seen] or the
+    handler is no longer [Running], so no wake-up is lost. *)
+
+val unsubscribe : t -> Qs_sched.Sched.resumer -> unit
+(** Drop [resume] if it is still parked here (a multi-handler wait woken
+    elsewhere, or a wait that timed out). *)
+
 (** {1 Lifecycle}
 
     [Running --shutdown/abort--> Draining --handler exit--> Stopped/Failed].

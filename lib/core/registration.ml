@@ -45,6 +45,9 @@ type t = {
   enqueue : Request.t -> unit;
   mutable synced : bool;
   mutable closed : bool;
+  mutable changed : bool;
+      (* what the End marker announces: cleared by [mark_unchanged] when
+         the block only evaluated a failing wait condition *)
   mutable logged : int;
       (* requests logged so far; lets a forced promise prove that nothing
          was logged after it was issued (see [query_async]) *)
@@ -93,6 +96,7 @@ let make ~proc ~ctx ~enqueue () =
       enqueue;
       synced = false;
       closed = false;
+      changed = true;
       logged = 0;
       poison = Atomic.make None;
       fail_to = (fun _ _ -> ());
@@ -119,6 +123,7 @@ let make_remote ~proc ~ctx () =
           invalid_arg "Scoop.Registration: remote registration has no local queue");
       synced = false;
       closed = false;
+      changed = true;
       logged = 0;
       poison = Atomic.make None;
       fail_to = (fun _ _ -> ());
@@ -471,7 +476,10 @@ let query_async t f =
     t.enqueue (Request.Pipelined { run = f; promise; reg = rid; birth; admit }));
   promise
 
-(* Block exit: append the END marker in both modes (the end rule).  In
+let mark_unchanged t = t.changed <- false
+
+(* Block exit: append the END marker in both modes (the end rule),
+   announcing whether the block may have changed the handler's state.  In
    queue-of-queues mode it makes the handler recycle the private queue and
    move on to the next one; in lock mode the caller (Separate) additionally
    releases the handler lock, and the marker keeps registration boundaries
@@ -484,4 +492,4 @@ let close t =
   t.closed <- true;
   match t.remote with
   | Some px -> px.Processor.px_close ()
-  | None -> t.enqueue Request.End
+  | None -> t.enqueue (Request.End t.changed)

@@ -122,5 +122,9 @@ val make_remote : proc:Processor.t -> ctx:Ctx.t -> unit -> t
     connection (including connection loss, which poisons with
     [Connection_lost]). *)
 
+val mark_unchanged : t -> unit
+(** The block only evaluated a failing wait condition: {!close} logs an
+    [End] that announces no change, so it wakes no parked waiter. *)
+
 val close : t -> unit
 val force_sync : ?timeout:float -> t -> unit

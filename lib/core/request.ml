@@ -18,8 +18,10 @@
    for the purpose and without coercions.
 
    [Sync] is the release half of the wait/release pair introduced by
-   the modified query rule of §3.2.  [End] is the end-of-private-queue
-   marker appended when a separate block closes.
+   the modified query rule of §3.2.  [End changed] is the
+   end-of-private-queue marker appended when a separate block closes;
+   [changed] is false only for a block that did nothing but evaluate a
+   failing wait condition, so its close wakes no parked waiter.
 
    [reg] is the issuing registration's id (for shed and failure event
    attribution); [birth] and [admit] are ns stamps (Clock.now_ns) taken
@@ -51,17 +53,17 @@ type t =
     }
       -> t
   | Sync : Qs_sched.Sched.resumer -> t
-  | End : t
+  | End : bool -> t
 
 let reg = function
   | Call { reg; _ } -> reg
   | Query { reg; _ } -> reg
   | Pipelined { reg; _ } -> reg
-  | Sync _ | End -> 0
+  | Sync _ | End _ -> 0
 
 let pp ppf = function
   | Call _ -> Format.pp_print_string ppf "call"
   | Query _ -> Format.pp_print_string ppf "query"
   | Pipelined _ -> Format.pp_print_string ppf "pipelined"
   | Sync _ -> Format.pp_print_string ppf "sync"
-  | End -> Format.pp_print_string ppf "end"
+  | End _ -> Format.pp_print_string ppf "end"

@@ -8,8 +8,11 @@
     client's ivar, a [Pipelined] query fulfils the client's promise.
 
     [Sync] is the wait/release pair of the (client-executed) query
-    protocol; [End] the end-of-registration marker a client appends
-    when its separate block closes. *)
+    protocol; [End changed] the end-of-registration marker a client
+    appends when its separate block closes.  [changed] tells the handler
+    whether the block may have changed its state: a block that only
+    evaluated a failing wait condition closes with [End false], which
+    wakes no parked wait condition. *)
 
 type t =
   | Call : {
@@ -38,7 +41,7 @@ type t =
     }
       -> t
   | Sync : Qs_sched.Sched.resumer -> t
-  | End : t
+  | End : bool -> t
 
 val reg : t -> int
 (** The issuing registration id; [0] for [Sync] and [End]. *)

@@ -103,8 +103,14 @@ val separate_when :
 (** Separate block with a wait condition (SCOOP's precondition-as-wait
     semantics): the block body runs only once [pred] holds, evaluated
     under the block's own registration; until then the reservation is
-    released and retried.  The failed attempts are counted in
-    {!Stats.t.wait_retries}.
+    released.  [pred] must be a side-effect-free read of the reserved
+    handler's state: after a failed evaluation the client parks until
+    the handler ends another client's registration, and only then
+    re-evaluates (a wait on a remote processor polls instead).  The
+    failed evaluations are counted in {!Stats.t.wait_retries}.  A
+    parked wait whose handler stops raises {!Processor.Aborted}; an
+    untimed wait nothing can satisfy is a deadlock
+    ({!Qs_sched.Sched.Stalled}).
 
     For every [separate*] function, [?timeout] bounds the blocking part
     of reservation (handler locks in lock mode; the whole retry loop for

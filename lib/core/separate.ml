@@ -26,7 +26,7 @@
    the blocking half of the separate rule only in lock mode (and during
    wait-condition retries in either mode): queue-of-queues reservation
    is one asynchronous enqueue and never waits, so there the deadline
-   only bounds the retry loop of [many_when]. *)
+   only bounds the wait of [many_when]. *)
 let reservation_timed_out ctx =
   Qs_obs.Counter.incr ctx.Ctx.stats.Stats.deadline_exceeded;
   raise Qs_sched.Timer.Timeout
@@ -260,23 +260,73 @@ let two ?timeout ctx p1 p2 body =
 
 (* Wait conditions: SCOOP preconditions on separate objects do not fail,
    they wait (Nienaltowski's contract semantics, which the paper's SCOOP
-   model inherits).  The runtime re-reserves the handlers and re-evaluates
-   the condition until it holds; condition and body run under the *same*
+   model inherits).  Condition and body run under the *same*
    registration, so the condition still holds when the body starts and no
    other client can interleave between them.
 
-   Each failed evaluation releases the reservation entirely (so the
-   suppliers can serve whichever client will make the condition true),
-   then yields and backs off before re-reserving.  The yield keeps the
-   cooperative scheduler live — on one domain the condition can only
-   change if another fiber runs — and the backoff keeps a long wait from
-   hammering the handlers' reservation path with retry traffic.  Retries
-   that happen under an escalated pause are counted separately
-   ([wait_backoffs]) as the contention detail of [wait_retries]. *)
+   The contract: a condition is a side-effect-free read of the reserved
+   handlers' state, and it is re-evaluated only after a reserved handler
+   has ended another client's registration.  A failed evaluation
+
+   - reads each handler's change count while the block still holds the
+     handlers, so the count covers every change the condition saw;
+   - closes its registrations with an End that announces no change: a
+     failed retry that woke the other waiters would be woken by theirs,
+     and none of them would ever park;
+   - parks the fiber, subscribed on every reserved handler, until one of
+     them ends a registration that announces a change (or stops), then
+     re-reserves and re-evaluates.
+
+   The deadline ([?timeout]) bounds the park as well as every
+   reservation.  A handler that stops while a waiter is parked releases
+   it with [Processor.Aborted]: no registration can change it any more.
+
+   Remote processors have no local handler to announce changes, so a
+   wait on one polls with fiber-level pauses: a few yields, then sleeps
+   doubling from 100 us to 10 ms, never past the deadline. *)
+
+(* Park until a change on one of [procs] since [seen] (one count per
+   processor), a handler stop, or [remaining] seconds.  A wake from the
+   only handler took the resumer out of its list; in every other case it
+   may still sit in some list, so it is dropped there. *)
+let park ctx procs seen remaining =
+  let parked = ref ignore in
+  let register resume =
+    parked := resume;
+    List.iter2 (fun p seen -> Processor.subscribe p resume ~seen) procs seen
+  in
+  let outcome =
+    match remaining with
+    | None ->
+      Qs_sched.Sched.suspend register;
+      `Resumed
+    | Some dt -> Qs_sched.Sched.suspend_timeout register dt
+  in
+  (match (procs, outcome) with
+  | [ _ ], `Resumed -> ()
+  | _ -> List.iter (fun p -> Processor.unsubscribe p !parked) procs);
+  match outcome with
+  | `Resumed -> ()
+  | `Timed_out -> reservation_timed_out ctx
+
+let check_running procs =
+  match
+    List.find_opt (fun p -> Processor.lifecycle p <> Processor.Running) procs
+  with
+  | Some p -> raise (Processor.Aborted (Processor.id p))
+  | None -> ()
+
+let poll_pause ~attempt remaining =
+  if attempt < 3 then Qs_sched.Sched.yield ()
+  else begin
+    let dt = Float.min 1e-2 (1e-4 *. Float.of_int (1 lsl min 7 (attempt - 3))) in
+    Qs_sched.Sched.sleep
+      (match remaining with Some r -> Float.min dt r | None -> dt)
+  end
+
 let many_when ?timeout ctx procs ~pred body =
-  let backoff = Qs_queues.Backoff.create () in
   (* The deadline is absolute, fixed at entry: it bounds the whole wait
-     (every reservation and failed evaluation), not each retry. *)
+     (every reservation, failed evaluation and park), not each retry. *)
   let deadline = deadline_of_timeout timeout in
   let remaining () =
     match deadline with
@@ -285,23 +335,28 @@ let many_when ?timeout ctx procs ~pred body =
       let r = d -. Qs_sched.Timer.now () in
       if r <= 0.0 then reservation_timed_out ctx else Some r
   in
-  let rec retry () =
+  let remote = List.exists Processor.is_remote procs in
+  let rec retry attempt =
     let outcome =
       many ?timeout:(remaining ()) ctx procs (fun regs ->
-        if pred regs then Some (body regs) else None)
+        if pred regs then Ok (body regs)
+        else begin
+          List.iter Registration.mark_unchanged regs;
+          Error (List.map Processor.changes procs)
+        end)
     in
     match outcome with
-    | Some v -> v
-    | None ->
+    | Ok v -> v
+    | Error seen ->
       Qs_obs.Counter.incr ctx.Ctx.stats.Stats.wait_retries;
-      if Qs_queues.Backoff.step backoff > 1 then
-        Qs_obs.Counter.incr ctx.Ctx.stats.Stats.wait_backoffs;
-      Qs_queues.Backoff.once backoff;
-      Qs_sched.Sched.yield ();
-      ignore (remaining () : float option);
-      retry ()
+      if remote then poll_pause ~attempt (remaining ())
+      else begin
+        park ctx procs seen (remaining ());
+        check_running procs
+      end;
+      retry (attempt + 1)
   in
-  retry ()
+  retry 0
 
 let when_ ?timeout ctx proc ~pred body =
   many_when ?timeout ctx [ proc ]

@@ -50,9 +50,14 @@ val when_ :
   (Registration.t -> 'a) ->
   'a
 (** Separate block with a wait condition: reserve, evaluate [pred]; when
-    it fails, release, yield and retry under exponential backoff.  [pred]
-    and the body run under the same registration, so the condition still
-    holds when the body starts. *)
+    it fails, release and park until the handler ends another client's
+    registration (or stops), then retry.  [pred] and the body run under
+    the same registration, so the condition still holds when the body
+    starts.  [pred] must be a side-effect-free read of the handler's
+    state: nothing else re-evaluates it.  A wait on a remote processor
+    polls with fiber-level pauses instead of parking.
+    @raise Processor.Aborted if the handler stops while the wait is
+    parked. *)
 
 val many_when :
   ?timeout:float ->
@@ -61,6 +66,9 @@ val many_when :
   pred:(Registration.t list -> bool) ->
   (Registration.t list -> 'a) ->
   'a
+(** {!when_} over several handlers reserved atomically: a failed
+    condition parks until {e any} of them ends another client's
+    registration. *)
 
 (**/**)
 

@@ -25,7 +25,6 @@ type t = {
   syncs_elided : Qs_obs.Counter.t; (* syncs skipped by dynamic coalescing *)
   eve_lookups : Qs_obs.Counter.t; (* simulated handler-table lookups (§4.5) *)
   wait_retries : Qs_obs.Counter.t; (* failed wait-condition evaluations *)
-  wait_backoffs : Qs_obs.Counter.t; (* wait retries under escalated backoff *)
   handler_wakeups : Qs_obs.Counter.t; (* batches drained by handler loops *)
   batched_requests : Qs_obs.Counter.t; (* requests delivered through batches *)
   ends_drained : Qs_obs.Counter.t; (* End markers consumed *)
@@ -82,7 +81,6 @@ let create () =
   let syncs_elided = h "syncs_elided" in
   let eve_lookups = c "eve_lookups" in
   let wait_retries = c "wait_retries" in
-  let wait_backoffs = c "wait_backoffs" in
   let handler_wakeups = h "handler_wakeups" in
   let batched_requests = h "batched_requests" in
   let ends_drained = c "ends_drained" in
@@ -123,7 +121,6 @@ let create () =
     syncs_elided;
     eve_lookups;
     wait_retries;
-    wait_backoffs;
     handler_wakeups;
     batched_requests;
     ends_drained;
@@ -169,7 +166,6 @@ type snapshot = {
   s_syncs_elided : int;
   s_eve_lookups : int;
   s_wait_retries : int;
-  s_wait_backoffs : int;
   s_handler_wakeups : int;
   s_batched_requests : int;
   s_ends_drained : int;
@@ -203,7 +199,6 @@ let snapshot t =
     s_syncs_elided = g t.syncs_elided;
     s_eve_lookups = g t.eve_lookups;
     s_wait_retries = g t.wait_retries;
-    s_wait_backoffs = g t.wait_backoffs;
     s_handler_wakeups = g t.handler_wakeups;
     s_batched_requests = g t.batched_requests;
     s_ends_drained = g t.ends_drained;
@@ -238,7 +233,6 @@ let diff later earlier =
     s_syncs_elided = later.s_syncs_elided - earlier.s_syncs_elided;
     s_eve_lookups = later.s_eve_lookups - earlier.s_eve_lookups;
     s_wait_retries = later.s_wait_retries - earlier.s_wait_retries;
-    s_wait_backoffs = later.s_wait_backoffs - earlier.s_wait_backoffs;
     s_handler_wakeups = later.s_handler_wakeups - earlier.s_handler_wakeups;
     s_batched_requests = later.s_batched_requests - earlier.s_batched_requests;
     s_ends_drained = later.s_ends_drained - earlier.s_ends_drained;
@@ -281,7 +275,7 @@ let pp_snapshot ppf s =
      syncs sent:        %d@,\
      syncs elided:      %d@,\
      eve lookups:       %d@,\
-     wait retries:      %d (backoff escalations: %d)@,\
+     wait retries:      %d@,\
      handler wakeups:   %d (requests: %d, mean batch: %.2f)@,\
      ends drained:      %d@,\
      handler failures:  %d (poisoned regs: %d, rejected promises: %d, aborted: %d)@,\
@@ -292,7 +286,7 @@ let pp_snapshot ppf s =
     s.s_queries s.s_packaged_queries s.s_promises_created
     s.s_promises_fulfilled s.s_promises_ready s.s_promises_blocked
     s.s_syncs_sent s.s_syncs_elided s.s_eve_lookups s.s_wait_retries
-    s.s_wait_backoffs s.s_handler_wakeups s.s_batched_requests (mean_batch s)
+    s.s_handler_wakeups s.s_batched_requests (mean_batch s)
     s.s_ends_drained s.s_handler_failures s.s_poisoned_registrations
     s.s_rejected_promises s.s_aborted_requests s.s_timer_arms
     s.s_timeouts_fired s.s_deadline_exceeded s.s_shed_requests

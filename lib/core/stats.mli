@@ -30,10 +30,8 @@ type t = {
   syncs_elided : Qs_obs.Counter.t;
   eve_lookups : Qs_obs.Counter.t;
   wait_retries : Qs_obs.Counter.t;
-  wait_backoffs : Qs_obs.Counter.t;
-      (** wait-condition retries performed under an escalated backoff
-          (pause > 1 relax unit) — the contention detail of
-          [wait_retries] *)
+      (** failed wait-condition evaluations (each one parks the waiter
+          until a reserved handler announces a change) *)
   handler_wakeups : Qs_obs.Counter.t;
   batched_requests : Qs_obs.Counter.t;
   ends_drained : Qs_obs.Counter.t;
@@ -117,7 +115,6 @@ type snapshot = {
   s_syncs_elided : int;
   s_eve_lookups : int;
   s_wait_retries : int;
-  s_wait_backoffs : int;
   s_handler_wakeups : int;
   s_batched_requests : int;
   s_ends_drained : int;

@@ -139,14 +139,25 @@ let record t v =
 (* -- Merged distributions -------------------------------------------------- *)
 
 type dist = {
-  counts : int array; (* per-bucket sample counts, length [buckets] *)
+  counts : int array; (* per-bucket sample counts, up to the last non-empty one *)
   total : int; (* sum of [counts] *)
   sum : int; (* summed sample values behind [counts] *)
   overflow : int; (* samples beyond [max_value], not in [counts] *)
 }
 
-let zero =
-  { counts = Array.make buckets 0; total = 0; sum = 0; overflow = 0 }
+let zero = { counts = [||]; total = 0; sum = 0; overflow = 0 }
+
+(* A distribution keeps its buckets up to the last non-empty one, so it
+   costs its occupied range rather than the whole scheme: an empty one
+   is [||], a microsecond-scale one about half of [buckets].  Callers
+   that keep one snapshot per run (the benchmarks) keep that much less
+   live heap. *)
+let trim counts =
+  let n = ref (Array.length counts) in
+  while !n > 0 && counts.(!n - 1) = 0 do
+    decr n
+  done;
+  if !n = Array.length counts then counts else Array.sub counts 0 !n
 
 let read t =
   let counts = Array.make buckets 0 in
@@ -166,11 +177,16 @@ let read t =
         sum := !sum + Atomic.get s.vsum;
         overflow := !overflow + Atomic.get s.over)
     t.shards;
-  { counts; total = !total; sum = !sum; overflow = !overflow }
+  { counts = trim counts; total = !total; sum = !sum; overflow = !overflow }
+
+let count d i = if i < Array.length d.counts then d.counts.(i) else 0
 
 let merge a b =
   {
-    counts = Array.init buckets (fun i -> a.counts.(i) + b.counts.(i));
+    counts =
+      Array.init
+        (max (Array.length a.counts) (Array.length b.counts))
+        (fun i -> count a i + count b i);
     total = a.total + b.total;
     sum = a.sum + b.sum;
     overflow = a.overflow + b.overflow;
@@ -200,7 +216,7 @@ let quantile d q =
     in
     let rec walk i seen =
       let seen = seen + d.counts.(i) in
-      if seen >= rank || i = buckets - 1 then bound_of_index i
+      if seen >= rank || i = Array.length d.counts - 1 then bound_of_index i
       else walk (i + 1) seen
     in
     walk 0 0

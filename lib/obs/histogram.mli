@@ -59,7 +59,9 @@ val bound_of_index : int -> int
 (** {1 Merged distributions} *)
 
 type dist = {
-  counts : int array;  (** per-bucket sample counts, length {!buckets} *)
+  counts : int array;
+      (** per-bucket sample counts, from bucket 0 up to the last
+          non-empty one (at most {!buckets}; [[||]] when empty) *)
   total : int;  (** sum of [counts] *)
   sum : int;  (** summed sample values behind [counts] *)
   overflow : int;  (** samples beyond {!max_value}, not in [counts] *)

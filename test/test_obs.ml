@@ -141,6 +141,18 @@ let dist_equal a b =
   a.H.counts = b.H.counts && a.H.total = b.H.total && a.H.sum = b.H.sum
   && a.H.overflow = b.H.overflow
 
+(* A dist keeps its buckets only up to the last non-empty one, so a
+   snapshot costs its occupied range, not the whole bucket scheme. *)
+let test_histogram_trimmed () =
+  check_int "empty dist has no buckets" 0
+    (Array.length (dist_of_values []).H.counts);
+  let d = dist_of_values [ 3; 1000 ] in
+  check_int "buckets end at the highest sample" (H.index_of 1000 + 1)
+    (Array.length d.H.counts);
+  check_int "quantile 1.0 still bounds the maximum"
+    (H.bound_of_index (H.index_of 1000))
+    (H.quantile d 1.0)
+
 let value_gen =
   (* Mix magnitudes so both the exact and the log-linear regions get
      exercised, plus the occasional overflow. *)
@@ -492,6 +504,8 @@ let () =
           Alcotest.test_case "overflow and clamp" `Quick
             test_histogram_overflow_and_clamp;
           Alcotest.test_case "bucket roundtrip" `Quick test_bucket_roundtrip;
+          Alcotest.test_case "trimmed to occupied buckets" `Quick
+            test_histogram_trimmed;
           QCheck_alcotest.to_alcotest prop_merge_assoc_comm;
           QCheck_alcotest.to_alcotest prop_quantile_vs_oracle;
           Alcotest.test_case "multi-domain record vs snapshot" `Quick

@@ -418,6 +418,37 @@ let test_remote_disconnect_mid_query () =
   Domain.join rogue;
   try Unix.unlink path with Unix.Unix_error _ -> ()
 
+(* Wait conditions on a remote processor: no local handler announces
+   changes, so the wait polls with fiber-level pauses.  It runs once
+   another block enables it, and times out when nothing does. *)
+let remote_flag = Atomic.make false
+
+let test_remote_wait_condition () =
+  with_node (fun addr ->
+    with_client addr (fun rt ->
+      Atomic.set remote_flag false;
+      let p = Scoop.Runtime.processor rt in
+      let flag reg = Scoop.Registration.query reg (fun () -> Atomic.get remote_flag) in
+      let enabled = Qs_sched.Ivar.create () in
+      S.spawn (fun () ->
+        S.sleep 0.02;
+        Scoop.Runtime.separate rt p (fun reg ->
+          Scoop.Registration.call reg (fun () -> Atomic.set remote_flag true));
+        Qs_sched.Ivar.fill enabled ());
+      let v =
+        Scoop.Runtime.separate_when rt p ~pred:flag (fun reg ->
+          Scoop.Registration.query reg (fun () -> 7))
+      in
+      check_int "body ran once enabled" 7 v;
+      Qs_sched.Ivar.read enabled;
+      match
+        Scoop.Runtime.separate_when ~timeout:0.05 rt p
+          ~pred:(fun reg -> not (flag reg))
+          (fun _ -> ())
+      with
+      | () -> Alcotest.fail "unsatisfiable remote wait must time out"
+      | exception Scoop.Timeout -> ()))
+
 let test_remote_node_survives_garbage () =
   (* Truncated-frame recovery, node side: a peer that handshakes then
      dies mid-frame must cost the node that connection only — the next
@@ -567,6 +598,8 @@ let () =
           Alcotest.test_case "pipelined remote queries" `Quick
             test_remote_pipelined;
           Alcotest.test_case "remote timeout" `Quick test_remote_timeout;
+          Alcotest.test_case "remote wait condition" `Quick
+            test_remote_wait_condition;
           Alcotest.test_case "disconnect mid-query" `Quick
             test_remote_disconnect_mid_query;
           Alcotest.test_case "node survives torn peer" `Quick

@@ -564,6 +564,80 @@ let test_wait_retries_counted () =
   in
   check_bool "retries recorded" true (retries >= 1)
 
+(* A failed condition parks until a reserved handler ends a registration
+   that may have changed its state: one enabling block 20 ms later costs
+   one failed evaluation, however long the enabler sleeps. *)
+let test_wait_parks_until_change config =
+  let retries =
+    R.run ~config (fun rt ->
+      let h = R.processor rt in
+      let flag = Sh.create h (ref false) in
+      S.spawn (fun () ->
+        S.sleep 0.02;
+        R.separate rt h (fun reg -> Sh.apply reg flag (fun r -> r := true)));
+      R.separate_when rt h
+        ~pred:(fun reg -> Sh.get reg flag (fun r -> !r))
+        (fun _ -> ());
+      (Scoop.Stats.snapshot (R.stats rt)).Scoop.Stats.s_wait_retries)
+  in
+  check_bool
+    (Printf.sprintf "1 to 2 failed evaluations (got %d)" retries)
+    true
+    (retries >= 1 && retries <= 2)
+
+(* A wait over two handlers is woken by a change to either of them. *)
+let test_wait_multi_wakes_on_either config =
+  R.run ~config (fun rt ->
+    let ha = R.processor rt and hb = R.processor rt in
+    let a = Sh.create ha (ref 0) and b = Sh.create hb (ref 0) in
+    let read reg x = Sh.get reg x (fun r -> !r) in
+    let wait_until target =
+      R.separate_list_when rt [ ha; hb ]
+        ~pred:(fun regs ->
+          match regs with
+          | [ ra; rb ] -> read ra a + read rb b >= target
+          | _ -> assert false)
+        (fun _ -> ())
+    in
+    List.iter
+      (fun (h, x) ->
+        S.spawn (fun () ->
+          S.sleep 0.02;
+          R.separate rt h (fun reg -> Sh.apply reg x incr));
+        wait_until (1 + R.separate2 rt ha hb (fun ra rb -> read ra a + read rb b)))
+      [ (hb, b); (ha, a) ];
+    check_bool "both changes seen" true
+      (R.separate2 rt ha hb (fun ra rb -> read ra a + read rb b) = 2))
+
+(* Stopping a reserved handler releases a parked waiter with
+   [Processor.Aborted]: no registration can change the handler any
+   more. *)
+let test_wait_released_by_stop stop () =
+  R.run (fun rt ->
+    let h = R.processor rt in
+    let outcome = Ivar.create () in
+    S.spawn (fun () ->
+      Ivar.fill outcome
+        (match R.separate_when rt h ~pred:(fun _ -> false) (fun _ -> ()) with
+        | () -> None
+        | exception Scoop.Processor.Aborted id -> Some id));
+    S.sleep 0.02;
+    stop rt;
+    match Ivar.read outcome with
+    | Some id -> check_int "names the stopped handler" (Scoop.Processor.id h) id
+    | None -> Alcotest.fail "an unsatisfiable condition let the body run")
+
+(* Nothing can ever wake an untimed, unsatisfiable wait: the parked
+   waiter is a deadlock the scheduler reports, not a spin. *)
+let test_wait_unsatisfiable_stalls () =
+  match
+    R.run (fun rt ->
+      let h = R.processor rt in
+      R.separate_when rt h ~pred:(fun _ -> false) (fun _ -> ()))
+  with
+  | () -> Alcotest.fail "an unsatisfiable condition let the body run"
+  | exception S.Stalled _ -> ()
+
 (* -- tracing (§7 instrumentation) ------------------------------------------------ *)
 
 let test_trace_disabled_by_default () =
@@ -1594,7 +1668,24 @@ let () =
         per_config "basic" test_wait_condition_basic
         @ per_config "atomic with body" test_wait_condition_atomic_with_body
         @ per_config "multi-handler" test_wait_condition_multi
-        @ [ Alcotest.test_case "retries counted" `Quick test_wait_retries_counted ] );
+        @ [ Alcotest.test_case "retries counted" `Quick test_wait_retries_counted ]
+        @ List.map
+            (fun config ->
+              Alcotest.test_case
+                ("parks until a change [" ^ config.Cfg.name ^ "]")
+                `Quick
+                (fun () -> test_wait_parks_until_change config))
+            [ Cfg.qoq; Cfg.none ]
+        @ per_config "multi-handler wakes on either"
+            test_wait_multi_wakes_on_either
+        @ [
+            Alcotest.test_case "shutdown releases a parked waiter" `Quick
+              (test_wait_released_by_stop (fun rt -> R.shutdown rt));
+            Alcotest.test_case "abort releases a parked waiter" `Quick
+              (test_wait_released_by_stop R.abort);
+            Alcotest.test_case "unsatisfiable wait stalls" `Quick
+              test_wait_unsatisfiable_stalls;
+          ] );
       ( "contracts",
         per_config "registration after close" test_registration_after_close
         @ per_config "shared ownership" test_shared_wrong_block
