@@ -51,7 +51,7 @@ type t = {
       (* admission bound: max requests in flight per handler before the
          [overflow] policy applies; 0 = unbounded (the paper's runtime) *)
   overflow : [ `Block | `Fail | `Shed_oldest ];
-      (* what a client hitting the bound gets: back off until the handler
+      (* what a client hitting the bound gets: yield until the handler
          drains, an immediate [Overloaded], or admission with the oldest
          pending request shed instead *)
   pools : string list;

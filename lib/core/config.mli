@@ -53,7 +53,7 @@ type t = {
       (** admission bound: max requests in flight per handler before
           [overflow] applies; [0] (every preset) = unbounded *)
   overflow : [ `Block | `Fail | `Shed_oldest ];
-      (** policy at the bound: back off until the handler drains ([`Block],
+      (** policy at the bound: yield until the handler drains ([`Block],
           the default), raise [Scoop.Overloaded] at admission ([`Fail]), or
           admit and shed the oldest pending request ([`Shed_oldest]) *)
   pools : string list;

@@ -336,14 +336,13 @@ let admit t =
   if cap > 0 then begin
     match t.config.Config.overflow with
     | `Block ->
-      (* Back off until the handler has drained below the bound.  The
-         yields keep the scheduler live, so a wedged handler shows up as
-         spinning clients, not a false deadlock. *)
-      let backoff = Qs_queues.Backoff.create () in
+      (* Yield until the handler has drained below the bound.  A yield
+         keeps the domain running the other fibers, and a wedged handler
+         shows up as spinning clients, not a false deadlock.  Never a
+         sleeping backoff: [Unix.sleepf] would stop the whole domain. *)
       let rec go () =
         if Atomic.fetch_and_add t.pending 1 >= cap then begin
           Atomic.decr t.pending;
-          Qs_queues.Backoff.once backoff;
           Qs_sched.Sched.yield ();
           go ()
         end

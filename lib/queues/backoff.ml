@@ -4,9 +4,12 @@
    floods the interconnect with cache-line traffic.  Doubling the number of
    [cpu_relax] pauses between attempts (up to a cap) lets the winner of the
    race finish its critical section, after which everyone else succeeds on
-   the first retry.  Once saturated we sleep for a microsecond instead: on
-   machines with fewer cores than domains the thread we are waiting for may
-   need the CPU we are spinning on. *)
+   the first retry.  Once saturated we sleep instead: on machines with fewer
+   cores than domains the thread we are waiting for may need the CPU we are
+   spinning on.  The request is one microsecond, but the kernel ends a sleep
+   up to the thread's timer slack late (50 us by default on Linux), and the
+   sleep stops the whole domain, every fiber on it included.  So a fiber
+   waiting for another fiber must yield to the scheduler, not back off. *)
 
 type t = {
   mutable step : int;

@@ -7,7 +7,10 @@ type t
 val create : ?max_step:int -> unit -> t
 (** [create ()] returns a fresh backoff whose pause length starts at one
     [Domain.cpu_relax] and doubles on every {!once} up to [max_step]
-    (default [512]), after which {!once} sleeps for 1µs per call. *)
+    (default [512]), after which {!once} calls [Unix.sleepf 1e-6].  That
+    sleep lasts at least the thread's kernel timer slack (50 µs by
+    default on Linux) and stops the whole domain, so it is no way for a
+    fiber to wait for another fiber: use [Sched.yield] there. *)
 
 val reset : t -> unit
 (** Reset the pause length to its initial value.  Call after the contended

@@ -330,9 +330,18 @@ let await_readable fd = await_fd "Sched.await_readable" Poller.Read fd
 
 let await_writable fd = await_fd "Sched.await_writable" Poller.Write fd
 
+(* The monotonic deadline [dt] seconds from now.  Delays are capped at
+   [max_delay] (~31 years; NaN and infinity included) so the sum cannot
+   overflow an int. *)
+let max_delay = 1e9
+
+let deadline_after dt =
+  let dt = if dt < max_delay then Float.max 0.0 dt else max_delay in
+  Qs_obs.Clock.now_ns () + Qs_obs.Clock.ns_of_s dt
+
 let arm_timer ~delay action =
   match get_worker () with
-  | Some (t, _) -> arm_timer_on t ~deadline:(Timer.now () +. delay) action
+  | Some (t, _) -> arm_timer_on t ~deadline:(deadline_after delay) action
   | None -> invalid_arg "Sched.arm_timer: not running inside a scheduler"
 
 let sleep dt =
@@ -343,7 +352,7 @@ let sleep dt =
     else
       suspend (fun resume ->
         ignore
-          (arm_timer_on t ~deadline:(Timer.now () +. dt) resume : Timer.handle))
+          (arm_timer_on t ~deadline:(deadline_after dt) resume : Timer.handle))
 
 (* Timed variant of [suspend].  The timer action and the registered resumer
    race on [state]; the CAS makes the outcomes mutually exclusive, so the
@@ -361,7 +370,7 @@ let suspend_timeout register delay =
     suspend (fun resume ->
       let handle =
         arm_timer_on t
-          ~deadline:(Timer.now () +. Float.max 0.0 delay)
+          ~deadline:(deadline_after delay)
           (fun () -> if Atomic.compare_and_set state 0 2 then resume ())
       in
       register (fun () ->
@@ -535,12 +544,14 @@ let try_steal t w =
    dispatch. *)
 let global_check_period = 17
 
-(* Cheap timer poll for busy workers: one atomic load when no deadline is
-   near, a clock read plus [Timer.fire_due] when one is. *)
+(* Timer poll for busy workers, run on every dispatch: one atomic load
+   when no timer is armed, plus one clock read (no allocation) when one is,
+   plus [Timer.fire_due] when it is due.  A fiber whose deadline passes
+   while the worker is busy therefore waits at most one dispatch. *)
 let fire_due_timers t =
   let d = Timer.next_deadline t.timers in
-  if d < infinity then begin
-    let now = Timer.now () in
+  if d < Timer.never then begin
+    let now = Qs_obs.Clock.now_ns () in
     if d <= now then ignore (Timer.fire_due t.timers ~now : int)
   end
 
@@ -557,12 +568,12 @@ let next_task t w =
     | None -> None
   in
   let local () = Qs_queues.Ws_deque.pop w.deque in
+  fire_due_timers t;
   let periodic = w.tick mod global_check_period = 0 in
   if periodic then begin
-    fire_due_timers t;
-    (* Zero-timeout readiness sweep: busy workers service fd waiters at
-       the same cadence as due timers, so I/O completions don't wait for
-       the whole runtime to go idle. *)
+    (* Zero-timeout readiness sweep: busy workers service fd waiters
+       every [global_check_period] dispatches, so I/O completions don't
+       wait for the whole runtime to go idle. *)
     if Poller.has_waiters t.poller then
       ignore (Poller.poll t.poller ~timeout:0.0 : int);
     match from_inject () with
@@ -603,7 +614,25 @@ let any_work t =
    scheduler, or a newly armed earlier deadline.  OCaml's [Condition] has no
    timed wait, so the timekeeper dozes in bounded [Unix.sleepf] slices
    instead. *)
-let timekeeper_slice = 0.001
+let timekeeper_slice_ns = 1_000_000
+
+(* The timekeeper's kernel sleep ends this long before the earliest
+   deadline and the rest is spun: a kernel wake-up costs several
+   microseconds even with minimal timer slack, a [cpu_relax] loop reads
+   the clock every few tens of nanoseconds. *)
+let timekeeper_spin_ns = 20_000
+
+(* Spin until [deadline] (or an earlier newly armed one) is due, returning
+   early when work or [stop] shows up.  Runs without the idle mutex. *)
+let spin_until_due t deadline =
+  let rec go deadline =
+    if (not t.stop) && (not (any_work t)) && Qs_obs.Clock.now_ns () < deadline
+    then begin
+      Domain.cpu_relax ();
+      go (Int.min deadline (Timer.next_deadline t.timers))
+    end
+  in
+  go deadline
 
 (* Sleep until work arrives, a timer is due, [stop] is set, or a stall is
    detected.  Returns [false] iff the worker should exit.
@@ -611,11 +640,13 @@ let timekeeper_slice = 0.001
    Pending timers make parking time-aware: a sleeping fiber is *not* a
    deadlock, so the stall branch additionally requires [Timer.pending] to be
    false.  While timers are pending, exactly one parked worker acts as the
-   timekeeper ([t.has_timekeeper]): it dozes in short slices until the
-   earliest deadline and then fires due timers; every other idler waits on
-   the condition variable as before.  The timekeeper hands the clock to
-   another parked worker (broadcast) whenever it leaves the role with timers
-   still pending. *)
+   timekeeper ([t.has_timekeeper]): it dozes in short slices until
+   [timekeeper_spin_ns] before the earliest deadline, spins the rest, and
+   then fires due timers; every other idler waits on the condition variable
+   as before.  The dozes run at the worker's 1 ns kernel timer slack (see
+   [worker_loop]), so a slice ends when it was asked to.  The timekeeper
+   hands the clock to another parked worker (broadcast) whenever it leaves
+   the role with timers still pending. *)
 let park t =
   Mutex.lock t.idle_mutex;
   if t.stop then begin
@@ -660,10 +691,10 @@ let park t =
         if t.stop || any_work t then relinquish ()
         else begin
           let deadline = Timer.next_deadline t.timers in
-          if deadline = infinity && not (Poller.has_waiters t.poller) then
+          if deadline = Timer.never && not (Poller.has_waiters t.poller) then
             relinquish ()
           else begin
-            let now = Timer.now () in
+            let now = Qs_obs.Clock.now_ns () in
             if deadline <= now then begin
               (* Leave the idle set first: timer actions re-enter the
                  scheduler (schedule → wake_idlers) and must not run under
@@ -681,16 +712,24 @@ let park t =
               true
             end
             else begin
-              (* [deadline] may be [infinity] here (pure I/O wait): the
-                 [min] still clamps the slice.  With fd waiters present
+              (* [deadline] may be [Timer.never] here (pure I/O wait):
+                 the [min] still clamps the slice.  With fd waiters present
                  the doze is a [select] bounded by the slice — readiness
                  ends it early, so frames on an idle runtime wake their
-                 fiber immediately instead of at the slice boundary. *)
-              let slice = Float.min (deadline -. now) timekeeper_slice in
+                 fiber immediately instead of at the slice boundary.  The
+                 last [timekeeper_spin_ns] before a deadline are spun. *)
+              let left = deadline - now in
               Mutex.unlock t.idle_mutex;
-              if Poller.has_waiters t.poller then
-                ignore (Poller.poll t.poller ~timeout:slice : int)
-              else Unix.sleepf slice;
+              if left <= timekeeper_spin_ns then spin_until_due t deadline
+              else begin
+                let slice =
+                  Qs_obs.Clock.s_of_ns
+                    (Int.min (left - timekeeper_spin_ns) timekeeper_slice_ns)
+                in
+                if Poller.has_waiters t.poller then
+                  ignore (Poller.poll t.poller ~timeout:slice : int)
+                else Unix.sleepf slice
+              end;
               Mutex.lock t.idle_mutex;
               doze ()
             end
@@ -734,8 +773,15 @@ let rejoin_pool t w =
   in
   join_pool t w target ~migrated:(target != old)
 
+(* Set the calling thread's kernel timer slack in ns; returns the previous
+   value, or -1 where there is none to set (see qs_sched_stubs.c). *)
+external set_timer_slack : int -> int = "qs_sched_set_timer_slack" [@@noalloc]
+
 let worker_loop t w =
   Domain.DLS.set current (Some (t, w));
+  (* A worker's timed sleeps are fiber deadlines: without this the kernel
+     may end each one up to its default 50 us slack late. *)
+  let old_slack = set_timer_slack 1 in
   let spins = ref 0 in
   let rec loop () =
     if t.stop then ()
@@ -791,6 +837,8 @@ let worker_loop t w =
         end
   in
   loop ();
+  (* Worker 0 is the caller's thread: give it back its slack. *)
+  if old_slack > 0 then ignore (set_timer_slack old_slack : int);
   Domain.DLS.set current None
 
 let make ?(domains = 1) ?(pools = []) ?obs ~on_stall () =

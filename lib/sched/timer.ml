@@ -2,12 +2,15 @@
    deadlines with lazy cancellation.
 
    Design constraints, in order of importance:
-   - [next_deadline] must be readable without taking the lock: busy workers
-     poll it on the scheduling fast path (every [global_check_period]
-     dispatches), and the parked "timekeeper" worker polls it between sleep
-     slices.  It is a cached atomic that may run {e stale-early} (pointing
-     at an already-cancelled entry) but never stale-late: a reader that sees
-     a deadline in the future is guaranteed no live timer is due before it.
+   - [next_deadline] must be readable without taking the lock and without
+     allocating: busy workers poll it on every dispatch, and the parked
+     "timekeeper" worker polls it between sleep slices.  It is a cached
+     atomic int (monotonic nanoseconds, [max_int] when nothing is armed)
+     that may run {e stale-early} (pointing at an already-cancelled entry)
+     but never stale-late: a reader that sees a deadline in the future is
+     guaranteed no live timer is due before it.
+   - Deadlines are on the monotonic clock ({!Qs_obs.Clock.now_ns}), so a
+     wall-clock step neither fires nor strands an armed deadline.
    - Arming and cancelling must be cheap: the dominant client is a deadline
      query that arms on issue and cancels on fulfilment, so [cancel] is a
      single CAS (lazy removal) and [arm] amortizes heap compaction.
@@ -22,7 +25,7 @@ exception Timeout
    scoop request path). *)
 
 type handle = {
-  deadline : float;
+  deadline : int; (* monotonic ns *)
   seq : int; (* FIFO tie-break among equal deadlines *)
   action : unit -> unit;
   claimed : bool Atomic.t; (* armed=false; fired-or-cancelled=true *)
@@ -34,7 +37,7 @@ and t = {
   mutable heap : handle option array; (* binary min-heap by (deadline, seq) *)
   mutable size : int;
   mutable next_seq : int;
-  earliest : float Atomic.t; (* <= every live deadline; infinity if none *)
+  earliest : int Atomic.t; (* <= every live deadline; max_int if none *)
   live : int Atomic.t; (* armed and not yet fired/cancelled *)
   (* counters (atomic: [cancel] runs without the lock) *)
   armed : int Atomic.t;
@@ -42,7 +45,9 @@ and t = {
   cancelled : int Atomic.t;
 }
 
-let now () = Unix.gettimeofday ()
+let now () = Qs_obs.Clock.s_of_ns (Qs_obs.Clock.now_ns ())
+
+let never = max_int
 
 let create () =
   {
@@ -50,7 +55,7 @@ let create () =
     heap = Array.make 8 None;
     size = 0;
     next_seq = 0;
-    earliest = Atomic.make infinity;
+    earliest = Atomic.make never;
     live = Atomic.make 0;
     armed = Atomic.make 0;
     fired = Atomic.make 0;
@@ -122,7 +127,7 @@ let compact t =
   done
 
 let refresh_earliest t =
-  Atomic.set t.earliest (if t.size = 0 then infinity else (entry t 0).deadline)
+  Atomic.set t.earliest (if t.size = 0 then never else (entry t 0).deadline)
 
 (* -- public operations ---------------------------------------------------- *)
 

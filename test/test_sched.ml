@@ -826,6 +826,160 @@ let test_stall_still_detected_after_timer () =
   | exception S.Stalled n -> check_int "one stuck fiber" 1 n
   | () -> Alcotest.fail "expected Stalled"
 
+(* A field of this thread's procfs files, if the kernel exposes it.
+   Per-thread [timerslack_ns] is not under /proc/thread-self on every
+   kernel, but /proc/<tid>/ always reaches the thread itself. *)
+let thread_proc_path name =
+  match Unix.readlink "/proc/thread-self" with
+  | exception Unix.Unix_error _ -> None
+  | link ->
+    List.find_opt Sys.file_exists
+      [ "/proc/thread-self/" ^ name; "/proc/" ^ Filename.basename link ^ "/" ^ name ]
+
+let test_workers_minimal_timer_slack () =
+  (* Every worker domain lowers its kernel timer slack to 1 ns, so a
+     timekeeper's sleep is not stretched by the 50 us default. *)
+  match thread_proc_path "timerslack_ns" with
+  | None -> Alcotest.skip ()
+  | Some _ ->
+    let seen =
+      S.run ~domains:2 (fun () ->
+        let seen = Array.make 2 None in
+        let m = Stdlib.Mutex.create () in
+        let record () =
+          let path = Option.get (thread_proc_path "timerslack_ns") in
+          let slack =
+            In_channel.with_open_text path input_line |> String.trim |> int_of_string
+          in
+          Stdlib.Mutex.protect m (fun () -> seen.(S.self ()) <- Some slack)
+        in
+        record ();
+        (* Busy fibers until the second worker has run one. *)
+        let rounds = ref 0 in
+        while Array.exists Option.is_none seen && !rounds < 500 do
+          incr rounds;
+          let l = Latch.create 4 in
+          for _ = 1 to 4 do
+            S.spawn (fun () ->
+              let stop = Qs_obs.Clock.now_ns () + 200_000 in
+              while Qs_obs.Clock.now_ns () < stop do
+                Domain.cpu_relax ()
+              done;
+              record ();
+              Latch.count_down l)
+          done;
+          Latch.wait l
+        done;
+        seen)
+    in
+    Array.iteri
+      (fun wid v ->
+        Alcotest.(check (option int)) (Printf.sprintf "worker %d slack" wid) (Some 1) v)
+      seen
+
+let test_sleep_overshoot_small () =
+  (* On an idle runtime the parked timekeeper fires a sleep within a few
+     microseconds of its deadline.  The kernel's default 50 us timer slack
+     alone would put the median above the bound. *)
+  let n = 200 and dt = 200e-6 in
+  let late =
+    S.run (fun () ->
+      Array.init n (fun _ ->
+        let t0 = Qs_obs.Clock.now_ns () in
+        S.sleep dt;
+        Qs_obs.Clock.now_ns () - t0 - Qs_obs.Clock.ns_of_s dt))
+  in
+  Array.sort compare late;
+  let median = late.(n / 2) in
+  check_bool "never early" true (late.(0) >= 0);
+  if median >= 40_000 then
+    Alcotest.failf "median sleep overshoot %d ns, want < 40000 ns" median
+
+(* The thread's voluntary context switches so far: each one is a time
+   the thread blocked or slept in the kernel. *)
+let voluntary_switches path =
+  In_channel.with_open_text path In_channel.input_all
+  |> String.split_on_char '\n'
+  |> List.find_map (fun l ->
+       match String.split_on_char ':' l with
+       | [ "voluntary_ctxt_switches"; v ] -> Some (int_of_string (String.trim v))
+       | _ -> None)
+  |> Option.get
+
+(* Write this thread's kernel timer slack in ns (0 = the thread's default);
+   [false] where the kernel does not allow it. *)
+let set_thread_slack ns =
+  match thread_proc_path "timerslack_ns" with
+  | None -> false
+  | Some path -> (
+    try
+      Out_channel.with_open_text path (fun oc -> output_string oc (string_of_int ns));
+      true
+    with Sys_error _ -> false)
+
+let test_block_admission_keeps_domain_running () =
+  (* A [`Block]-admission client stuck behind a wedged handler waits by
+     yielding, so a sibling fiber on the same (only) domain keeps running
+     and the domain never sleeps.  A client that backed off with
+     [Unix.sleepf] would put the thread to sleep about once per sibling
+     yield, which the thread's voluntary context switches count.  The
+     stretch runs at the kernel's default timer slack: under a worker's
+     1 ns slack the kernel skips a 1 us sleep whose deadline has passed
+     by the time it is armed, which would hide such a backoff. *)
+  match thread_proc_path "status" with
+  | None -> Alcotest.skip ()
+  | Some _ ->
+    let module R = Scoop.Runtime in
+    let module Reg = Scoop.Registration in
+    let module Cfg = Scoop.Config in
+    let yields = 2000 and slack_set = ref false in
+    let switches, served =
+      R.run ~domains:1 ~config:Cfg.(all |> with_bound 1 |> with_overflow `Block)
+        (fun rt ->
+          let h = R.processor rt in
+          let gate = Ivar.create () and wedged = Atomic.make false in
+          let served = Atomic.make 0 in
+          let done_ = Latch.create 2 in
+          S.spawn (fun () ->
+            R.separate rt h (fun reg ->
+              (* The first call wedges the handler, the second fills the
+                 bound, the third waits in admission. *)
+              Reg.call reg (fun () ->
+                Atomic.set wedged true;
+                Ivar.read gate;
+                Atomic.incr served);
+              for _ = 1 to 2 do
+                Reg.call reg (fun () -> Atomic.incr served)
+              done);
+            Latch.count_down done_);
+          let switches = ref 0 in
+          S.spawn (fun () ->
+            while not (Atomic.get wedged) do
+              S.yield ()
+            done;
+            (* Let the client reach its admission loop. *)
+            for _ = 1 to 20 do
+              S.yield ()
+            done;
+            let path = Option.get (thread_proc_path "status") in
+            slack_set := set_thread_slack 0;
+            let before = voluntary_switches path in
+            for _ = 1 to yields do
+              S.yield ()
+            done;
+            switches := voluntary_switches path - before;
+            ignore (set_thread_slack 1 : bool);
+            Ivar.fill gate ();
+            Latch.count_down done_);
+          Latch.wait done_;
+          R.separate rt h (fun reg -> Reg.query reg (fun () -> ()));
+          (!switches, Atomic.get served))
+    in
+    check_int "every call served" 3 served;
+    if not !slack_set then Alcotest.skip ();
+    if switches > yields / 10 then
+      Alcotest.failf "domain slept %d times during %d sibling yields" switches yields
+
 let test_suspend_timeout_resumed () =
   (* Resumed before the deadline: `Resumed, and the timer is cancelled
      (never fires). *)
@@ -1194,6 +1348,15 @@ let () =
             test_timeout_race_exactly_once;
           Alcotest.test_case "hot-slot fairness regression" `Quick
             test_hot_slot_fairness;
+          Alcotest.test_case "workers use minimal timer slack" `Quick
+            test_workers_minimal_timer_slack;
+          Alcotest.test_case "sleep overshoot stays small" `Quick
+            test_sleep_overshoot_small;
+        ] );
+      ( "admission",
+        [
+          Alcotest.test_case "blocked client keeps the domain running" `Quick
+            test_block_admission_keeps_domain_running;
         ] );
       ( "poller",
         [
