@@ -20,11 +20,17 @@
    dirty-processor rule observable client-side at the same points it
    would surface in-process.
 
+   Completions are written the way requests are: the first frame a
+   handler dispatch sends goes out at once, the rest of its batch share
+   one write when the handler gives up the worker (the
+   [Qs_remote.Socket_queue] flush rule).
+
    Backpressure is node-side: the serve fiber logs requests through the
    ordinary [Registration] path, so a bounded mailbox's admission
    control blocks *it*, which stops it reading the socket, which fills
-   the kernel buffers, which blocks the client's writes — the bound
-   propagates over the connection with no extra protocol.
+   the kernel buffers, which parks the client's write — and every later
+   client sender queues behind that write, so the bound propagates over
+   the connection with no extra protocol.
 
    The node's config must use the queue-of-queues mailbox: a Direct-mode
    reservation holds the handler lock for the block's whole lifetime,

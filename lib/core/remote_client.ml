@@ -8,9 +8,11 @@
    unchanged against a processor living on a node:
 
    - calls are fire-and-forget [Rcall] frames (the logged side of the
-     separate rule, now a socket write instead of a private-queue push);
-   - blocking queries and syncs park the client fiber on an ivar the
-     demultiplexer fills when the completion frame arrives;
+     separate rule, now a socket write instead of a private-queue push;
+     a burst of them from one dispatch shares one write);
+   - blocking queries and syncs flush the connection, then park the
+     client fiber on an ivar the demultiplexer fills when the
+     completion frame arrives;
    - pipelined queries hand back a promise the demultiplexer fulfils —
      k remote queries in flight overlap their round trips exactly like
      the in-process flavour overlaps handler executions;
@@ -101,13 +103,24 @@ let connection_lost conn =
       (fun iv -> ignore (Qs_sched.Ivar.try_fill_error ~bt iv e : bool))
       syn
 
-let send conn msg =
-  if conn.lost then raise (Remote_proto.Connection_lost conn.label);
-  match SQ.enqueue conn.send_q msg with
+let on_closed conn write =
+  match write () with
   | () -> ()
   | exception SQ.Closed ->
     connection_lost conn;
     raise (Remote_proto.Connection_lost conn.label)
+
+let send conn msg =
+  if conn.lost then raise (Remote_proto.Connection_lost conn.label);
+  on_closed conn (fun () -> SQ.enqueue conn.send_q msg)
+
+(* For a frame something waits on — a blocking round trip's request, or
+   the node shutdown a caller may block on outside the scheduler: a
+   frame appended behind its dispatch's earlier ones would otherwise sit
+   in the buffer until the deferred flush runs. *)
+let send_now conn msg =
+  send conn msg;
+  on_closed conn (fun () -> SQ.flush conn.send_q)
 
 (* -- Demultiplexer --------------------------------------------------------
    One fiber per connection: blocks on the receive queue (parking on fd
@@ -196,7 +209,7 @@ let open_reg conn ~proc =
     with_lock conn (fun () ->
       if conn.lost then raise (Remote_proto.Connection_lost conn.label);
       Hashtbl.replace conn.pending qid (Blocked iv));
-    (try send conn (Remote_proto.Rquery { reg; qid; f })
+    (try send_now conn (Remote_proto.Rquery { reg; qid; f })
      with e ->
        with_lock conn (fun () -> Hashtbl.remove conn.pending qid);
        raise e);
@@ -249,7 +262,7 @@ let open_reg conn ~proc =
     with_lock conn (fun () ->
       if conn.lost then raise (Remote_proto.Connection_lost conn.label);
       Hashtbl.replace conn.syncs sid iv);
-    (try send conn (Remote_proto.Rsync { reg; sid })
+    (try send_now conn (Remote_proto.Rsync { reg; sid })
      with e ->
        with_lock conn (fun () -> Hashtbl.remove conn.syncs sid);
        raise e);
@@ -343,12 +356,13 @@ let shutdown_nodes t =
   Array.iter
     (fun conn ->
       if not conn.lost then
-        try send conn Remote_proto.Shutdown
+        try send_now conn Remote_proto.Shutdown
         with Remote_proto.Connection_lost _ -> ())
     t.conns
 
-(* Orderly teardown: announce [Bye], half-close the send side (the node
-   reads EOF after the last frame and tears its end down), and force the
+(* Orderly teardown: announce [Bye], half-close the send side (after
+   the buffered frames; the node reads EOF after the last frame and
+   tears its end down), and force the
    demultiplexer's pending read to EOF so runtime shutdown never waits
    on a node that died without closing. *)
 let close t =

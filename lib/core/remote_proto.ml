@@ -119,7 +119,8 @@ let listen_on addr =
    a refused connection or a not-yet-bound unix path is retried for up
    to [timeout] seconds before giving up. *)
 let connect_to ?(timeout = 10.0) addr =
-  let give_up = Unix.gettimeofday () +. timeout in
+  (* Monotonic: a wall-clock step must not stretch or cut the retries. *)
+  let give_up = Qs_obs.Clock.now_ns () + int_of_float (timeout *. 1e9) in
   let rec attempt () =
     let fd = Unix.socket (domain_of addr) Unix.SOCK_STREAM 0 in
     match Unix.connect fd (sockaddr_of addr) with
@@ -131,7 +132,7 @@ let connect_to ?(timeout = 10.0) addr =
           ((Unix.ECONNREFUSED | Unix.ENOENT | Unix.EAGAIN | Unix.EINTR), _, _)
       ->
       (try Unix.close fd with Unix.Unix_error _ -> ());
-      if Unix.gettimeofday () >= give_up then
+      if Qs_obs.Clock.now_ns () >= give_up then
         raise
           (Connection_lost
              (Config.addr_to_string addr ^ ": connection refused"))

@@ -11,11 +11,22 @@
    `transport:*` ablations in the micro-benchmark suite: serialization +
    syscalls versus the in-memory SPSC queue.
 
-   Messages must be marshal-safe values (no closures — a distributed
-   runtime ships commands, not code; captured mutable state would be
-   silently copied).  Both socket ends are non-blocking: a would-block
-   write or read yields the fiber instead of stalling the domain, so the
-   queue composes with the scheduler like every other primitive. *)
+   Messages are marshalled with the queue's [flags]: data only by
+   default, code too under [Marshal.Closures] (the distributed runtime's
+   wire format — same-binary peers ship closures; captured mutable state
+   is silently copied).  Both socket ends are non-blocking: a
+   would-block write or read parks the fiber on the scheduler's poller
+   instead of stalling the domain, so the queue composes with the
+   scheduler like every other primitive.
+
+   Writes are coalesced the way a handler drains its private queue: a
+   frame is encoded straight into the queue's output buffer, and one
+   [write] carries every frame a burst produced.  The flush rule keeps a
+   lone message at its old latency — a frame entering an empty buffer
+   from a dispatch that has not yet sent on this queue is written at
+   once; later frames of the same dispatch are appended, and a flush
+   fiber spawned with the first of them writes them all once the sender
+   gives up the worker.  Blocking senders call [flush] before they park. *)
 
 exception Closed = Qs_queues.Mailbox.Closed
 exception Truncated_frame
@@ -39,6 +50,7 @@ type counters = {
   frames_received : Qs_obs.Counter.t;
   bytes_sent : Qs_obs.Counter.t;
   bytes_received : Qs_obs.Counter.t;
+  writes : Qs_obs.Counter.t; (* write syscalls *)
   would_blocks : Qs_obs.Counter.t; (* EAGAIN on either end *)
   truncated_frames : Qs_obs.Counter.t; (* EOF inside a frame *)
 }
@@ -52,18 +64,28 @@ let make_counters () =
   let frames_received = c "frames_received" in
   let bytes_sent = c "bytes_sent" in
   let bytes_received = c "bytes_received" in
+  let writes = c "writes" in
   let would_blocks = c "would_blocks" in
   let truncated_frames = c "truncated_frames" in
   { registry; frames_sent; frames_received; bytes_sent; bytes_received;
-    would_blocks; truncated_frames }
+    writes; would_blocks; truncated_frames }
 
 type 'a t = {
   read_fd : Unix.file_descr;
   write_fd : Unix.file_descr;
   flags : Marshal.extern_flags list; (* e.g. [Closures] for same-binary peers *)
-  write_lock : Qs_sched.Fiber_mutex.t; (* frames from producers must not interleave *)
+  write_lock : Qs_sched.Fiber_mutex.t;
+      (* guards the output buffer and the write side: frames from
+         producers must not interleave, and a flush parked on a full
+         socket holds it, so later senders wait (backpressure) *)
   ctrs : counters;
-  mutable read_buffer : Bytes.t; (* accumulated unparsed input *)
+  mutable out : Bytes.t; (* encoded frames not yet written, from 0 *)
+  mutable out_len : int;
+  mutable out_frames : int; (* frames in [out], counted sent once written *)
+  mutable last_stamp : int; (* dispatch that last sent on this queue *)
+  mutable flush_pending : bool; (* a flush fiber is on its way *)
+  mutable read_buffer : Bytes.t; (* input; unparsed from [read_pos] *)
+  mutable read_pos : int;
   mutable read_len : int;
   mutable write_closed : bool;
   mutable eof : bool;
@@ -77,7 +99,13 @@ let make ?(flags = []) ~read_fd ~write_fd () =
     flags;
     write_lock = Qs_sched.Fiber_mutex.create ();
     ctrs = make_counters ();
+    out = Bytes.create 4096;
+    out_len = 0;
+    out_frames = 0;
+    last_stamp = -1;
+    flush_pending = false;
     read_buffer = Bytes.create 4096;
+    read_pos = 0;
     read_len = 0;
     write_closed = false;
     eof = false;
@@ -104,20 +132,54 @@ let counters t = Qs_obs.Counter.snapshot t.ctrs.registry
 
 let frame_header_size = 8
 
-let encode t v =
-  let payload = Marshal.to_bytes v t.flags in
-  let frame = Bytes.create (frame_header_size + Bytes.length payload) in
-  Bytes.set_int64_le frame 0 (Int64.of_int (Bytes.length payload));
-  Bytes.blit payload 0 frame frame_header_size (Bytes.length payload);
-  frame
+(* Buffered bytes at which a sender stops deferring and writes itself:
+   caps what one dispatch can queue without meeting the socket's
+   backpressure. *)
+let flush_threshold = 65536
 
-(* Write the whole frame, yielding on would-block and partial writes. *)
-let write_all t frame =
-  let len = Bytes.length frame in
+let grow_out t =
+  let bigger = Bytes.create (2 * Bytes.length t.out) in
+  Bytes.blit t.out 0 bigger 0 t.out_len;
+  t.out <- bigger
+
+(* Append one frame: marshal straight behind its header slot, doubling
+   the buffer until the value fits. *)
+let rec encode t v =
+  let start = t.out_len + frame_header_size in
+  if start >= Bytes.length t.out then begin
+    grow_out t;
+    encode t v
+  end
+  else
+    match Marshal.to_buffer t.out start (Bytes.length t.out - start) v t.flags with
+    | n ->
+      Bytes.set_int64_le t.out t.out_len (Int64.of_int n);
+      t.out_len <- start + n;
+      t.out_frames <- t.out_frames + 1
+    | exception Failure _ ->
+      (* "Marshal.to_buffer: buffer overflow"; other marshalling errors
+         are [Invalid_argument] and propagate. *)
+      grow_out t;
+      encode t v
+
+(* The stream is unusable (peer gone, descriptor closed, or a frame torn
+   by a failed write): drop what is buffered and close the queue both
+   ways, so later senders get [Closed] and a reader of the same
+   connection sees end-of-stream. *)
+let broken t =
+  t.write_closed <- true;
+  t.out_len <- 0;
+  t.out_frames <- 0;
+  try Unix.shutdown t.write_fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ()
+
+(* Write every buffered byte, one syscall per kernel-accepted chunk.
+   Runs under [write_lock]; parks on would-block while holding it. *)
+let write_out t =
   let rec go off =
-    if off < len then begin
-      match Unix.write t.write_fd frame off (len - off) with
+    if off < t.out_len then
+      match Unix.single_write t.write_fd t.out off (t.out_len - off) with
       | n ->
+        Qs_obs.Counter.incr t.ctrs.writes;
         Qs_obs.Counter.add t.ctrs.bytes_sent n;
         go (off + n)
       | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
@@ -128,29 +190,74 @@ let write_all t frame =
         Qs_sched.Sched.await_writable t.write_fd;
         go off
       | exception
-          Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) ->
+          Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET | Unix.EBADF), _, _) ->
+        broken t;
         raise Closed
-    end
   in
   go 0;
-  Qs_obs.Counter.incr t.ctrs.frames_sent
+  Qs_obs.Counter.add t.ctrs.frames_sent t.out_frames;
+  t.out_frames <- 0;
+  t.out_len <- 0
+
+(* The spawned half of the flush rule.  It runs as its own fiber, so a
+   failure must not escape: a dead peer closes the queue (above) and
+   reaches senders as [Closed]. *)
+let deferred_flush t =
+  Qs_sched.Fiber_mutex.with_lock t.write_lock (fun () ->
+    t.flush_pending <- false;
+    try write_out t with Closed -> ())
 
 let enqueue t v =
-  if t.write_closed then raise Closed;
-  let frame = encode t v in
-  (* Producers serialize frame writes so frames cannot interleave. *)
-  Qs_sched.Fiber_mutex.with_lock t.write_lock (fun () -> write_all t frame)
+  Qs_sched.Fiber_mutex.with_lock t.write_lock (fun () ->
+    if t.write_closed then raise Closed;
+    (* Read under the lock: a contended sender resumes in a new dispatch. *)
+    let stamp = Qs_sched.Sched.dispatch_stamp () in
+    let was_empty = t.out_len = 0 in
+    encode t v;
+    if
+      stamp < 0 (* outside a scheduler: no fiber to defer to *)
+      || (was_empty && stamp <> t.last_stamp)
+      || t.out_len >= flush_threshold
+    then write_out t
+    else if not t.flush_pending then begin
+      t.flush_pending <- true;
+      Qs_sched.Sched.spawn (fun () -> deferred_flush t)
+    end;
+    t.last_stamp <- stamp)
 
-let grow_buffer t needed =
+(* A racy [out_len = 0] is sound here: the caller's own frames were
+   appended before, so reading 0 means a flush completed after them. *)
+let flush t =
+  if t.out_len > 0 then
+    Qs_sched.Fiber_mutex.with_lock t.write_lock (fun () ->
+      if t.out_len > 0 then write_out t)
+
+(* Make room for the next read: move the unparsed remainder to the front
+   (once per read, not once per frame) and grow so that a partially
+   received frame fits whole. *)
+let prepare_read t =
+  let avail = t.read_len - t.read_pos in
+  if t.read_pos > 0 then begin
+    Bytes.blit t.read_buffer t.read_pos t.read_buffer 0 avail;
+    t.read_pos <- 0;
+    t.read_len <- avail
+  end;
+  let needed =
+    if avail >= frame_header_size then
+      max (avail + 4096)
+        (frame_header_size + Int64.to_int (Bytes.get_int64_le t.read_buffer 0))
+    else avail + 4096
+  in
   if needed > Bytes.length t.read_buffer then begin
     let bigger = Bytes.create (max needed (2 * Bytes.length t.read_buffer)) in
-    Bytes.blit t.read_buffer 0 bigger 0 t.read_len;
+    Bytes.blit t.read_buffer 0 bigger 0 avail;
     t.read_buffer <- bigger
   end
 
-(* Pull more bytes from the socket into the buffer; false at EOF. *)
-let fill t =
-  grow_buffer t (t.read_len + 4096);
+(* Pull more bytes from the socket into the buffer; false at EOF, and on
+   would-block unless [wait] parks the fiber until the fd is readable. *)
+let read_more t ~wait =
+  prepare_read t;
   match
     Unix.read t.read_fd t.read_buffer t.read_len
       (Bytes.length t.read_buffer - t.read_len)
@@ -163,32 +270,32 @@ let fill t =
     t.read_len <- t.read_len + n;
     true
   | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-    (* Park on readability: the consumer of an idle queue costs nothing
-       until a frame (or EOF) arrives. *)
     Qs_obs.Counter.incr t.ctrs.would_blocks;
-    Qs_sched.Sched.await_readable t.read_fd;
-    true
+    if wait then begin
+      (* Park on readability: the consumer of an idle queue costs
+         nothing until a frame (or EOF) arrives. *)
+      Qs_sched.Sched.await_readable t.read_fd;
+      true
+    end
+    else false
   | exception Unix.Unix_error (Unix.ECONNRESET, _, _) ->
     t.eof <- true;
     false
 
 let take_frame t =
-  if t.read_len < frame_header_size then None
+  let avail = t.read_len - t.read_pos in
+  if avail < frame_header_size then None
   else begin
-    let payload_len = Int64.to_int (Bytes.get_int64_le t.read_buffer 0) in
+    let payload_len = Int64.to_int (Bytes.get_int64_le t.read_buffer t.read_pos) in
     let total = frame_header_size + payload_len in
-    if t.read_len < total then begin
-      grow_buffer t total;
-      None
-    end
+    if avail < total then None
     else begin
       (* Decode in place: [Marshal.from_bytes] reads [payload_len] bytes
          starting at the offset, so no intermediate copy of the payload
          is needed (the transport ablation's per-message allocation is
          the marshalled value itself, not a second staging buffer). *)
-      let v = Marshal.from_bytes t.read_buffer frame_header_size in
-      Bytes.blit t.read_buffer total t.read_buffer 0 (t.read_len - total);
-      t.read_len <- t.read_len - total;
+      let v = Marshal.from_bytes t.read_buffer (t.read_pos + frame_header_size) in
+      t.read_pos <- t.read_pos + total;
       Qs_obs.Counter.incr t.ctrs.frames_received;
       Some v
     end
@@ -206,38 +313,18 @@ let truncated t =
   raise Truncated_frame
 
 (* Single consumer: dequeue the next message, [None] once the write side
-   is closed and everything has been drained.
+   is closed and everything has been drained.  A read that returns
+   false has set [eof], so the retry settles the stream's end.
    @raise Truncated_frame on EOF inside a frame. *)
 let rec dequeue t =
   match take_frame t with
   | Some v -> Some v
   | None ->
-    if t.eof then if t.read_len > 0 then truncated t else None
-    else if fill t then dequeue t
-    else if t.read_len > 0 then dequeue t (* parse complete remainders *)
-    else None
-
-(* Non-blocking fill: pull whatever the kernel already has, but never
-   yield — a would-block read just ends the batch. *)
-let fill_nowait t =
-  grow_buffer t (t.read_len + 4096);
-  match
-    Unix.read t.read_fd t.read_buffer t.read_len
-      (Bytes.length t.read_buffer - t.read_len)
-  with
-  | 0 ->
-    t.eof <- true;
-    false
-  | n ->
-    Qs_obs.Counter.add t.ctrs.bytes_received n;
-    t.read_len <- t.read_len + n;
-    true
-  | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-    Qs_obs.Counter.incr t.ctrs.would_blocks;
-    false
-  | exception Unix.Unix_error (Unix.ECONNRESET, _, _) ->
-    t.eof <- true;
-    false
+    if t.eof then if t.read_len > t.read_pos then truncated t else None
+    else begin
+      ignore (read_more t ~wait:true : bool);
+      dequeue t
+    end
 
 (* Batched receive: block (yielding) for the first message, then take
    every message already framed in the buffer or readable without
@@ -258,16 +345,20 @@ let drain t buf =
         | Some v ->
           buf.(!taken) <- v;
           incr taken
-        | None -> if not (fill_nowait t) then continue_ := false
+        | None -> if not (read_more t ~wait:false) then continue_ := false
       done;
       !taken
 
+(* Buffered frames go out before the end-of-stream does. *)
 let close_writer t =
-  if not t.write_closed then begin
-    t.write_closed <- true;
-    (try Unix.shutdown t.write_fd Unix.SHUTDOWN_SEND
-     with Unix.Unix_error _ -> ())
-  end
+  if not t.write_closed then
+    Qs_sched.Fiber_mutex.with_lock t.write_lock (fun () ->
+      if not t.write_closed then begin
+        (try write_out t with Closed -> ());
+        t.write_closed <- true;
+        try Unix.shutdown t.write_fd Unix.SHUTDOWN_SEND
+        with Unix.Unix_error _ -> ()
+      end)
 
 let fds t = (t.read_fd, t.write_fd)
 
@@ -282,10 +373,12 @@ let is_closed t = t.write_closed
    sitting in the kernel are not counted, so [false] is authoritative but
    [true] is only "nothing parsed yet". *)
 let is_empty t =
+  let avail = t.read_len - t.read_pos in
   not
-    (t.read_len >= frame_header_size
-    && t.read_len
-       >= frame_header_size + Int64.to_int (Bytes.get_int64_le t.read_buffer 0))
+    (avail >= frame_header_size
+    && avail
+       >= frame_header_size
+          + Int64.to_int (Bytes.get_int64_le t.read_buffer t.read_pos))
 
 module As_mailbox = struct
   type nonrec 'a t = 'a t

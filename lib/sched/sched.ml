@@ -1038,6 +1038,14 @@ let run ?(domains = 1) ?(pools = []) ?(on_stall = `Raise) ?on_counters ?obs
   | Some v -> v
   | None -> failwith "Sched.run: main fiber did not complete"
 
+(* Worker [wid]'s [n]-th dispatch maps to [n * workers + wid]: distinct
+   for every fiber slice of one scheduler, constant within a slice
+   ([n_executed] is bumped before the job runs). *)
+let dispatch_stamp () =
+  match get_worker () with
+  | Some (t, w) -> (w.n_executed * Array.length t.workers) + w.wid
+  | None -> -1
+
 let self () =
   match get_worker () with
   | Some (_, w) -> w.wid

@@ -170,6 +170,14 @@ val arm_timer : delay:float -> (unit -> unit) -> Timer.handle
     ({!Fiber_mutex.lock_timeout}); most code wants {!sleep} or
     {!suspend_timeout} instead. *)
 
+val dispatch_stamp : unit -> int
+(** Identity of the current dispatch (one fiber slice on one worker):
+    constant while the fiber runs, different after it suspends, yields
+    or hands the worker to another fiber.  Distinct within one
+    scheduler (two schedulers may reuse a value); [-1] outside any
+    scheduler.  Lets a transport tell more output from the slice that
+    just wrote apart from a new sender. *)
+
 val self : unit -> int
 (** Index of the worker executing the current fiber. *)
 

@@ -196,6 +196,9 @@ let test_truncated_frame () =
     let _, write_fd = Sq.fds q in
     S.spawn (fun () ->
       Sq.enqueue q 42;
+      (* The torn bytes must land behind the frame, not ahead of a
+         buffered one. *)
+      Sq.flush q;
       let torn = Bytes.create 10 in
       Bytes.set_int64_le torn 0 1000L (* header: 1000-byte payload *);
       write_raw write_fd torn (* ...but only 2 bytes of it follow *);
@@ -227,6 +230,54 @@ let test_header_only_truncation () =
          ignore (Sq.dequeue q : int option);
          false
        with Sq.Truncated_frame -> true))
+
+let test_burst_coalesced () =
+  (* The flush rule: a lone frame is written inside [enqueue]; the rest
+     of the same dispatch share one write, made by the deferred flush
+     once the sender parks (here: in [dequeue]) or by [flush]. *)
+  with_queue (fun q ->
+    let writes () = Qs_obs.Counter.value (Sq.counters q) "writes" in
+    Sq.enqueue q 0;
+    check_int "lone frame written at once" 1 (writes ());
+    for i = 1 to 31 do
+      Sq.enqueue q i
+    done;
+    check_int "rest of the dispatch buffered" 1 (writes ());
+    let got = List.init 32 (fun _ -> Sq.dequeue q) in
+    Alcotest.(check (list (option int))) "fifo across the flush"
+      (List.init 32 Option.some) got;
+    check_int "deferred flush: one write for 31 frames" 2 (writes ());
+    Sq.enqueue q 32;
+    Sq.enqueue q 33;
+    Sq.flush q;
+    check_int "explicit flush" 4 (writes ());
+    check_int "every frame counted" 34
+      (Qs_obs.Counter.value (Sq.counters q) "frames_sent");
+    check_bool "in order" true (Sq.dequeue q = Some 32 && Sq.dequeue q = Some 33))
+
+let test_deferred_flush_failure () =
+  (* A deferred flush runs in a fiber of its own, so a dead peer cannot
+     raise to the sender: it closes the queue instead, and nothing
+     escapes the scheduler. *)
+  with_queue (fun q ->
+    let read_fd, _ = Sq.fds q in
+    Sq.enqueue q 1;
+    (* The reader stops receiving: further writes fail with EPIPE. *)
+    Unix.shutdown read_fd Unix.SHUTDOWN_RECEIVE;
+    Sq.enqueue q 2 (* buffered behind the written frame *);
+    let rec wait n =
+      if (not (Sq.is_closed q)) && n > 0 then begin
+        S.yield ();
+        wait (n - 1)
+      end
+    in
+    wait 1000;
+    check_bool "failed flush closed the queue" true (Sq.is_closed q);
+    check_bool "later senders get Closed" true
+      (try
+         Sq.enqueue q 3;
+         false
+       with Sq.Closed -> true))
 
 let prop_any_payload =
   QCheck2.Test.make ~count:50 ~name:"arbitrary int lists survive the socket"
@@ -460,6 +511,7 @@ let test_remote_node_survives_garbage () =
         Sq.of_fds ~flags:[ Marshal.Closures ] ~read_fd:fd ~write_fd:fd ()
       in
       Sq.enqueue sq (Proto.hello ());
+      Sq.flush sq;
       (* Frame header promising 1000 bytes, followed by 3 and EOF. *)
       let torn = Bytes.create 11 in
       Bytes.set_int64_le torn 0 1000L;
@@ -472,6 +524,175 @@ let test_remote_node_survives_garbage () =
           Scoop.Registration.query reg (fun () -> 2026))
       in
       check_int "node still serving after a torn peer" 2026 v))
+
+(* The cases below drive [Remote_client] directly, which exposes the
+   connection's send queue and so its transport counters. *)
+module RC = Scoop.Internal.Remote_client
+
+let with_raw_client addr f =
+  S.run (fun () ->
+    let rc = RC.connect ~stats:(Scoop.Stats.create ()) [ addr ] in
+    let conn = rc.RC.conns.(0) in
+    Fun.protect
+      ~finally:(fun () ->
+        RC.shutdown_nodes rc;
+        RC.close rc)
+      (fun () -> f conn (RC.open_reg conn ~proc:0)))
+
+let sent conn name = Qs_obs.Counter.value (Sq.counters conn.RC.send_q) name
+
+let test_remote_write_counts () =
+  with_node (fun addr ->
+    with_raw_client addr (fun conn px ->
+      px.Scoop.Processor.px_sync ~timeout:None;
+      (* A lone blocking query: one write, made before the client parks. *)
+      let w0 = sent conn "writes" in
+      let v = px.px_query ~timeout:None (fun () -> Obj.repr 7) in
+      check_int "query answered" 7 (Obj.obj v);
+      check_int "lone blocking query: exactly one write" 1
+        (sent conn "writes" - w0);
+      (* 32 pipelined queries issued in one dispatch. *)
+      let w0 = sent conn "writes" and f0 = sent conn "frames_sent" in
+      let ps =
+        Array.init 32 (fun i ->
+          px.px_query_async (fun () -> Obj.repr (i * i)) ~on_force:ignore)
+      in
+      Array.iteri
+        (fun i p -> check_int "pipelined result" (i * i) (Obj.obj (Scoop.Promise.await p)))
+        ps;
+      check_int "32 frames sent" 32 (sent conn "frames_sent" - f0);
+      let w = sent conn "writes" - w0 in
+      check_bool (Printf.sprintf "burst of 32 in 1..2 writes (got %d)" w) true
+        (w >= 1 && w <= 2)))
+
+let test_remote_poison_before_completion () =
+  (* Coalescing keeps per-direction FIFO order: the node reports the
+     poisoning ahead of every completion it guards, so each rejected
+     promise resolves after the registration was poisoned. *)
+  with_node (fun addr ->
+    with_raw_client addr (fun _ px ->
+      let poisoned = ref false and ordered = ref true in
+      px.Scoop.Processor.px_on_poison (fun _ _ -> poisoned := true);
+      px.px_call (fun () -> failwith "boom");
+      let ps =
+        Array.init 32 (fun _ ->
+          let p = px.px_query_async (fun () -> Obj.repr 1) ~on_force:ignore in
+          Scoop.Promise.on_resolve p (fun _ -> if not !poisoned then ordered := false);
+          p)
+      in
+      Array.iter
+        (fun p ->
+          match Scoop.Promise.await p with
+          | _ -> Alcotest.fail "query on a poisoned registration succeeded"
+          | exception Scoop.Remote_error _ -> ())
+        ps;
+      check_bool "poisoned" true !poisoned;
+      check_bool "Rpoisoned arrived ahead of every completion" true !ordered))
+
+(* Node globals for the backpressure case: the first call parks the
+   handler until [bp_release]; the flood behind it only counts. *)
+let bp_release = Atomic.make false
+let bp_served = Atomic.make 0
+let bp_wedge () = while not (Atomic.get bp_release) do S.sleep 0.001 done
+let bp_call () = Atomic.incr bp_served
+
+let test_remote_backpressure () =
+  (* A bounded node mailbox stops the serve fiber reading, the kernel
+     buffers fill, and the client's flood must then block — with its
+     unsent bytes capped, not piling up in a user-space buffer. *)
+  Atomic.set bp_release false;
+  Atomic.set bp_served 0;
+  let addr = Scoop.Config.Unix_sock (next_sock ()) in
+  let config = Scoop.Config.(qoq |> with_bound 4) in
+  let node = Domain.spawn (fun () -> Scoop.Remote.listen ~config addr) in
+  Fun.protect ~finally:(fun () -> Domain.join node) (fun () ->
+    with_raw_client addr (fun conn px ->
+      px.Scoop.Processor.px_sync ~timeout:None;
+      px.px_call bp_wedge;
+      let b0 = sent conn "bytes_sent" in
+      let frame =
+        8
+        + Bytes.length
+            (Marshal.to_bytes (Proto.Rcall { reg = 0; f = bp_call }) [ Marshal.Closures ])
+      in
+      let issued = Atomic.make 0 and stop = Atomic.make false in
+      let flooder = Qs_sched.Ivar.create () in
+      (* The flood is finite, so a client that never blocks fails the
+         case instead of growing without bound. *)
+      S.spawn (fun () ->
+        while (not (Atomic.get stop)) && Atomic.get issued < 100_000 do
+          px.px_call bp_call;
+          Atomic.incr issued
+        done;
+        Qs_sched.Ivar.fill flooder ());
+      (* Blocked = no progress over three 20 ms polls. *)
+      let rec settle last still polls =
+        if still < 3 && polls > 0 then begin
+          S.sleep 0.02;
+          let n = Atomic.get issued in
+          settle n (if n = last && n > 0 then still + 1 else 0) (polls - 1)
+        end
+        else still >= 3
+      in
+      let blocked = settle (-1) 0 500 in
+      let finished = Qs_sched.Ivar.peek flooder <> None in
+      (* Frames issued plus the one in flight, minus what the kernel took. *)
+      let unsent = ((Atomic.get issued + 1) * frame) - (sent conn "bytes_sent" - b0) in
+      (* Release the node before judging, so a failure cannot wedge the
+         teardown. *)
+      Atomic.set stop true;
+      Atomic.set bp_release true;
+      Qs_sched.Ivar.read flooder;
+      px.px_sync ~timeout:None;
+      check_bool "flooding client blocks" true (blocked && not finished);
+      let cap = 128 * 1024 in
+      check_bool (Printf.sprintf "unsent bytes %d under %d" unsent cap) true
+        (unsent <= cap);
+      check_int "every issued call served" (Atomic.get issued)
+        (Atomic.get bp_served)))
+
+let test_remote_peer_dies_mid_burst () =
+  (* The peer dies while a burst sits in the buffer: the deferred flush
+     fails, and every waiter gets the typed [Connection_lost]. *)
+  let path = next_sock () in
+  let addr = Scoop.Config.Unix_sock path in
+  let lfd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.bind lfd (Unix.ADDR_UNIX path);
+  Unix.listen lfd 1;
+  let rogue =
+    Domain.spawn (fun () ->
+      let fd, _ = Unix.accept lfd in
+      ignore (Unix.read fd (Bytes.create 4096) 0 4096 : int);
+      Unix.close fd;
+      Unix.close lfd)
+  in
+  let outcomes =
+    S.run (fun () ->
+      let stats = Scoop.Stats.create () in
+      let rc = RC.connect ~stats [ addr ] in
+      (* Still in the connecting dispatch: the Hello went out at once,
+         everything after it is buffered behind it. *)
+      Domain.join rogue;
+      let typed = function Scoop.Connection_lost _ -> true | _ -> false in
+      let r =
+        match RC.open_reg rc.RC.conns.(0) ~proc:0 with
+        | exception e -> [ typed e ]
+        | px ->
+          Array.init 8 (fun _ ->
+            px.Scoop.Processor.px_query_async (fun () -> Obj.repr 1) ~on_force:ignore)
+          |> Array.to_list
+          |> List.map (fun p ->
+               match Scoop.Promise.await p with
+               | _ -> false
+               | exception e -> typed e)
+      in
+      RC.close rc;
+      (r, (Scoop.Stats.snapshot stats).Scoop.Stats.s_remote_failures))
+  in
+  (try Unix.unlink path with Unix.Unix_error _ -> ());
+  let r, failures = outcomes in
+  check_bool "every waiter rejected with Connection_lost" true (List.for_all Fun.id r);
+  check_bool "connection loss counted" true (failures >= 1)
 
 (* Two shard-mapped nodes: processor id routes to node id mod 2, and the
    same workload spreads across both without client changes. *)
@@ -588,6 +809,9 @@ let () =
           Alcotest.test_case "truncated frame" `Quick test_truncated_frame;
           Alcotest.test_case "header-only truncation" `Quick
             test_header_only_truncation;
+          Alcotest.test_case "burst coalesced" `Quick test_burst_coalesced;
+          Alcotest.test_case "deferred flush failure" `Quick
+            test_deferred_flush_failure;
         ] );
       ( "distributed runtime",
         [
@@ -604,6 +828,12 @@ let () =
             test_remote_disconnect_mid_query;
           Alcotest.test_case "node survives torn peer" `Quick
             test_remote_node_survives_garbage;
+          Alcotest.test_case "write counts" `Quick test_remote_write_counts;
+          Alcotest.test_case "poison before completion" `Quick
+            test_remote_poison_before_completion;
+          Alcotest.test_case "backpressure" `Quick test_remote_backpressure;
+          Alcotest.test_case "peer dies mid-burst" `Quick
+            test_remote_peer_dies_mid_burst;
           Alcotest.test_case "static shard map" `Quick test_remote_shard_map;
           Alcotest.test_case "mixed local/remote reservation rejected" `Quick
             test_mixed_reservation_rejected;
