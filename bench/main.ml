@@ -16,6 +16,7 @@
 module H = Qs_benchmarks.Harness
 module Report = Qs_benchmarks.Report
 module PD = Qs_benchmarks.Paper_data
+module Counter = Qs_obs.Counter
 
 let all_artifacts =
   [
@@ -167,14 +168,15 @@ let mailbox_batching () =
             (Scoop.Runtime.separate rt buffer (fun reg ->
                Scoop.Shared.get reg queue Queue.length)
               : int);
-          Scoop.Stats.snapshot (Scoop.Runtime.stats rt))
+          Scoop.Stats.assoc (Scoop.Runtime.stats rt))
       in
       let name =
         match mailbox with `Qoq -> "qoq" | `Direct -> "direct"
       in
       Printf.printf "%-24s %10d %10d %12.2f\n"
         (Printf.sprintf "%s batch=%d" name batch)
-        s.Scoop.Stats.s_handler_wakeups s.Scoop.Stats.s_batched_requests
+        (Counter.value s "handler_wakeups")
+        (Counter.value s "batched_requests")
         (Scoop.Stats.mean_batch s);
       (name, batch, s))
     [ (`Qoq, 1); (`Qoq, 16); (`Qoq, 64); (`Direct, 1); (`Direct, 16);
@@ -202,7 +204,7 @@ let pipeline (s : H.scale) =
   let prodcons ~pipelined () =
     Scoop.Runtime.run ~domains ~config (fun rt ->
       let stats = Scoop.Runtime.stats rt in
-      let before = Scoop.Stats.snapshot stats in
+      let before = Scoop.Stats.assoc stats in
       let hs = Scoop.Runtime.processors rt handlers in
       let queues = List.map (fun h -> (h, Queue.create ())) hs in
       List.iter
@@ -228,7 +230,7 @@ let pipeline (s : H.scale) =
                 checksum := !checksum + Scoop.Registration.query reg (pull q))
               regs queues)
       done;
-      (!checksum, Scoop.Stats.diff (Scoop.Stats.snapshot stats) before))
+      (!checksum, Counter.diff (Scoop.Stats.assoc stats) before))
   in
   (* Cowichan chain fragment (examples/pipeline.ml writ large): workers
      generate matrix chunks behind asynchronous calls, the client pulls
@@ -236,7 +238,7 @@ let pipeline (s : H.scale) =
   let cowichan ~pipelined () =
     Scoop.Runtime.run ~domains ~config (fun rt ->
       let stats = Scoop.Runtime.stats rt in
-      let before = Scoop.Stats.snapshot stats in
+      let before = Scoop.Stats.assoc stats in
       let nr = s.H.nr and seed = s.H.seed in
       let chunks =
         List.map
@@ -270,7 +272,7 @@ let pipeline (s : H.scale) =
                    CW.thresh_hist ~nr arr ~lo:0 ~hi:(hi - lo)))))
           chunks;
       ( CW.thresh_threshold ~hist ~total:(nr * nr) ~p:s.H.p,
-        Scoop.Stats.diff (Scoop.Stats.snapshot stats) before ))
+        Counter.diff (Scoop.Stats.assoc stats) before ))
   in
   (* Dynamic sync elision (§3.4.1, handler side): one handler, one call
      plus one result pull per round, the pull forced {e inside} the
@@ -282,7 +284,7 @@ let pipeline (s : H.scale) =
   let elision ~pipelined () =
     Scoop.Runtime.run ~domains ~config (fun rt ->
       let stats = Scoop.Runtime.stats rt in
-      let before = Scoop.Stats.snapshot stats in
+      let before = Scoop.Stats.assoc stats in
       let h = Scoop.Runtime.processor rt in
       let r = ref 0 in
       let total = ref 0 in
@@ -295,7 +297,7 @@ let pipeline (s : H.scale) =
           end
           else total := !total + Scoop.Registration.query reg (fun () -> !r))
       done;
-      (!total, Scoop.Stats.diff (Scoop.Stats.snapshot stats) before))
+      (!total, Counter.diff (Scoop.Stats.assoc stats) before))
   in
   print_newline ();
   Printf.printf
@@ -315,10 +317,12 @@ let pipeline (s : H.scale) =
       let secs = BT.median (List.map (fun (t, _, _) -> t) runs) in
       (* Counters come from the first rep; every rep does identical work. *)
       let _, value, snap = List.hd runs in
+      let count = Counter.value snap in
       Printf.printf "%-10s %-10s %10.4f %10d %8d %8d %8.2f %8d\n" name mode
-        secs snap.Scoop.Stats.s_promises_created
-        snap.Scoop.Stats.s_promises_ready snap.Scoop.Stats.s_promises_blocked
-        (Scoop.Stats.overlap_ratio snap) snap.Scoop.Stats.s_syncs_elided;
+        secs (count "promises_created")
+        (count "promises_ready_on_first_poll")
+        (count "promises_forced_blocking")
+        (Scoop.Stats.overlap_ratio snap) (count "syncs_elided");
       (value, (name, mode, secs, snap))
     in
     let vb, row_b = variant false "blocking" in
@@ -401,7 +405,7 @@ let timeout_ablation (s : H.scale) =
         ());
       Scoop.Stats.assoc (Scoop.Runtime.stats rt))
   in
-  let pv = Qs_obs.Counter.value probe in
+  let pv = Counter.value probe in
   Printf.printf
     "overload probe: %d timer arms, %d timeouts fired, %d deadlines \
      exceeded, %d shed requests\n"
@@ -740,9 +744,8 @@ let conformance_probe (s : H.scale) =
           Qs_sched.Latch.count_down latch)
       done;
       Qs_sched.Latch.wait latch;
-      let snap = Scoop.Stats.snapshot (Scoop.Runtime.stats rt) in
       assert (!r = clients * rounds);
-      snap.Scoop.Stats.s_syncs_elided)
+      Counter.get (Scoop.Runtime.stats rt).Scoop.Stats.syncs_elided)
   in
   match Qs_conform.check_trace (Scoop.Trace.of_sink sink) with
   | Error e ->
@@ -1072,13 +1075,13 @@ let write_json path (s : H.scale) micro_rows batching_rows pipeline_rows
             ("workload", String workload);
             ("mode", String mode);
             ("seconds", Float secs);
-            ("promises_created", Int snap.Scoop.Stats.s_promises_created);
+            ("promises_created", Int (Counter.value snap "promises_created"));
             ( "promises_ready_on_first_poll",
-              Int snap.Scoop.Stats.s_promises_ready );
+              Int (Counter.value snap "promises_ready_on_first_poll") );
             ( "promises_forced_blocking",
-              Int snap.Scoop.Stats.s_promises_blocked );
+              Int (Counter.value snap "promises_forced_blocking") );
             ("overlap_ratio", Float (Scoop.Stats.overlap_ratio snap));
-            ("syncs_elided", Int snap.Scoop.Stats.s_syncs_elided);
+            ("syncs_elided", Int (Counter.value snap "syncs_elided"));
           ])
       pipeline_rows
   in
@@ -1101,8 +1104,8 @@ let write_json path (s : H.scale) micro_rows batching_rows pipeline_rows
           [
             ("mailbox", String mailbox);
             ("batch", Int batch);
-            ("handler_wakeups", Int snap.Scoop.Stats.s_handler_wakeups);
-            ("batched_requests", Int snap.Scoop.Stats.s_batched_requests);
+            ("handler_wakeups", Int (Counter.value snap "handler_wakeups"));
+            ("batched_requests", Int (Counter.value snap "batched_requests"));
             ("mean_batch", Float (Scoop.Stats.mean_batch snap));
           ])
       batching_rows

@@ -188,6 +188,16 @@ let sim task lang =
 
 (* -- demo --------------------------------------------------------------------- *)
 
+(* The two registry views every scenario prints ([demo], [faults],
+   [trace]): counters by name, latency histograms by name. *)
+let print_counters st =
+  Format.printf "== runtime counters ==@.%a@." Qs_obs.Counter.pp_snapshot
+    (Scoop.Stats.assoc st)
+
+let print_histograms st =
+  Format.printf "== latency histograms ==@.%a@." Qs_obs.Histogram.pp_snapshot
+    (Scoop.Stats.hist_assoc st)
+
 (* Deadline walkthrough (--deadline): a blocking query against a
    deliberately wedged handler abandons its rendezvous with
    [Scoop.Timeout] instead of blocking forever — and because a timeout
@@ -212,9 +222,10 @@ let deadline_demo mailbox d =
         "deadline: the same registration answered %d once the handler \
          recovered (timeouts do not poison)\n"
         v);
-    let s = Scoop.Stats.snapshot (Scoop.Runtime.stats rt) in
+    let st = Scoop.Runtime.stats rt in
     Printf.printf "deadline: timers armed %d, timeouts fired %d\n"
-      s.Scoop.Stats.s_timer_arms s.Scoop.Stats.s_timeouts_fired)
+      (Qs_obs.Counter.get st.Scoop.Stats.timer_arms)
+      (Qs_obs.Counter.get st.Scoop.Stats.timeouts_fired))
 
 (* Backpressure walkthrough (--bound/--backpressure): wedge the handler,
    flood its bounded mailbox, and show what each overflow policy does
@@ -227,7 +238,7 @@ let backpressure_demo mailbox bound overflow =
     | `Shed_oldest -> "shed"
   in
   let flood = 8 * bound in
-  let s =
+  let shed =
     Scoop.Runtime.run ~domains:2
       ~config:
         Scoop.Config.(
@@ -262,10 +273,9 @@ let backpressure_demo mailbox bound overflow =
       in
       Printf.printf "backpressure[%s bound=%d]: %d of %d calls served\n" policy
         bound r flood;
-      Scoop.Stats.snapshot (Scoop.Runtime.stats rt))
+      Qs_obs.Counter.get (Scoop.Runtime.stats rt).Scoop.Stats.shed_requests)
   in
-  Printf.printf "backpressure[%s]: shed_requests = %d\n" policy
-    s.Scoop.Stats.s_shed_requests
+  Printf.printf "backpressure[%s]: shed_requests = %d\n" policy shed
 
 (* Scheduler-pool walkthrough (--pools): pin a handler to a dedicated
    "hot" pool, flood it from default-pool clients, and print the
@@ -363,14 +373,15 @@ let demo trace_flag mailbox batch spsc deadline bound overflow pools_flag =
       in
       Printf.printf "final balance: %d (expected %d)\n" final
         (100 + (tellers * deposits));
-      (match Scoop.Runtime.trace rt with
-      | Some tr ->
-        Format.printf "detailed trace (§7 instrumentation):@.%a@."
-          Scoop.Trace.pp_summary (Scoop.Trace.summarize tr)
+      (match Scoop.Runtime.obs rt with
+      | Some sink ->
+        print_histograms (Scoop.Runtime.stats rt);
+        Format.printf "== event tracks ==@.%a@." Qs_obs.Sink.pp_track_summary
+          sink
       | None -> ());
-      Scoop.Stats.snapshot (Scoop.Runtime.stats rt))
+      Scoop.Runtime.stats rt)
   in
-  Format.printf "runtime statistics:@.%a@." Scoop.Stats.pp_snapshot stats;
+  print_counters stats;
   Option.iter (fun d -> deadline_demo mailbox d) deadline;
   if bound > 0 then backpressure_demo mailbox bound overflow;
   if pools_flag then pools_demo mailbox
@@ -432,13 +443,8 @@ let faults mailbox =
       Scoop.Runtime.shutdown rt;
       Printf.printf "lifecycle after shutdown: %s\n"
         (lifecycle_name (Scoop.Processor.lifecycle worker));
-      Scoop.Stats.snapshot (Scoop.Runtime.stats rt))
-  in
-  (* Aborting discards still-pending requests unexecuted. *)
-  let aborted =
-    Scoop.Runtime.run ~domains:1
-      ~config:Scoop.Config.(qoq |> with_mailbox mailbox)
-      (fun rt ->
+      (* Aborting discards still-pending requests unexecuted.  [abort]
+         reaches only the processors created since [shutdown]. *)
       let w = Scoop.Runtime.processor rt in
       let cell = Scoop.Shared.create w (ref 0) in
       Scoop.Runtime.separate rt w (fun reg ->
@@ -446,11 +452,11 @@ let faults mailbox =
           Scoop.Shared.apply reg cell incr
         done);
       Scoop.Runtime.abort rt;
-      (Scoop.Stats.snapshot (Scoop.Runtime.stats rt))
-        .Scoop.Stats.s_aborted_requests)
+      Scoop.Runtime.stats rt)
   in
-  Printf.printf "abort: discarded %d pending requests unexecuted\n" aborted;
-  Format.printf "runtime statistics:@.%a@." Scoop.Stats.pp_snapshot stats
+  Printf.printf "abort: discarded %d pending requests unexecuted\n"
+    (Qs_obs.Counter.get stats.Scoop.Stats.aborted_requests);
+  print_counters stats
 
 (* -- trace -------------------------------------------------------------------- *)
 
@@ -537,15 +543,12 @@ let trace_run name out domains mailbox batch =
         Scoop.Runtime.stats rt)
   in
   (* The scheduler has quiesced: sink readers and counters are exact. *)
-  Format.printf "== per-processor summary (client/core events) ==@.%a@."
-    Scoop.Trace.pp_summary
-    (Scoop.Trace.summarize (Scoop.Trace.of_sink sink));
+  print_histograms stats;
   Format.printf "== event tracks ==@.%a@." Qs_obs.Sink.pp_track_summary sink;
   (match !sched with
   | Some c -> Format.printf "== scheduler ==@.%a@." Qs_sched.Sched.pp_counters c
   | None -> ());
-  Format.printf "== runtime counters ==@.%a@." Qs_obs.Counter.pp_snapshot
-    (Scoop.Stats.assoc stats);
+  print_counters stats;
   Printf.printf "events retained: %d, dropped to ring overflow: %d\n"
     (Qs_obs.Sink.recorded sink) (Qs_obs.Sink.dropped sink);
   match out with
@@ -826,13 +829,19 @@ let remote_demo connect shutdown_flag =
       let d = Domain.spawn (fun () -> Scoop.Remote.listen addr) in
       ([ addr ], Some d)
   in
-  let remote, stats, rtt =
+  let remote, (requests, replies, failures), rtt =
     Scoop.Runtime.run
       ~config:(Scoop.Remote.connect addrs)
       (fun rt ->
         let st = Scoop.Runtime.stats rt in
         let v = remote_workload rt in
-        let s = Scoop.Stats.snapshot st in
+        let count = Qs_obs.Counter.get in
+        let s =
+          Scoop.Stats.
+            ( count st.remote_requests,
+              count st.remote_replies,
+              count st.remote_failures )
+        in
         let rtt =
           Qs_obs.Histogram.dist (Scoop.Stats.histograms st) "query_remote_ns"
         in
@@ -846,15 +855,14 @@ let remote_demo connect shutdown_flag =
   Printf.printf
     "remote round trips: %d requests, %d replies, %d failures, rtt p50 %.3f \
      ms, p99 %.3f ms\n"
-    stats.Scoop.Stats.s_remote_requests stats.Scoop.Stats.s_remote_replies
-    stats.Scoop.Stats.s_remote_failures
+    requests replies failures
     (float_of_int (Qs_obs.Histogram.quantile rtt 0.5) /. 1e6)
     (float_of_int (Qs_obs.Histogram.quantile rtt 0.99) /. 1e6);
   if local <> expected || remote <> expected then begin
     Printf.eprintf "qs: endpoint results diverge\n";
     exit 1
   end;
-  if stats.Scoop.Stats.s_remote_requests = 0 then begin
+  if requests = 0 then begin
     Printf.eprintf "qs: no remote round trips recorded\n";
     exit 1
   end

@@ -51,7 +51,6 @@ let () =
     Printf.printf "consumed %d items, %d left in the buffer\n"
       (Atomic.get consumed) leftover;
     assert (Atomic.get consumed = producers * items && leftover = 0);
-    let s = Scoop.Stats.snapshot (Scoop.Runtime.stats rt) in
     Printf.printf
       "the buffer never overflowed; wait conditions retried %d times\n"
-      s.Scoop.Stats.s_wait_retries)
+      (Qs_obs.Counter.get (Scoop.Runtime.stats rt).Scoop.Stats.wait_retries))

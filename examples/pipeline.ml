@@ -20,7 +20,7 @@ let () =
   let nr = 120 and seed = 9 and p = 1 and workers = 4 in
   Scoop.run ~domains:2 ~config:Scoop.Config.all (fun rt ->
     let stats = Scoop.Runtime.stats rt in
-    let before = Scoop.Stats.snapshot stats in
+    let before = Scoop.Stats.assoc stats in
     (* Each worker owns a chunk of rows. *)
     let chunks =
       List.map
@@ -58,9 +58,8 @@ let () =
     (* Validate against the sequential reference. *)
     let reference, _ = C.thresh ~nr (C.randmat ~seed ~nr) ~p in
     assert (threshold = reference);
-    let after = Scoop.Stats.snapshot stats in
-    let d = Scoop.Stats.diff after before in
+    let d = Qs_obs.Counter.diff (Scoop.Stats.assoc stats) before in
     Format.printf "runtime activity for the pipeline:@.%a@."
-      Scoop.Stats.pp_snapshot d;
+      Qs_obs.Counter.pp_snapshot d;
     Format.printf "pipelined overlap ratio: %.2f@."
       (Scoop.Stats.overlap_ratio d))

@@ -38,15 +38,15 @@ let () =
       in
       assert (observed = 10);
       let st = Scoop.Runtime.stats rt in
-      let s = Scoop.Stats.snapshot st in
-      assert (s.Scoop.Stats.s_remote_requests > 0);
+      let requests = Qs_obs.Counter.get st.Scoop.Stats.remote_requests in
+      assert (requests > 0);
       let rtt =
         Qs_obs.Histogram.dist (Scoop.Stats.histograms st) "query_remote_ns"
       in
       Printf.printf
         "remote counter reached %d over %d wire requests (rtt p50 %.2f ms, \
          p99 %.2f ms)\n"
-        observed s.Scoop.Stats.s_remote_requests
+        observed requests
         (float_of_int (Qs_obs.Histogram.quantile rtt 0.5) /. 1e6)
         (float_of_int (Qs_obs.Histogram.quantile rtt 0.99) /. 1e6);
       (* Self-hosted on a domain, node and client share this process's

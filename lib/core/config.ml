@@ -62,8 +62,8 @@ type t = {
          [None] = the spawner's pool *)
   endpoint : endpoint; (* where processors live; see [endpoint] above *)
   trace : bool;
-      (* record runtime events even when no explicit sink is passed
-         (equivalent to [Runtime.create ~trace:true]) *)
+      (* record runtime events into a fresh private sink; the runtime's
+         only tracing switch (an explicit [~obs] sink also traces) *)
 }
 
 let default_batch = 16

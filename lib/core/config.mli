@@ -65,8 +65,10 @@ type t = {
   endpoint : endpoint;
       (** where processors live ({!In_process} in every preset) *)
   trace : bool;
-      (** record runtime events even when no explicit sink is passed
-          (equivalent to the old [Runtime.create ~trace:true]) *)
+      (** record runtime events into a fresh private sink (see
+          {!Trace}); the runtime's only tracing switch — an explicit
+          [~obs] sink passed to [Runtime.run]/[Runtime.create] also
+          traces, into that sink *)
 }
 
 val default_batch : int

@@ -20,7 +20,8 @@
    before the handler parks again, so a burst of client calls costs one
    park/unpark transition instead of one per request.  [Stats] records
    wakeups and delivered requests, making the batch efficiency
-   observable ([Stats.mean_batch]).
+   observable ([Stats.mean_batch] over a registry snapshot of the
+   [handler_wakeups] and [batched_requests] counters).
 
    Failures are first-class: a request whose closure raises has the
    exception routed into its typed completion (poisoning the call's

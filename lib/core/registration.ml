@@ -411,8 +411,8 @@ let query_async t f =
   let promise_slot = ref None in
   let on_force was_ready =
     Qs_obs.Counter.incr
-      (if was_ready then stats.Stats.promises_ready
-       else stats.Stats.promises_blocked);
+      (if was_ready then stats.Stats.promises_ready_on_first_poll
+       else stats.Stats.promises_forced_blocking);
     match !promise_slot with
     | Some p
       when (not t.closed) && t.logged = mark

@@ -10,19 +10,17 @@ type t = {
          shard map (processor id mod connection count) *)
 }
 
-(* [obs] wins over [trace]: both enable tracing, but [obs] lets the
-   caller supply the sink (e.g. the one already attached to the
-   scheduler) so every layer's events land in the same rings. *)
-let resolve_sink ?obs ~trace () =
-  match obs with
-  | Some _ as s -> s
-  | None -> if trace then Some (Qs_obs.Sink.create ()) else None
-
-let create ?(config = Config.all) ?trace ?obs () =
-  let trace =
-    match trace with Some t -> t | None -> config.Config.trace
+(* A caller-supplied [obs] sink (e.g. the one already attached to the
+   scheduler) wins, so every layer's events land in the same rings;
+   otherwise [config.trace] asks for a fresh private one. *)
+let create ?(config = Config.all) ?obs () =
+  let sink =
+    match obs with
+    | Some _ -> obs
+    | None when config.Config.trace -> Some (Qs_obs.Sink.create ())
+    | None -> None
   in
-  let ctx = Ctx.create ?sink:(resolve_sink ?obs ~trace ()) config in
+  let ctx = Ctx.create ?sink config in
   let remotes =
     match config.Config.endpoint with
     | Config.Connect addrs ->
@@ -165,14 +163,16 @@ let separate_when ?timeout t proc ~pred body =
 let separate_list_when ?timeout t procs ~pred body =
   Separate.many_when ?timeout t.ctx procs ~pred body
 
-let run ?(domains = 1) ?(config = Config.all) ?grace ?trace ?obs ?on_stall
+let run ?(domains = 1) ?(config = Config.all) ?grace ?obs ?on_stall
     ?on_counters main =
-  let trace =
-    match trace with Some t -> t | None -> config.Config.trace
-  in
   (* Build the sink before the scheduler starts so its workers share it:
      one sink then collects scheduler, handler and client events. *)
-  let sink = resolve_sink ?obs ~trace () in
+  let sink =
+    match obs with
+    | Some _ -> obs
+    | None when config.Config.trace -> Some (Qs_obs.Sink.create ())
+    | None -> None
+  in
   Qs_sched.Sched.run ~domains ~pools:config.Config.pools ?on_stall
     ?on_counters ?obs:sink (fun () ->
     let t = create ~config ?obs:sink () in

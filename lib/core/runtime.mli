@@ -12,14 +12,14 @@
 
 type t
 
-val create : ?config:Config.t -> ?trace:bool -> ?obs:Qs_obs.Sink.t -> unit -> t
+val create : ?config:Config.t -> ?obs:Qs_obs.Sink.t -> unit -> t
 (** Create a runtime inside an already-running scheduler.  [config]
     defaults to {!Config.all} (the full SCOOP/Qs runtime); derive
     variations with the builder chain, e.g.
     [~config:Config.(all |> with_batch 8 |> with_deadline 0.5)].
-    [trace] enables detailed event tracing (see {!Trace}) over a fresh
-    private sink (default: [config.trace]), while [obs] (which implies
-    [trace]) supplies the sink — pass the sink already attached to the
+    [config.trace] ({!Config.with_trace}) enables detailed event tracing
+    (see {!Trace}) over a fresh private sink, while [obs] (which implies
+    tracing) supplies the sink — pass the sink already attached to the
     scheduler to get all layers' events in one place.
 
     Note that [create] does not make scheduler pools — only {!run} does;
@@ -35,7 +35,6 @@ val run :
   ?domains:int ->
   ?config:Config.t ->
   ?grace:float ->
-  ?trace:bool ->
   ?obs:Qs_obs.Sink.t ->
   ?on_stall:[ `Raise | `Warn ] ->
   ?on_counters:(Qs_sched.Sched.counters -> unit) ->
@@ -53,7 +52,7 @@ val run :
     pinned handlers wherever they run, and their exit latches are awaited
     like any other ([grace] is passed to {!shutdown}).
 
-    With [~trace:true] (or an explicit [~obs] sink) the whole stack is
+    With [config.trace] (or an explicit [~obs] sink) the whole stack is
     instrumented into one shared sink: scheduler workers record
     dispatch/park spans and steal/handoff instants (["sched"]), handlers
     record per-batch spans (["core"]), client operations record
@@ -157,7 +156,7 @@ val ctx : t -> Ctx.t
 (**/**)
 
 val trace : t -> Trace.t option
-(** The event trace, when the runtime was created with [~trace:true]
+(** The event trace, when the runtime was created with [config.trace]
     or [~obs]. *)
 
 val obs : t -> Qs_obs.Sink.t option

@@ -94,7 +94,6 @@ val run :
   ?domains:int ->
   ?config:Config.t ->
   ?grace:float ->
-  ?trace:bool ->
   ?obs:Qs_obs.Sink.t ->
   ?on_stall:[ `Raise | `Warn ] ->
   ?on_counters:(Qs_sched.Sched.counters -> unit) ->

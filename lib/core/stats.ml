@@ -1,13 +1,12 @@
 (* Runtime instrumentation (the "SCOOP-specific instrumentation" the paper
    lists as future work in §7).
 
-   Since the qs_obs refactor this module is a thin compatibility view
-   over a [Qs_obs.Counter] registry: every counter is registered by name
-   in [t.registry], bumped on the hot paths with one atomic increment,
-   and the historical record-shaped [snapshot]/[diff]/[mean_batch] API is
-   preserved on top for the benchmark harness and tests.  New consumers
-   (the bench JSON output, the Chrome trace export) should prefer the
-   registry view ({!assoc}), which needs no per-counter plumbing. *)
+   The record holds typed handles into two registries: every counter is
+   registered in [t.registry] under its field's name and bumped on the
+   hot paths with one atomic increment; every [h_*] histogram in
+   [t.hist].  Readers take a handle ([Qs_obs.Counter.get]) for one
+   value, or a registry snapshot ({!assoc}, [Qs_obs.Counter.diff]) for
+   all of them. *)
 
 type t = {
   registry : Qs_obs.Counter.registry;
@@ -19,8 +18,8 @@ type t = {
   packaged_queries : Qs_obs.Counter.t; (* round trips via packaged closures *)
   promises_created : Qs_obs.Counter.t; (* pipelined queries issued *)
   promises_fulfilled : Qs_obs.Counter.t; (* promise results produced (handler) *)
-  promises_ready : Qs_obs.Counter.t; (* promises resolved before first force *)
-  promises_blocked : Qs_obs.Counter.t; (* promises whose force blocked *)
+  promises_ready_on_first_poll : Qs_obs.Counter.t; (* ready at first force *)
+  promises_forced_blocking : Qs_obs.Counter.t; (* first force blocked *)
   syncs_sent : Qs_obs.Counter.t; (* sync round trips actually performed *)
   syncs_elided : Qs_obs.Counter.t; (* syncs skipped by dynamic coalescing *)
   eve_lookups : Qs_obs.Counter.t; (* simulated handler-table lookups (§4.5) *)
@@ -75,8 +74,8 @@ let create () =
   let packaged_queries = c "packaged_queries" in
   let promises_created = c "promises_created" in
   let promises_fulfilled = c "promises_fulfilled" in
-  let promises_ready = c "promises_ready_on_first_poll" in
-  let promises_blocked = c "promises_forced_blocking" in
+  let promises_ready_on_first_poll = c "promises_ready_on_first_poll" in
+  let promises_forced_blocking = c "promises_forced_blocking" in
   let syncs_sent = h "syncs_sent" in
   let syncs_elided = h "syncs_elided" in
   let eve_lookups = c "eve_lookups" in
@@ -115,8 +114,8 @@ let create () =
     packaged_queries;
     promises_created;
     promises_fulfilled;
-    promises_ready;
-    promises_blocked;
+    promises_ready_on_first_poll;
+    promises_forced_blocking;
     syncs_sent;
     syncs_elided;
     eve_lookups;
@@ -151,143 +150,19 @@ let assoc t = Qs_obs.Counter.snapshot t.registry
 let histograms t = t.hist
 let hist_assoc t = Qs_obs.Histogram.snapshot t.hist
 
-type snapshot = {
-  s_processors : int;
-  s_reservations : int;
-  s_multi_reservations : int;
-  s_calls : int;
-  s_queries : int;
-  s_packaged_queries : int;
-  s_promises_created : int;
-  s_promises_fulfilled : int;
-  s_promises_ready : int;
-  s_promises_blocked : int;
-  s_syncs_sent : int;
-  s_syncs_elided : int;
-  s_eve_lookups : int;
-  s_wait_retries : int;
-  s_handler_wakeups : int;
-  s_batched_requests : int;
-  s_ends_drained : int;
-  s_handler_failures : int;
-  s_poisoned_registrations : int;
-  s_rejected_promises : int;
-  s_aborted_requests : int;
-  s_timer_arms : int;
-  s_timeouts_fired : int;
-  s_deadline_exceeded : int;
-  s_shed_requests : int;
-  s_remote_requests : int;
-  s_remote_replies : int;
-  s_remote_failures : int;
-}
-
-let snapshot t =
-  let g = Qs_obs.Counter.get in
-  {
-    s_processors = g t.processors;
-    s_reservations = g t.reservations;
-    s_multi_reservations = g t.multi_reservations;
-    s_calls = g t.calls;
-    s_queries = g t.queries;
-    s_packaged_queries = g t.packaged_queries;
-    s_promises_created = g t.promises_created;
-    s_promises_fulfilled = g t.promises_fulfilled;
-    s_promises_ready = g t.promises_ready;
-    s_promises_blocked = g t.promises_blocked;
-    s_syncs_sent = g t.syncs_sent;
-    s_syncs_elided = g t.syncs_elided;
-    s_eve_lookups = g t.eve_lookups;
-    s_wait_retries = g t.wait_retries;
-    s_handler_wakeups = g t.handler_wakeups;
-    s_batched_requests = g t.batched_requests;
-    s_ends_drained = g t.ends_drained;
-    s_handler_failures = g t.handler_failures;
-    s_poisoned_registrations = g t.poisoned_registrations;
-    s_rejected_promises = g t.rejected_promises;
-    s_aborted_requests = g t.aborted_requests;
-    s_timer_arms = g t.timer_arms;
-    s_timeouts_fired = g t.timeouts_fired;
-    s_deadline_exceeded = g t.deadline_exceeded;
-    s_shed_requests = g t.shed_requests;
-    s_remote_requests = g t.remote_requests;
-    s_remote_replies = g t.remote_replies;
-    s_remote_failures = g t.remote_failures;
-  }
-
-let diff later earlier =
-  {
-    s_processors = later.s_processors - earlier.s_processors;
-    s_reservations = later.s_reservations - earlier.s_reservations;
-    s_multi_reservations =
-      later.s_multi_reservations - earlier.s_multi_reservations;
-    s_calls = later.s_calls - earlier.s_calls;
-    s_queries = later.s_queries - earlier.s_queries;
-    s_packaged_queries = later.s_packaged_queries - earlier.s_packaged_queries;
-    s_promises_created = later.s_promises_created - earlier.s_promises_created;
-    s_promises_fulfilled =
-      later.s_promises_fulfilled - earlier.s_promises_fulfilled;
-    s_promises_ready = later.s_promises_ready - earlier.s_promises_ready;
-    s_promises_blocked = later.s_promises_blocked - earlier.s_promises_blocked;
-    s_syncs_sent = later.s_syncs_sent - earlier.s_syncs_sent;
-    s_syncs_elided = later.s_syncs_elided - earlier.s_syncs_elided;
-    s_eve_lookups = later.s_eve_lookups - earlier.s_eve_lookups;
-    s_wait_retries = later.s_wait_retries - earlier.s_wait_retries;
-    s_handler_wakeups = later.s_handler_wakeups - earlier.s_handler_wakeups;
-    s_batched_requests = later.s_batched_requests - earlier.s_batched_requests;
-    s_ends_drained = later.s_ends_drained - earlier.s_ends_drained;
-    s_handler_failures = later.s_handler_failures - earlier.s_handler_failures;
-    s_poisoned_registrations =
-      later.s_poisoned_registrations - earlier.s_poisoned_registrations;
-    s_rejected_promises = later.s_rejected_promises - earlier.s_rejected_promises;
-    s_aborted_requests = later.s_aborted_requests - earlier.s_aborted_requests;
-    s_timer_arms = later.s_timer_arms - earlier.s_timer_arms;
-    s_timeouts_fired = later.s_timeouts_fired - earlier.s_timeouts_fired;
-    s_deadline_exceeded =
-      later.s_deadline_exceeded - earlier.s_deadline_exceeded;
-    s_shed_requests = later.s_shed_requests - earlier.s_shed_requests;
-    s_remote_requests = later.s_remote_requests - earlier.s_remote_requests;
-    s_remote_replies = later.s_remote_replies - earlier.s_remote_replies;
-    s_remote_failures = later.s_remote_failures - earlier.s_remote_failures;
-  }
+let ratio num den =
+  if den = 0 then 0.0 else float_of_int num /. float_of_int den
 
 (* Mean requests delivered per handler wakeup: the batching efficiency
    of the drain-based handler loop (1.0 = one request per park/unpark,
    the pre-batching behaviour). *)
 let mean_batch s =
-  if s.s_handler_wakeups = 0 then 0.0
-  else float_of_int s.s_batched_requests /. float_of_int s.s_handler_wakeups
+  let v = Qs_obs.Counter.value s in
+  ratio (v "batched_requests") (v "handler_wakeups")
 
 (* Fraction of forced promises whose value was already there: how much
    of the pipelined round-trip latency was fully overlapped. *)
 let overlap_ratio s =
-  let forced = s.s_promises_ready + s.s_promises_blocked in
-  if forced = 0 then 0.0
-  else float_of_int s.s_promises_ready /. float_of_int forced
-
-let pp_snapshot ppf s =
-  Format.fprintf ppf
-    "@[<v>processors:        %d@,\
-     reservations:      %d (multi: %d)@,\
-     async calls:       %d@,\
-     queries:           %d (packaged: %d, pipelined: %d)@,\
-     promises:          %d fulfilled, %d ready on first poll, %d forced blocking@,\
-     syncs sent:        %d@,\
-     syncs elided:      %d@,\
-     eve lookups:       %d@,\
-     wait retries:      %d@,\
-     handler wakeups:   %d (requests: %d, mean batch: %.2f)@,\
-     ends drained:      %d@,\
-     handler failures:  %d (poisoned regs: %d, rejected promises: %d, aborted: %d)@,\
-     deadlines:         %d armed, %d fired, %d exceeded@,\
-     shed requests:     %d@,\
-     remote:            %d requests, %d replies, %d failures@]"
-    s.s_processors s.s_reservations s.s_multi_reservations s.s_calls
-    s.s_queries s.s_packaged_queries s.s_promises_created
-    s.s_promises_fulfilled s.s_promises_ready s.s_promises_blocked
-    s.s_syncs_sent s.s_syncs_elided s.s_eve_lookups s.s_wait_retries
-    s.s_handler_wakeups s.s_batched_requests (mean_batch s)
-    s.s_ends_drained s.s_handler_failures s.s_poisoned_registrations
-    s.s_rejected_promises s.s_aborted_requests s.s_timer_arms
-    s.s_timeouts_fired s.s_deadline_exceeded s.s_shed_requests
-    s.s_remote_requests s.s_remote_replies s.s_remote_failures
+  let v = Qs_obs.Counter.value s in
+  let ready = v "promises_ready_on_first_poll" in
+  ratio ready (ready + v "promises_forced_blocking")

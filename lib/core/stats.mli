@@ -1,12 +1,13 @@
 (** Runtime instrumentation counters (paper §7 "future work": detailed
     measurement of internal runtime components).
 
-    One record per runtime; since the qs_obs refactor each field is a
-    [Qs_obs.Counter.t] registered by name in the runtime's counter
-    registry, so the same counters are visible both through the
-    historical {!snapshot}/{!diff} record view and through the generic
-    registry view ({!assoc}, used by machine-readable outputs).  Bump a
-    counter with [Qs_obs.Counter.incr]/[add] from any fiber. *)
+    One record per runtime.  Each counter field is a [Qs_obs.Counter.t]
+    registered in the runtime's counter registry under the field's own
+    name, and each [h_*] field a latency histogram in its histogram
+    registry.  Bump a counter with [Qs_obs.Counter.incr]/[add] from any
+    fiber; read one with [Qs_obs.Counter.get], all of them with {!assoc},
+    and a region of execution with [Qs_obs.Counter.diff] of two
+    {!assoc} snapshots. *)
 
 type t = {
   registry : Qs_obs.Counter.registry;
@@ -20,12 +21,11 @@ type t = {
       (** pipelined queries issued ({!Registration.query_async}) *)
   promises_fulfilled : Qs_obs.Counter.t;
       (** promise results produced by handler loops *)
-  promises_ready : Qs_obs.Counter.t;
+  promises_ready_on_first_poll : Qs_obs.Counter.t;
       (** promises already resolved at first force — fully overlapped
-          round trips (registry name [promises_ready_on_first_poll]) *)
-  promises_blocked : Qs_obs.Counter.t;
-      (** promises whose first force blocked the client (registry name
-          [promises_forced_blocking]) *)
+          round trips *)
+  promises_forced_blocking : Qs_obs.Counter.t;
+      (** promises whose first force blocked the client *)
   syncs_sent : Qs_obs.Counter.t;
   syncs_elided : Qs_obs.Counter.t;
   eve_lookups : Qs_obs.Counter.t;
@@ -92,7 +92,7 @@ val registry : t -> Qs_obs.Counter.registry
 
 val assoc : t -> Qs_obs.Counter.snapshot
 (** Name→value snapshot of every registered counter (registration
-    order); the machine-readable sibling of {!snapshot}. *)
+    order). *)
 
 val histograms : t -> Qs_obs.Histogram.registry
 
@@ -100,51 +100,15 @@ val hist_assoc : t -> Qs_obs.Histogram.snapshot
 (** Name→distribution snapshot of every latency histogram
     (registration order), for the bench JSON and trace exports. *)
 
-type snapshot = {
-  s_processors : int;
-  s_reservations : int;
-  s_multi_reservations : int;
-  s_calls : int;
-  s_queries : int;
-  s_packaged_queries : int;
-  s_promises_created : int;
-  s_promises_fulfilled : int;
-  s_promises_ready : int;
-  s_promises_blocked : int;
-  s_syncs_sent : int;
-  s_syncs_elided : int;
-  s_eve_lookups : int;
-  s_wait_retries : int;
-  s_handler_wakeups : int;
-  s_batched_requests : int;
-  s_ends_drained : int;
-  s_handler_failures : int;
-  s_poisoned_registrations : int;
-  s_rejected_promises : int;
-  s_aborted_requests : int;
-  s_timer_arms : int;
-  s_timeouts_fired : int;
-  s_deadline_exceeded : int;
-  s_shed_requests : int;
-  s_remote_requests : int;
-  s_remote_replies : int;
-  s_remote_failures : int;
-}
-
-val snapshot : t -> snapshot
-val diff : snapshot -> snapshot -> snapshot
-(** [diff later earlier] is the per-field difference. *)
-
-val mean_batch : snapshot -> float
+val mean_batch : Qs_obs.Counter.snapshot -> float
 (** Mean requests delivered per handler wakeup
-    ([s_batched_requests /. s_handler_wakeups]; [0.] before any wakeup).
-    1.0 is the old one-request-per-park behaviour; larger means the
-    batched drain is amortizing park/unpark transitions. *)
+    ([batched_requests / handler_wakeups]; [0.] before any wakeup), over
+    {!assoc} or a [Qs_obs.Counter.diff] region of it.  1.0 is the old
+    one-request-per-park behaviour; larger means the batched drain is
+    amortizing park/unpark transitions. *)
 
-val overlap_ratio : snapshot -> float
+val overlap_ratio : Qs_obs.Counter.snapshot -> float
 (** Fraction of forced promises that were already resolved when first
-    observed ([s_promises_ready / (s_promises_ready +
-    s_promises_blocked)]; [0.] before any force).  1.0 means every
-    pipelined round trip was fully overlapped with other work. *)
-
-val pp_snapshot : Format.formatter -> snapshot -> unit
+    observed ([promises_ready_on_first_poll / (promises_ready_on_first_poll
+    + promises_forced_blocking)]; [0.] before any force).  1.0 means
+    every pipelined round trip was fully overlapped with other work. *)

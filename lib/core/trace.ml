@@ -134,93 +134,3 @@ let events t =
     [] t.sink
   |> List.sort (fun (ka, _) (kb, _) -> compare ka kb)
   |> List.map snd
-
-(* -- summary ---------------------------------------------------------------- *)
-
-type dist = {
-  count : int;
-  mean : float;
-  max : float;
-}
-
-let dist_of = function
-  | [] -> { count = 0; mean = 0.0; max = 0.0 }
-  | xs ->
-    let count = List.length xs in
-    {
-      count;
-      mean = List.fold_left ( +. ) 0.0 xs /. float_of_int count;
-      max = List.fold_left max 0.0 xs;
-    }
-
-type proc_summary = {
-  sp_proc : int;
-  sp_reservations : int;
-  sp_calls : int;
-  sp_call_latency : dist; (* queueing delay of executed calls *)
-  sp_sync_round_trip : dist;
-  sp_syncs_elided : int;
-  sp_query_round_trip : dist;
-  sp_query_pipelined : dist; (* issue -> fulfilment of pipelined queries *)
-}
-
-let summarize_events all =
-  let by_proc : (int, event list ref) Hashtbl.t = Hashtbl.create 16 in
-  List.iter
-    (fun e ->
-      match Hashtbl.find_opt by_proc e.proc with
-      | Some cell -> cell := e :: !cell
-      | None -> Hashtbl.replace by_proc e.proc (ref [ e ]))
-    all;
-  Hashtbl.fold
-    (fun proc cell acc ->
-      let es = !cell in
-      let count pred = List.length (List.filter pred es) in
-      let latencies pick = List.filter_map pick es in
-      {
-        sp_proc = proc;
-        sp_reservations = count (fun e -> e.kind = Reserved);
-        sp_calls = count (fun e -> e.kind = Call_logged);
-        sp_call_latency =
-          dist_of
-            (latencies (fun e ->
-               match e.kind with Call_executed d -> Some d | _ -> None));
-        sp_sync_round_trip =
-          dist_of
-            (latencies (fun e ->
-               match e.kind with Sync_round_trip d -> Some d | _ -> None));
-        sp_syncs_elided = count (fun e -> e.kind = Sync_elided);
-        sp_query_round_trip =
-          dist_of
-            (latencies (fun e ->
-               match e.kind with Query_round_trip d -> Some d | _ -> None));
-        sp_query_pipelined =
-          dist_of
-            (latencies (fun e ->
-               match e.kind with Query_pipelined d -> Some d | _ -> None));
-      }
-      :: acc)
-    by_proc []
-  |> List.sort (fun a b -> Int.compare a.sp_proc b.sp_proc)
-
-let summarize t = summarize_events (events t)
-
-let pp_dist ppf d =
-  if d.count = 0 then Format.pp_print_string ppf "-"
-  else Format.fprintf ppf "n=%d mean=%.1fus max=%.1fus" d.count (d.mean *. 1e6) (d.max *. 1e6)
-
-let pp_summary ppf summaries =
-  List.iter
-    (fun s ->
-      Format.fprintf ppf
-        "@[<v2>processor %d:@,\
-         reservations:    %d@,\
-         calls logged:    %d@,\
-         call queueing:   %a@,\
-         sync roundtrip:  %a (elided: %d)@,\
-         query roundtrip: %a@,\
-         query pipelined: %a@]@."
-        s.sp_proc s.sp_reservations s.sp_calls pp_dist s.sp_call_latency
-        pp_dist s.sp_sync_round_trip s.sp_syncs_elided pp_dist
-        s.sp_query_round_trip pp_dist s.sp_query_pipelined)
-    summaries

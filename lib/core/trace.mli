@@ -1,12 +1,14 @@
 (** Detailed runtime tracing (paper §7's "SCOOP-specific instrumentation"):
     timestamped client-side events with queueing and round-trip latencies,
-    summarized per processor.
+    one event per step of the request protocol, which conformance
+    checking replays against the semantics.  Latency distributions live
+    in the histograms ([Stats.hist_assoc]), not here.
 
-    A compatibility view over a shared {!Qs_obs.Sink.t}: SCOOP-level
-    events land in the same per-domain bounded rings as scheduler
-    events, so one sink — and one Chrome-trace export — covers the
-    whole stack.  Enable with [Runtime.run ~trace:true] (or pass your
-    own sink as [~obs]); retrieve via {!Runtime.trace}. *)
+    A view over a shared {!Qs_obs.Sink.t}: SCOOP-level events land in the
+    same per-domain bounded rings as scheduler events, so one sink — and
+    one Chrome-trace export — covers the whole stack.  Enable with
+    [Config.with_trace true] (or pass your own sink as [~obs]); retrieve
+    via {!Runtime.trace}. *)
 
 type kind =
   | Reserved
@@ -74,27 +76,3 @@ val events : t -> event list
     here, once per call — not hidden in the recording path.  Read only
     in quiescence; under ring overflow the oldest events are gone (the
     loss is counted by [Qs_obs.Sink.dropped], never silent). *)
-
-type dist = {
-  count : int;
-  mean : float;
-  max : float;
-}
-
-type proc_summary = {
-  sp_proc : int;
-  sp_reservations : int;
-  sp_calls : int;
-  sp_call_latency : dist;
-  sp_sync_round_trip : dist;
-  sp_syncs_elided : int;
-  sp_query_round_trip : dist;
-  sp_query_pipelined : dist;
-}
-
-val summarize : t -> proc_summary list
-val summarize_events : event list -> proc_summary list
-(** {!summarize} over an explicit event list (fixtures, tests). *)
-
-val pp_summary : Format.formatter -> proc_summary list -> unit
-val pp_dist : Format.formatter -> dist -> unit

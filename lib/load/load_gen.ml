@@ -98,7 +98,7 @@ let run_point ?(domains = 1) ?config (s : spec) : point =
   let duration_ns = int_of_float (s.duration *. 1e9) in
   let w_call, w_query, w_async = s.mix in
   let w_total = max 1 (w_call + w_query + w_async) in
-  let snap = ref None in
+  let sheds = ref 0 in
   let runtime_p99 = ref (0, 0) in
   Scoop.Runtime.run ~domains ~config (fun rt ->
       let handlers =
@@ -188,16 +188,13 @@ let run_point ?(domains = 1) ?config (s : spec) : point =
         decr budget
       done;
       let st = Scoop.Runtime.stats rt in
-      snap := Some (Scoop.Stats.snapshot st);
+      sheds := Qs_obs.Counter.get st.Scoop.Stats.shed_requests;
       let rh = Scoop.Stats.histograms st in
       let q d = Qs_obs.Histogram.quantile d 0.99 in
       runtime_p99 :=
         ( q (Qs_obs.Histogram.dist rh "queue_wait_ns"),
           q (Qs_obs.Histogram.dist rh "exec_ns") ));
   let d = Qs_obs.Histogram.dist hist "client_ns" in
-  let sheds =
-    match !snap with None -> 0 | Some sn -> sn.Scoop.Stats.s_shed_requests
-  in
   let queue_p99, exec_p99 = !runtime_p99 in
   {
     p_rate = s.rate;
@@ -209,7 +206,7 @@ let run_point ?(domains = 1) ?config (s : spec) : point =
     p_p999_ns = Qs_obs.Histogram.quantile d 0.999;
     p_max_ns = Qs_obs.Histogram.quantile d 1.0;
     p_mean_ns = Qs_obs.Histogram.mean d;
-    p_sheds = sheds;
+    p_sheds = !sheds;
     p_timeouts = Atomic.get timeouts;
     p_failures = Atomic.get failures;
     p_queue_p99_ns = queue_p99;

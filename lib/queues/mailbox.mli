@@ -2,7 +2,7 @@
     request-carrying queue in the runtime (paper §3.1 made pluggable).
 
     Conforming modules: {!Spsc_queue}, {!Spsc_ring.As_mailbox},
-    {!Mpsc_queue}, {!Mpmc_queue} here; [Qs_sched.Bqueue.Spsc] /
+    {!Mpsc_queue}, {!Sharded_mpmc} here; [Qs_sched.Bqueue.Spsc] /
     [Qs_sched.Bqueue.Mpsc] at the blocking fiber layer; and
     [Qs_remote.Socket_queue.As_mailbox] for the socket transport.
 

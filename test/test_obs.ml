@@ -366,71 +366,113 @@ let test_json_escaping () =
     "non-finite floats become 0" "[0,0]"
     (Json.to_string (Json.List [ Json.Float nan; Json.Float infinity ]))
 
-(* -- Stats compatibility view ------------------------------------------------ *)
+(* -- Stats: one name per counter ------------------------------------------- *)
 
 let test_stats_diff_and_mean_batch () =
   let st = Scoop.Stats.create () in
-  let before = Scoop.Stats.snapshot st in
+  let value = Qs_obs.Counter.value in
+  let before = Scoop.Stats.assoc st in
   (* Zero-wakeup edge case: mean batch must be 0, not a NaN/div-by-zero. *)
   check_float "mean batch with no wakeups" 0.0 (Scoop.Stats.mean_batch before);
   Qs_obs.Counter.add st.Scoop.Stats.handler_wakeups 4;
   Qs_obs.Counter.add st.Scoop.Stats.batched_requests 10;
   Qs_obs.Counter.incr st.Scoop.Stats.calls;
-  let d = Scoop.Stats.diff (Scoop.Stats.snapshot st) before in
-  check_int "calls delta" 1 d.Scoop.Stats.s_calls;
-  check_int "untouched field delta" 0 d.Scoop.Stats.s_queries;
+  let d = Qs_obs.Counter.diff (Scoop.Stats.assoc st) before in
+  check_int "calls delta" 1 (value d "calls");
+  check_int "untouched field delta" 0 (value d "queries");
   check_float "mean batch" 2.5 (Scoop.Stats.mean_batch d);
-  (* The registry view exposes the same counters by name. *)
-  check_int "assoc view" 1
-    (Qs_obs.Counter.value (Scoop.Stats.assoc st) "calls");
+  (* The typed handle and the registry read the same counter. *)
+  check_int "assoc view" 1 (value (Scoop.Stats.assoc st) "calls");
+  check_int "handle view" 1 (Qs_obs.Counter.get st.Scoop.Stats.calls);
   (* Diffing a snapshot against itself is all zeros. *)
-  let s = Scoop.Stats.snapshot st in
-  let z = Scoop.Stats.diff s s in
-  check_int "self-diff wakeups" 0 z.Scoop.Stats.s_handler_wakeups;
+  let s = Scoop.Stats.assoc st in
+  let z = Qs_obs.Counter.diff s s in
+  check_int "self-diff wakeups" 0 (value z "handler_wakeups");
   check_float "self-diff mean batch" 0.0 (Scoop.Stats.mean_batch z)
 
-(* -- Trace compatibility view ------------------------------------------------ *)
+let test_stats_counter_names () =
+  (* Every counter field, in registration order: the field's name is
+     the counter's registry name, so one name reaches a counter through
+     the record, the registry and the bench JSON alike. *)
+  let st = Scoop.Stats.create () in
+  let fields =
+    Scoop.Stats.
+      [
+        ("processors", st.processors);
+        ("reservations", st.reservations);
+        ("multi_reservations", st.multi_reservations);
+        ("calls", st.calls);
+        ("queries", st.queries);
+        ("packaged_queries", st.packaged_queries);
+        ("promises_created", st.promises_created);
+        ("promises_fulfilled", st.promises_fulfilled);
+        ("promises_ready_on_first_poll", st.promises_ready_on_first_poll);
+        ("promises_forced_blocking", st.promises_forced_blocking);
+        ("syncs_sent", st.syncs_sent);
+        ("syncs_elided", st.syncs_elided);
+        ("eve_lookups", st.eve_lookups);
+        ("wait_retries", st.wait_retries);
+        ("handler_wakeups", st.handler_wakeups);
+        ("batched_requests", st.batched_requests);
+        ("ends_drained", st.ends_drained);
+        ("handler_failures", st.handler_failures);
+        ("poisoned_registrations", st.poisoned_registrations);
+        ("rejected_promises", st.rejected_promises);
+        ("aborted_requests", st.aborted_requests);
+        ("timer_arms", st.timer_arms);
+        ("timeouts_fired", st.timeouts_fired);
+        ("deadline_exceeded", st.deadline_exceeded);
+        ("shed_requests", st.shed_requests);
+        ("remote_requests", st.remote_requests);
+        ("remote_replies", st.remote_replies);
+        ("remote_failures", st.remote_failures);
+      ]
+  in
+  List.iter
+    (fun (field, c) ->
+      Alcotest.(check string) ("name of " ^ field) field (Qs_obs.Counter.name c))
+    fields;
+  check_int "28 counters" 28 (List.length fields);
+  Alcotest.(check (list string))
+    "registry lists exactly the fields, in registration order"
+    (List.map fst fields)
+    (List.map fst (Scoop.Stats.assoc st))
 
-let test_trace_summarize_fixture () =
-  (* Hand-computed distributions over an explicit event list. *)
-  let open Scoop.Trace in
-  let seq = ref 0 in
-  let e at proc kind =
-    incr seq;
-    { at; proc; client = 1; seq = !seq; kind }
-  in
-  let events =
+let test_stats_overlap_ratio_region () =
+  (* [overlap_ratio] reads a [Counter.diff] region as readily as the
+     whole run: only the forces inside the region count. *)
+  let st = Scoop.Stats.create () in
+  let open Scoop.Stats in
+  check_float "no forces yet" 0.0 (overlap_ratio (assoc st));
+  Qs_obs.Counter.add st.promises_ready_on_first_poll 3;
+  Qs_obs.Counter.add st.promises_forced_blocking 1;
+  let before = assoc st in
+  check_float "whole run so far" 0.75 (overlap_ratio before);
+  Qs_obs.Counter.add st.promises_ready_on_first_poll 1;
+  Qs_obs.Counter.add st.promises_forced_blocking 3;
+  check_float "region" 0.25
+    (overlap_ratio (Qs_obs.Counter.diff (assoc st) before));
+  check_float "whole run" 0.5 (overlap_ratio (assoc st))
+
+let test_stats_histogram_names () =
+  (* The latency histograms keep their registry names and order: the
+     bench JSON and the trace printouts key on them. *)
+  let st = Scoop.Stats.create () in
+  Alcotest.(check (list string))
+    "histograms in registration order"
     [
-      e 0.0 0 Reserved;
-      e 0.1 0 Call_logged;
-      e 0.2 0 (Call_executed 0.010);
-      e 0.3 0 Call_logged;
-      e 0.4 0 (Call_executed 0.030);
-      e 0.5 0 (Sync_round_trip 0.004);
-      e 0.6 0 Sync_elided;
-      e 0.7 1 Reserved;
-      e 0.8 1 (Query_round_trip 0.002);
+      "call_local_ns";
+      "query_local_ns";
+      "pipelined_local_ns";
+      "call_remote_ns";
+      "query_remote_ns";
+      "pipelined_remote_ns";
+      "queue_wait_ns";
+      "exec_ns";
     ]
-  in
-  match summarize_events events with
-  | [ p0; p1 ] ->
-    check_int "p0 id" 0 p0.sp_proc;
-    check_int "p0 reservations" 1 p0.sp_reservations;
-    check_int "p0 calls" 2 p0.sp_calls;
-    check_int "p0 latency count" 2 p0.sp_call_latency.count;
-    check_float "p0 latency mean" 0.020 p0.sp_call_latency.mean;
-    check_float "p0 latency max" 0.030 p0.sp_call_latency.max;
-    check_int "p0 syncs" 1 p0.sp_sync_round_trip.count;
-    check_float "p0 sync mean" 0.004 p0.sp_sync_round_trip.mean;
-    check_int "p0 elided" 1 p0.sp_syncs_elided;
-    check_int "p1 id" 1 p1.sp_proc;
-    check_int "p1 queries" 1 p1.sp_query_round_trip.count;
-    check_float "p1 query mean" 0.002 p1.sp_query_round_trip.mean;
-    check_int "p1 no calls" 0 p1.sp_calls;
-    (* Empty distribution: all-zero, not an error. *)
-    check_int "p1 empty dist count" 0 p1.sp_call_latency.count;
-    check_float "p1 empty dist mean" 0.0 p1.sp_call_latency.mean
-  | ps -> Alcotest.failf "expected 2 processors, got %d" (List.length ps)
+    (List.map fst (Scoop.Stats.hist_assoc st))
+
+(* -- Trace view over the sink ---------------------------------------------- *)
 
 let test_trace_roundtrip_through_sink () =
   (* Record through the compat API, read back: kinds and durations
@@ -459,6 +501,50 @@ let test_trace_roundtrip_through_sink () =
   Sink.instant (Scoop.Trace.sink tr) ~cat:"sched" ~name:"steal" ~track:0 ();
   check_int "sched events invisible to Trace" 4
     (List.length (Scoop.Trace.events tr))
+
+let test_trace_events_fixture () =
+  (* Per-processor figures of an explicit event list, read straight off
+     [Trace.events] by processor and kind. *)
+  let open Scoop.Trace in
+  let tr = create () in
+  let r proc kind = record tr ~proc ~client:1 kind in
+  r 0 Reserved;
+  r 0 Call_logged;
+  r 0 (Call_executed 0.010);
+  r 0 Call_logged;
+  r 0 (Call_executed 0.030);
+  r 0 (Sync_round_trip 0.004);
+  r 0 Sync_elided;
+  r 1 Reserved;
+  r 1 (Query_round_trip 0.002);
+  let events = events tr in
+  let of_proc p = List.filter (fun e -> e.proc = p) events in
+  let count p pred = List.length (List.filter (fun e -> pred e.kind) (of_proc p)) in
+  let durations p sel = List.filter_map (fun e -> sel e.kind) (of_proc p) in
+  let executed = function Call_executed d -> Some d | _ -> None in
+  let synced = function Sync_round_trip d -> Some d | _ -> None in
+  let queried = function Query_round_trip d -> Some d | _ -> None in
+  let mean = function
+    | [] -> 0.0
+    | ds -> List.fold_left ( +. ) 0.0 ds /. float_of_int (List.length ds)
+  in
+  check_int "all events kept" 9 (List.length events);
+  check_bool "every event attributed to client 1" true
+    (List.for_all (fun e -> e.client = 1) events);
+  check_int "p0 reservations" 1 (count 0 (( = ) Reserved));
+  check_int "p0 calls" 2 (count 0 (( = ) Call_logged));
+  check_int "p0 latency count" 2 (List.length (durations 0 executed));
+  check_float "p0 latency mean" 0.020 (mean (durations 0 executed));
+  check_float "p0 latency max" 0.030
+    (List.fold_left Float.max 0.0 (durations 0 executed));
+  check_int "p0 syncs" 1 (List.length (durations 0 synced));
+  check_float "p0 sync mean" 0.004 (mean (durations 0 synced));
+  check_int "p0 elided" 1 (count 0 (( = ) Sync_elided));
+  check_int "p1 reservations" 1 (count 1 (( = ) Reserved));
+  check_int "p1 queries" 1 (List.length (durations 1 queried));
+  check_float "p1 query mean" 0.002 (mean (durations 1 queried));
+  check_int "p1 no calls" 0 (count 1 (( = ) Call_logged));
+  check_int "p1 no executed calls" 0 (List.length (durations 1 executed))
 
 (* -- whole-stack integration -------------------------------------------------- *)
 
@@ -530,8 +616,14 @@ let () =
         [
           Alcotest.test_case "stats diff and mean batch" `Quick
             test_stats_diff_and_mean_batch;
-          Alcotest.test_case "trace summarize fixture" `Quick
-            test_trace_summarize_fixture;
+          Alcotest.test_case "stats field names are registry names" `Quick
+            test_stats_counter_names;
+          Alcotest.test_case "stats overlap ratio over a region" `Quick
+            test_stats_overlap_ratio_region;
+          Alcotest.test_case "stats histogram names" `Quick
+            test_stats_histogram_names;
+          Alcotest.test_case "trace events fixture" `Quick
+            test_trace_events_fixture;
           Alcotest.test_case "trace roundtrip through sink" `Quick
             test_trace_roundtrip_through_sink;
         ] );

@@ -44,13 +44,32 @@ let test_mpsc_fifo () =
   check_list "fifo" (List.init 100 (fun i -> i + 1))
     (drain (fun () -> Q.Mpsc_queue.pop q))
 
-let test_mpmc_fifo () =
-  let q = Q.Mpmc_queue.create () in
+let test_sharded_mpmc_fifo () =
+  (* One producer pushes into one domain-stable shard, so a single
+     stream keeps FIFO order whatever the shard count. *)
+  let q = Q.Sharded_mpmc.create_sharded ~shards:4 () in
+  check_int "shards" 4 (Q.Sharded_mpmc.num_shards q);
+  check_bool "empty" true (Q.Sharded_mpmc.is_empty q);
   for i = 1 to 100 do
-    Q.Mpmc_queue.push q i
+    Q.Sharded_mpmc.push q i
   done;
+  check_bool "non-empty" false (Q.Sharded_mpmc.is_empty q);
   check_list "fifo" (List.init 100 (fun i -> i + 1))
-    (drain (fun () -> Q.Mpmc_queue.pop q))
+    (drain (fun () -> Q.Sharded_mpmc.pop q))
+
+let test_sharded_mpmc_pop_from () =
+  (* Whatever shard a consumer starts its sweep at, it finds every
+     element, in the producer's order. *)
+  for start = 0 to 9 do
+    let q = Q.Sharded_mpmc.create_sharded ~shards:4 () in
+    for i = 1 to 20 do
+      Q.Sharded_mpmc.push q i
+    done;
+    check_list
+      (Printf.sprintf "start %d" start)
+      (List.init 20 (fun i -> i + 1))
+      (drain (fun () -> Q.Sharded_mpmc.pop_from q start))
+  done
 
 let test_treiber_lifo () =
   let s = Q.Treiber_stack.create () in
@@ -158,9 +177,10 @@ let prop_mpsc =
   fifo_agrees "mpsc agrees with FIFO model" Q.Mpsc_queue.create
     Q.Mpsc_queue.push Q.Mpsc_queue.pop
 
-let prop_mpmc =
-  fifo_agrees "mpmc agrees with FIFO model" Q.Mpmc_queue.create
-    Q.Mpmc_queue.push Q.Mpmc_queue.pop
+let prop_sharded_mpmc =
+  fifo_agrees "sharded-mpmc agrees with FIFO model"
+    (fun () -> Q.Sharded_mpmc.create_sharded ~shards:4 ())
+    Q.Sharded_mpmc.push Q.Sharded_mpmc.pop
 
 let prop_treiber =
   QCheck2.Test.make ~count:300 ~name:"treiber agrees with LIFO model"
@@ -203,37 +223,6 @@ let test_mpsc_producers () =
   done;
   List.iter Domain.join domains;
   check_int "all received" (sum_to (producers * per)) !sum
-
-let test_mpmc_stress () =
-  let q = Q.Mpmc_queue.create () in
-  let producers = 3 and consumers = 3 and per = 2_000 in
-  let total = producers * per in
-  let consumed = Atomic.make 0 and sum = Atomic.make 0 in
-  let ps =
-    List.init producers (fun p ->
-      Domain.spawn (fun () ->
-        for i = 1 to per do
-          Q.Mpmc_queue.push q ((p * per) + i)
-        done))
-  in
-  let cs =
-    List.init consumers (fun _ ->
-      Domain.spawn (fun () ->
-        let continue_ = ref true in
-        while !continue_ do
-          match Q.Mpmc_queue.pop q with
-          | Some v ->
-            ignore (Atomic.fetch_and_add sum v : int);
-            if Atomic.fetch_and_add consumed 1 + 1 >= total then
-              continue_ := false
-          | None ->
-            if Atomic.get consumed >= total then continue_ := false
-            else Domain.cpu_relax ()
-        done))
-  in
-  List.iter Domain.join ps;
-  List.iter Domain.join cs;
-  check_int "sum preserved" (sum_to total) (Atomic.get sum)
 
 let test_spsc_parallel () =
   let q = Q.Spsc_queue.create () in
@@ -482,15 +471,6 @@ module Props_mpsc =
       let name = "mpsc"
     end)
 
-module Props_mpmc =
-  Mailbox_props
-    (Q.Mpmc_queue)
-    (struct
-      include Raw_defaults
-
-      let name = "mpmc"
-    end)
-
 module Props_socket =
   Mailbox_props
     (Qs_remote.Socket_queue.As_mailbox)
@@ -685,7 +665,9 @@ let () =
           Alcotest.test_case "spsc fifo" `Quick test_spsc_fifo;
           Alcotest.test_case "spsc peek" `Quick test_spsc_peek;
           Alcotest.test_case "mpsc fifo" `Quick test_mpsc_fifo;
-          Alcotest.test_case "mpmc fifo" `Quick test_mpmc_fifo;
+          Alcotest.test_case "sharded-mpmc fifo" `Quick test_sharded_mpmc_fifo;
+          Alcotest.test_case "sharded-mpmc pop_from any start" `Quick
+            test_sharded_mpmc_pop_from;
           Alcotest.test_case "treiber lifo" `Quick test_treiber_lifo;
           Alcotest.test_case "ws_deque owner" `Quick test_ws_deque_owner;
           Alcotest.test_case "ws_deque steal order" `Quick test_ws_deque_steal_order;
@@ -695,18 +677,23 @@ let () =
             test_ring_capacity_validation;
         ] );
       ( "properties",
-        [ qc prop_spsc; qc prop_mpsc; qc prop_mpmc; qc prop_treiber; qc prop_ring_model ] );
+        [
+          qc prop_spsc;
+          qc prop_mpsc;
+          qc prop_sharded_mpmc;
+          qc prop_treiber;
+          qc prop_ring_model;
+        ] );
       ( "mailbox",
         Props_spsc_linked.tests @ Props_spsc_ring.tests @ Props_mpsc.tests
-        @ Props_mpmc.tests @ Props_sharded_1.tests @ Props_sharded_2.tests
-        @ Props_sharded_8.tests @ Props_socket.tests
+        @ Props_sharded_1.tests @ Props_sharded_2.tests @ Props_sharded_8.tests
+        @ Props_socket.tests
         @ Props_bq_spsc_linked.tests @ Props_bq_spsc_ring.tests
         @ Props_bq_mpsc.tests
         @ [ Alcotest.test_case "bqueue registry" `Quick test_mailbox_registry ] );
       ( "parallel",
         [
           Alcotest.test_case "mpsc 4 producers" `Quick test_mpsc_producers;
-          Alcotest.test_case "mpmc 3x3 stress" `Quick test_mpmc_stress;
           Alcotest.test_case "sharded-mpmc 3x3 stress" `Quick
             test_sharded_mpmc_stress;
           Alcotest.test_case "spsc pipeline order" `Quick test_spsc_parallel;

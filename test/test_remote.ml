@@ -350,12 +350,13 @@ let test_remote_round_trip () =
           Scoop.Registration.query reg (fun () -> Atomic.get remote_counter))
       in
       check_int "100 remote calls served before the query" 100 total;
-      let s = Scoop.Stats.snapshot (Scoop.Runtime.stats rt) in
+      let st = Scoop.Runtime.stats rt in
+      let get = Qs_obs.Counter.get in
       check_bool "remote requests counted" true
-        (s.Scoop.Stats.s_remote_requests >= 102);
+        (get st.Scoop.Stats.remote_requests >= 102);
       check_bool "remote replies counted" true
-        (s.Scoop.Stats.s_remote_replies >= 2);
-      check_int "no failures" 0 s.Scoop.Stats.s_remote_failures))
+        (get st.Scoop.Stats.remote_replies >= 2);
+      check_int "no failures" 0 (get st.Scoop.Stats.remote_failures)))
 
 let test_remote_poison () =
   (* The dirty-processor rule across the connection: a failing remote
@@ -463,9 +464,9 @@ let test_remote_disconnect_mid_query () =
         | Scoop.Handler_failure (_, Scoop.Connection_lost _) -> true
       in
       check_bool "typed rejection, not a hang" true ok;
-      let s = Scoop.Stats.snapshot (Scoop.Runtime.stats rt) in
       check_bool "connection loss counted" true
-        (s.Scoop.Stats.s_remote_failures >= 1));
+        (Qs_obs.Counter.get (Scoop.Runtime.stats rt).Scoop.Stats.remote_failures
+        >= 1));
   Domain.join rogue;
   try Unix.unlink path with Unix.Unix_error _ -> ()
 
@@ -687,7 +688,7 @@ let test_remote_peer_dies_mid_burst () =
                | exception e -> typed e)
       in
       RC.close rc;
-      (r, (Scoop.Stats.snapshot stats).Scoop.Stats.s_remote_failures))
+      (r, Qs_obs.Counter.get stats.Scoop.Stats.remote_failures))
   in
   (try Unix.unlink path with Unix.Unix_error _ -> ());
   let r, failures = outcomes in

@@ -12,6 +12,14 @@ module Ivar = Qs_sched.Ivar
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
+let get = Qs_obs.Counter.get
+
+(* A counter's value in a registry snapshot ([Scoop.Stats.assoc]); a
+   name the registry does not know fails the test rather than reading 0. *)
+let counter snap name =
+  match List.assoc_opt name snap with
+  | Some v -> v
+  | None -> Alcotest.failf "no counter named %s" name
 
 let all_configs = Cfg.presets @ [ Cfg.eve_base; Cfg.eve_qs ]
 
@@ -305,7 +313,7 @@ let test_mean_batch () =
          settled when the snapshot is taken. *)
       ignore
         (R.separate rt buffer (fun reg -> Sh.get reg queue Queue.length) : int);
-      Scoop.Stats.snapshot (R.stats rt))
+      Scoop.Stats.assoc (R.stats rt))
   in
   let batched = run ~batch:16 in
   check_bool
@@ -313,7 +321,7 @@ let test_mean_batch () =
        (Scoop.Stats.mean_batch batched))
     true
     (Scoop.Stats.mean_batch batched > 1.0);
-  check_bool "ends counted" true (batched.Scoop.Stats.s_ends_drained > 0);
+  check_bool "ends counted" true (counter batched "ends_drained" > 0);
   let serial = run ~batch:1 in
   check_bool "mean batch = 1 at batch 1" true
     (Scoop.Stats.mean_batch serial = 1.0)
@@ -399,7 +407,7 @@ let test_pools_equivalence () =
       let final =
         R.separate rt account (fun reg -> Sh.get reg balance (fun b -> !b))
       in
-      (final, Scoop.Stats.snapshot (R.stats rt)))
+      (final, Scoop.Stats.assoc (R.stats rt)))
   in
   let final_global, s_global = run ~pools:None ~pool:None in
   let final_pooled, s_pooled =
@@ -408,7 +416,8 @@ let test_pools_equivalence () =
   check_int "global balance" expected final_global;
   check_int "pooled balance" expected final_pooled;
   let picture s =
-    Scoop.Stats.(s.s_calls, s.s_queries, s.s_reservations, s.s_handler_failures)
+    List.map (counter s)
+      [ "calls"; "queries"; "reservations"; "handler_failures" ]
   in
   check_bool "same request-path stats" true
     (picture s_global = picture s_pooled)
@@ -422,18 +431,18 @@ let test_stats_queries () =
         for _ = 1 to 10 do
           ignore (Sh.get reg x (fun r -> !r) : int)
         done);
-      Scoop.Stats.snapshot (R.stats rt))
+      Scoop.Stats.assoc (R.stats rt))
   in
   let none = snap Cfg.none in
-  check_int "none: packaged" 10 none.Scoop.Stats.s_packaged_queries;
-  check_int "none: no syncs" 0 none.Scoop.Stats.s_syncs_sent;
+  check_int "none: packaged" 10 (counter none "packaged_queries");
+  check_int "none: no syncs" 0 (counter none "syncs_sent");
   let dyn = snap Cfg.dynamic in
-  check_int "dynamic: one sync" 1 dyn.Scoop.Stats.s_syncs_sent;
-  check_int "dynamic: nine elided" 9 dyn.Scoop.Stats.s_syncs_elided;
-  check_int "dynamic: none packaged" 0 dyn.Scoop.Stats.s_packaged_queries;
+  check_int "dynamic: one sync" 1 (counter dyn "syncs_sent");
+  check_int "dynamic: nine elided" 9 (counter dyn "syncs_elided");
+  check_int "dynamic: none packaged" 0 (counter dyn "packaged_queries");
   let st = snap Cfg.static_ in
   check_int "static: ten syncs (no dynamic elision)" 10
-    st.Scoop.Stats.s_syncs_sent
+    (counter st "syncs_sent")
 
 let test_stats_eve_lookups () =
   let s =
@@ -444,9 +453,9 @@ let test_stats_eve_lookups () =
         for _ = 1 to 5 do
           Sh.apply reg x incr
         done);
-      Scoop.Stats.snapshot (R.stats rt))
+      Scoop.Stats.assoc (R.stats rt))
   in
-  check_bool "eve lookups charged" true (s.Scoop.Stats.s_eve_lookups >= 5)
+  check_bool "eve lookups charged" true (counter s "eve_lookups" >= 5)
 
 let test_stats_reservations () =
   let s =
@@ -454,11 +463,11 @@ let test_stats_reservations () =
       let ps = R.processors rt 3 in
       R.separate_list rt ps (fun _ -> ());
       R.separate rt (List.hd ps) (fun _ -> ());
-      Scoop.Stats.snapshot (R.stats rt))
+      Scoop.Stats.assoc (R.stats rt))
   in
-  check_int "processors" 3 s.Scoop.Stats.s_processors;
-  check_int "reservations" 2 s.Scoop.Stats.s_reservations;
-  check_int "multi reservations" 1 s.Scoop.Stats.s_multi_reservations
+  check_int "processors" 3 (counter s "processors");
+  check_int "reservations" 2 (counter s "reservations");
+  check_int "multi reservations" 1 (counter s "multi_reservations")
 
 (* -- wait conditions (precondition-as-wait semantics) -------------------------- *)
 
@@ -560,7 +569,7 @@ let test_wait_retries_counted () =
         (R.separate_when rt h
            ~pred:(fun reg -> Sh.get reg flag (fun r -> !r))
            (fun _ -> ()));
-      (Scoop.Stats.snapshot (R.stats rt)).Scoop.Stats.s_wait_retries)
+      get (R.stats rt).Scoop.Stats.wait_retries)
   in
   check_bool "retries recorded" true (retries >= 1)
 
@@ -578,7 +587,7 @@ let test_wait_parks_until_change config =
       R.separate_when rt h
         ~pred:(fun reg -> Sh.get reg flag (fun r -> !r))
         (fun _ -> ());
-      (Scoop.Stats.snapshot (R.stats rt)).Scoop.Stats.s_wait_retries)
+      get (R.stats rt).Scoop.Stats.wait_retries)
   in
   check_bool
     (Printf.sprintf "1 to 2 failed evaluations (got %d)" retries)
@@ -643,9 +652,38 @@ let test_wait_unsatisfiable_stalls () =
 let test_trace_disabled_by_default () =
   R.run (fun rt -> check_bool "no trace" true (R.trace rt = None))
 
+let test_trace_through_supplied_sink () =
+  (* Tracing has one switch, [Config.with_trace]; a caller-supplied
+     [~obs] sink turns it on as well, and the trace records into that
+     very sink. *)
+  let sink = Qs_obs.Sink.create () in
+  R.run ~obs:sink (fun rt ->
+    check_bool "config leaves tracing off" false (R.config rt).Cfg.trace;
+    check_bool "runtime uses the supplied sink" true
+      (match R.obs rt with Some s -> s == sink | None -> false);
+    let tr = Option.get (R.trace rt) in
+    check_bool "trace views the supplied sink" true (Scoop.Trace.sink tr == sink);
+    let h = R.processor rt in
+    let cell = Sh.create h (ref 0) in
+    R.separate rt h (fun reg -> Sh.apply reg cell incr);
+    check_bool "reservation recorded" true
+      (List.exists
+         (fun e -> e.Scoop.Trace.kind = Scoop.Trace.Reserved)
+         (Scoop.Trace.events (Scoop.Trace.of_sink sink))))
+
+(* [Trace.events] of a traced run, checked to name processor [h] only. *)
+let events_of rt h =
+  let events = Scoop.Trace.events (Option.get (R.trace rt)) in
+  check_bool "every event names the one processor" true
+    (List.for_all (fun e -> e.Scoop.Trace.proc = Scoop.Processor.id h) events);
+  events
+
+let count_kind events pred =
+  List.length (List.filter (fun e -> pred e.Scoop.Trace.kind) events)
+
 let test_trace_records_operations () =
-  let summaries =
-    R.run ~trace:true ~config:Cfg.all (fun rt ->
+  let evs =
+    R.run ~config:Cfg.(all |> with_trace true) (fun rt ->
       let h = R.processor rt in
       let cell = Sh.create h (ref 0) in
       R.separate rt h (fun reg ->
@@ -655,41 +693,43 @@ let test_trace_records_operations () =
         for _ = 1 to 5 do
           ignore (Sh.get reg cell (fun r -> !r) : int)
         done);
-      Scoop.Trace.summarize (Option.get (R.trace rt)))
+      events_of rt h)
   in
-  match summaries with
-  | [ s ] ->
-    check_int "reservations" 1 s.Scoop.Trace.sp_reservations;
-    check_int "calls" 10 s.Scoop.Trace.sp_calls;
-    check_int "every call's latency recorded" 10
-      s.Scoop.Trace.sp_call_latency.Scoop.Trace.count;
-    check_bool "latencies non-negative" true
-      (s.Scoop.Trace.sp_call_latency.Scoop.Trace.mean >= 0.0);
-    (* With dynamic coalescing: first query syncs, four elided. *)
-    check_int "one sync" 1 s.Scoop.Trace.sp_sync_round_trip.Scoop.Trace.count;
-    check_int "four elided" 4 s.Scoop.Trace.sp_syncs_elided
-  | l -> Alcotest.failf "expected one processor summary, got %d" (List.length l)
+  let open Scoop.Trace in
+  check_int "reservations" 1 (count_kind evs (( = ) Reserved));
+  check_int "calls" 10 (count_kind evs (( = ) Call_logged));
+  let latencies =
+    List.filter_map
+      (fun e -> match e.kind with Call_executed d -> Some d | _ -> None)
+      evs
+  in
+  check_int "every call's latency recorded" 10 (List.length latencies);
+  check_bool "latencies non-negative" true
+    (List.for_all (fun d -> d >= 0.0) latencies);
+  (* With dynamic coalescing: first query syncs, four elided. *)
+  check_int "one sync" 1
+    (count_kind evs (function Sync_round_trip _ -> true | _ -> false));
+  check_int "four elided" 4 (count_kind evs (( = ) Sync_elided))
 
 let test_trace_packaged_queries () =
-  let summaries =
-    R.run ~trace:true ~config:Cfg.none (fun rt ->
+  let evs =
+    R.run ~config:Cfg.(none |> with_trace true) (fun rt ->
       let h = R.processor rt in
       let cell = Sh.create h (ref 3) in
       R.separate rt h (fun reg ->
         for _ = 1 to 7 do
           ignore (Sh.get reg cell (fun r -> !r) : int)
         done);
-      Scoop.Trace.summarize (Option.get (R.trace rt)))
+      events_of rt h)
   in
-  match summaries with
-  | [ s ] ->
-    check_int "query round trips" 7
-      s.Scoop.Trace.sp_query_round_trip.Scoop.Trace.count;
-    check_int "no syncs" 0 s.Scoop.Trace.sp_sync_round_trip.Scoop.Trace.count
-  | _ -> Alcotest.fail "expected one processor summary"
+  let open Scoop.Trace in
+  check_int "query round trips" 7
+    (count_kind evs (function Query_round_trip _ -> true | _ -> false));
+  check_int "no syncs" 0
+    (count_kind evs (function Sync_round_trip _ -> true | _ -> false))
 
 let test_trace_event_order () =
-  R.run ~trace:true (fun rt ->
+  R.run ~config:Cfg.(all |> with_trace true) (fun rt ->
     let h = R.processor rt in
     let cell = Sh.create h (ref 0) in
     R.separate rt h (fun reg ->
@@ -785,17 +825,17 @@ let test_stats_promises () =
         in
         check_int "blocking query drains" 2 (Reg.query reg (fun () -> !r));
         check_int "p2" 2 (Scoop.Promise.await p2));
-      Scoop.Stats.snapshot (R.stats rt))
+      Scoop.Stats.assoc (R.stats rt))
   in
-  check_int "created" 2 s.Scoop.Stats.s_promises_created;
-  check_int "fulfilled" 2 s.Scoop.Stats.s_promises_fulfilled;
-  check_int "ready on first poll" 1 s.Scoop.Stats.s_promises_ready;
-  check_int "forced blocking" 1 s.Scoop.Stats.s_promises_blocked;
+  check_int "created" 2 (counter s "promises_created");
+  check_int "fulfilled" 2 (counter s "promises_fulfilled");
+  check_int "ready on first poll" 1 (counter s "promises_ready_on_first_poll");
+  check_int "forced blocking" 1 (counter s "promises_forced_blocking");
   Alcotest.(check (float 0.001)) "overlap ratio" 0.5 (Scoop.Stats.overlap_ratio s)
 
 let test_trace_pipelined_queries () =
-  let summaries =
-    R.run ~trace:true ~config:Cfg.qoq (fun rt ->
+  let events =
+    R.run ~config:Cfg.(qoq |> with_trace true) (fun rt ->
       let h = R.processor rt in
       let r = ref 0 in
       R.separate rt h (fun reg ->
@@ -806,15 +846,19 @@ let test_trace_pipelined_queries () =
               !r))
         in
         ignore (Scoop.Promise.await (Scoop.Promise.all ps) : int list));
-      Scoop.Trace.summarize (Option.get (R.trace rt)))
+      events_of rt h)
   in
-  match summaries with
-  | [ s ] ->
-    check_int "pipelined spans" 6
-      s.Scoop.Trace.sp_query_pipelined.Scoop.Trace.count;
-    check_bool "durations non-negative" true
-      (s.Scoop.Trace.sp_query_pipelined.Scoop.Trace.mean >= 0.0)
-  | _ -> Alcotest.fail "expected one processor summary"
+  let durations =
+    List.filter_map
+      (fun e ->
+        match e.Scoop.Trace.kind with
+        | Scoop.Trace.Query_pipelined d -> Some d
+        | _ -> None)
+      events
+  in
+  check_int "pipelined spans" 6 (List.length durations);
+  check_bool "durations non-negative" true
+    (List.for_all (fun d -> d >= 0.0) durations)
 
 (* -- failure semantics (typed completions, dirty-processor rule) --------------- *)
 
@@ -924,10 +968,10 @@ let test_abort_discards_pending () =
       check_int "pending calls discarded unexecuted" 0 !r;
       check_bool "stopped (abort is not a failure)" true
         (Scoop.Processor.lifecycle h = Scoop.Processor.Stopped);
-      Scoop.Stats.snapshot (R.stats rt))
+      Scoop.Stats.assoc (R.stats rt))
   in
-  check_int "aborted requests counted" 10 s.Scoop.Stats.s_aborted_requests;
-  check_int "end marker still drained" 1 s.Scoop.Stats.s_ends_drained
+  check_int "aborted requests counted" 10 (counter s "aborted_requests");
+  check_int "end marker still drained" 1 (counter s "ends_drained")
 
 let test_failed_lifecycle () =
   R.run (fun rt ->
@@ -956,12 +1000,12 @@ let test_failure_counters () =
            | _ -> Alcotest.fail "must be poisoned"
            | exception Scoop.Handler_failure (_, Failure _) -> ())
        with Scoop.Handler_failure (_, Failure _) -> ());
-      Scoop.Stats.snapshot (R.stats rt))
+      Scoop.Stats.assoc (R.stats rt))
   in
-  check_int "handler failures" 2 s.Scoop.Stats.s_handler_failures;
-  check_int "rejected promises" 1 s.Scoop.Stats.s_rejected_promises;
-  check_int "poisoned registrations" 1 s.Scoop.Stats.s_poisoned_registrations;
-  check_int "no aborted requests" 0 s.Scoop.Stats.s_aborted_requests
+  check_int "handler failures" 2 (counter s "handler_failures");
+  check_int "rejected promises" 1 (counter s "rejected_promises");
+  check_int "poisoned registrations" 1 (counter s "poisoned_registrations");
+  check_int "no aborted requests" 0 (counter s "aborted_requests")
 
 (* -- deadlines & backpressure ------------------------------------------------- *)
 
@@ -1000,11 +1044,11 @@ let test_timeout_does_not_poison () =
       (* The same registration still serves: an unbounded query now
          rendezvouses after the slow call completes. *)
       check_int "later query sees the slow call" 1 (Reg.query reg (fun () -> !r)));
-    let s = Scoop.Stats.snapshot (R.stats rt) in
-    check_bool "timeout counted" true (s.Scoop.Stats.s_timeouts_fired >= 1);
+    let st = R.stats rt in
+    check_bool "timeout counted" true (get st.Scoop.Stats.timeouts_fired >= 1);
     check_bool "deadline_exceeded counted" true
-      (s.Scoop.Stats.s_deadline_exceeded >= 1);
-    check_int "no poisoning" 0 s.Scoop.Stats.s_poisoned_registrations)
+      (get st.Scoop.Stats.deadline_exceeded >= 1);
+    check_int "no poisoning" 0 (get st.Scoop.Stats.poisoned_registrations))
 
 let test_default_deadline () =
   (* [with_deadline] makes every blocking query implicitly timed. *)
@@ -1039,11 +1083,11 @@ let test_wait_condition_timeout () =
     | () -> Alcotest.fail "unsatisfiable wait condition must time out"
     | exception Scoop.Timeout -> ());
     check_bool "timed out promptly" true (Unix.gettimeofday () -. t0 < 1.0);
-    let s = Scoop.Stats.snapshot (R.stats rt) in
+    let st = R.stats rt in
     check_bool "retried before the deadline" true
-      (s.Scoop.Stats.s_wait_retries >= 1);
+      (get st.Scoop.Stats.wait_retries >= 1);
     check_bool "deadline_exceeded counted" true
-      (s.Scoop.Stats.s_deadline_exceeded >= 1))
+      (get st.Scoop.Stats.deadline_exceeded >= 1))
 
 let test_lock_reservation_timeout () =
   (* Lock mode: a reservation against a held handler lock times out, the
@@ -1063,9 +1107,8 @@ let test_lock_reservation_timeout () =
     (* Blocks until the holder wakes and releases — the hand-off must
        not have been consumed by the dead timed-out waiter. *)
     R.separate rt h (fun _ -> ());
-    let s = Scoop.Stats.snapshot (R.stats rt) in
     check_bool "deadline_exceeded counted" true
-      (s.Scoop.Stats.s_deadline_exceeded >= 1))
+      (get (R.stats rt).Scoop.Stats.deadline_exceeded >= 1))
 
 let test_shutdown_grace_escalates () =
   let s =
@@ -1086,9 +1129,9 @@ let test_shutdown_grace_escalates () =
          after ~0.08s plus at most one in-flight call. *)
       check_bool "escalated well before full drain" true (dt < 0.4);
       check_bool "served some of the backlog first" true (!r >= 1);
-      Scoop.Stats.snapshot (R.stats rt))
+      Scoop.Stats.assoc (R.stats rt))
   in
-  check_bool "backlog aborted" true (s.Scoop.Stats.s_aborted_requests > 0)
+  check_bool "backlog aborted" true (counter s "aborted_requests" > 0)
 
 let test_backpressure_block () =
   (* [`Block] admission: clients yield at the bound until the handler
@@ -1103,8 +1146,7 @@ let test_backpressure_block () =
         Sh.apply reg cell incr
       done;
       check_int "all calls served" 10 (Sh.get reg cell (fun r -> !r)));
-    let s = Scoop.Stats.snapshot (R.stats rt) in
-    check_int "nothing shed" 0 s.Scoop.Stats.s_shed_requests)
+    check_int "nothing shed" 0 (get (R.stats rt).Scoop.Stats.shed_requests))
 
 let test_backpressure_fail () =
   (* [`Fail] admission: the bound refuses the third in-flight call at
@@ -1124,9 +1166,9 @@ let test_backpressure_fail () =
           done
         with Scoop.Overloaded _ -> overloaded := true);
       check_bool "admission refused at the bound" true !overloaded;
-      Scoop.Stats.snapshot (R.stats rt))
+      Scoop.Stats.assoc (R.stats rt))
   in
-  check_bool "refusals counted" true (s.Scoop.Stats.s_shed_requests >= 1)
+  check_bool "refusals counted" true (counter s "shed_requests" >= 1)
 
 let test_backpressure_shed_oldest () =
   (* [`Shed_oldest]: every admission past the bound sheds the oldest
@@ -1152,9 +1194,9 @@ let test_backpressure_shed_oldest () =
        with Scoop.Handler_failure (_, Scoop.Overloaded _) -> surfaced := true);
       check_bool "shedding surfaced as Overloaded poison" true !surfaced;
       check_bool "the newest calls survived" true (!r >= 1 && !r < 6);
-      Scoop.Stats.snapshot (R.stats rt))
+      Scoop.Stats.assoc (R.stats rt))
   in
-  check_int "four of six calls shed" 4 s.Scoop.Stats.s_shed_requests
+  check_int "four of six calls shed" 4 (counter s "shed_requests")
 
 (* Poisoning is per-registration: one chaos client injecting failures
    never loses other clients' effects, and after an awaited shutdown the
@@ -1190,18 +1232,18 @@ let prop_poisoning_isolated config =
           if total <> List.fold_left ( + ) 0 client_rounds then
             Atomic.set ok false;
           R.shutdown rt;
-          Scoop.Stats.snapshot (R.stats rt))
+          Scoop.Stats.assoc (R.stats rt))
       in
       let accounted =
-        s.Scoop.Stats.s_calls + s.Scoop.Stats.s_packaged_queries
-        + s.Scoop.Stats.s_promises_created + s.Scoop.Stats.s_syncs_sent
-        + s.Scoop.Stats.s_ends_drained
+        counter s "calls" + counter s "packaged_queries"
+        + counter s "promises_created" + counter s "syncs_sent"
+        + counter s "ends_drained"
       in
       Atomic.get ok
-      && s.Scoop.Stats.s_batched_requests = accounted
-      && s.Scoop.Stats.s_handler_failures
-         >= s.Scoop.Stats.s_poisoned_registrations
-      && s.Scoop.Stats.s_poisoned_registrations > 0)
+      && counter s "batched_requests" = accounted
+      && counter s "handler_failures"
+         >= counter s "poisoned_registrations"
+      && counter s "poisoned_registrations" > 0)
 
 let test_config_by_name () =
   List.iter
@@ -1387,8 +1429,8 @@ let prop_generous_timeout_equiv config mailbox =
    plus every query result — and the number of requests served per
    class, so traced and untraced runs can be compared request for
    request. *)
-let request_workload ~trace config =
-  R.run ~domains:2 ~config:(Cfg.with_trace trace config) (fun rt ->
+let request_workload ~traced config =
+  R.run ~domains:2 ~config:(Cfg.with_trace traced config) (fun rt ->
     let h = R.processor rt in
     let r = ref 0 in
     let obj = Sh.create h (ref 0) in
@@ -1424,8 +1466,8 @@ let request_workload ~trace config =
 (* Tracing observes the request path without changing it: a traced run
    issues and serves the same requests, per kind, as an untraced one. *)
 let test_traced_same_requests config =
-  let f_plain, rs_plain, mix_plain = request_workload ~trace:false config in
-  let f_traced, rs_traced, mix_traced = request_workload ~trace:true config in
+  let f_plain, rs_plain, mix_plain = request_workload ~traced:false config in
+  let f_traced, rs_traced, mix_traced = request_workload ~traced:true config in
   check_int "same final value" f_plain f_traced;
   Alcotest.(check (list int)) "same query results" rs_plain rs_traced;
   Alcotest.(check (list (pair string int)))
@@ -1549,9 +1591,9 @@ let test_handler_elision_pipelined () =
              round trip *)
           Reg.sync reg
         done);
-      Scoop.Stats.snapshot (R.stats rt))
+      Scoop.Stats.assoc (R.stats rt))
   in
-  check_bool "syncs elided" true (s.Scoop.Stats.s_syncs_elided > 0)
+  check_bool "syncs elided" true (counter s "syncs_elided" > 0)
 
 (* -- config builders and the endpoint grammar ----------------------------- *)
 
@@ -1749,6 +1791,8 @@ let () =
           Alcotest.test_case "config lookup" `Quick test_config_by_name;
           Alcotest.test_case "trace disabled by default" `Quick
             test_trace_disabled_by_default;
+          Alcotest.test_case "trace through a supplied sink" `Quick
+            test_trace_through_supplied_sink;
           Alcotest.test_case "trace records operations" `Quick
             test_trace_records_operations;
           Alcotest.test_case "trace packaged queries" `Quick
