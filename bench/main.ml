@@ -821,10 +821,9 @@ let micro () =
              Qs_stm.Stm.update v succ
            done)))
   in
-  (* Ablations for the queue design choices DESIGN.md calls out: the
-     private-queue backing store (unbounded linked SPSC vs bounded ring)
-     and the queue-of-queues structure (specialized MPSC vs generic
-     Michael–Scott MPMC). *)
+  (* Ablations for the queue shapes of §3.1 that DESIGN.md calls out: the
+     private queue (linked SPSC) and the queue-of-queues (specialized
+     MPSC vs the scheduler's sharded MPMC). *)
   let t_spsc_linked =
     Test.make ~name:"ablation:spsc-linked-1000"
       (Staged.stage (fun () ->
@@ -834,17 +833,6 @@ let micro () =
          done;
          for _ = 1 to 1000 do
            ignore (Qs_queues.Spsc_queue.pop q : int option)
-         done))
-  in
-  let t_spsc_ring =
-    Test.make ~name:"ablation:spsc-ring-1000"
-      (Staged.stage (fun () ->
-         let q = Qs_queues.Spsc_ring.create ~capacity_pow2:10 () in
-         for i = 1 to 1000 do
-           ignore (Qs_queues.Spsc_ring.try_push q i : bool)
-         done;
-         for _ = 1 to 1000 do
-           ignore (Qs_queues.Spsc_ring.pop q : int option)
          done))
   in
   let t_mpsc =
@@ -858,11 +846,8 @@ let micro () =
            ignore (Qs_queues.Mpsc_queue.pop q : int option)
          done))
   in
-  (* Same row name as the committed baseline, new structure underneath:
-     the scheduler's injection queue is now the sharded MPMC (per-shard
-     Vyukov MPSC behind a consumer spinlock) instead of the generic
-     Michael–Scott queue, so this row tracks the structure the scheduler
-     actually runs on and its delta against the recorded baseline. *)
+  (* The scheduler's injection queue, the sharded MPMC: per-shard Vyukov
+     MPSC queues whose consumers claim an element with one CAS. *)
   let t_mpmc =
     Test.make ~name:"ablation:qoq-mpmc-1000"
       (Staged.stage (fun () ->
@@ -925,8 +910,7 @@ let micro () =
   let test =
     Test.make_grouped ~name:"qs" ~fmt:"%s:%s"
       [
-        t_table1; t_table2; t_table4; t_table5; t_spsc_linked; t_spsc_ring;
-        t_mpsc; t_mpmc;
+        t_table1; t_table2; t_table4; t_table5; t_spsc_linked; t_mpsc; t_mpmc;
         t_mailbox `Qoq 1; t_mailbox `Qoq 16; t_mailbox `Direct 1;
         t_mailbox `Direct 16; t_socket;
       ]

@@ -327,7 +327,7 @@ let pools_demo mailbox =
         (v (Printf.sprintf "pool.%s.idle_shrinks" name)))
     [ "default"; "hot" ]
 
-let demo trace_flag mailbox batch spsc deadline bound overflow pools_flag =
+let demo trace_flag mailbox batch deadline bound overflow pools_flag =
   if batch < 1 then begin
     Printf.eprintf "qs: --batch must be >= 1 (got %d)\n" batch;
     exit 1
@@ -345,7 +345,7 @@ let demo trace_flag mailbox batch spsc deadline bound overflow pools_flag =
     Scoop.Runtime.run ~domains:1
       ~config:
         Scoop.Config.(
-          qoq |> with_mailbox mailbox |> with_batch batch |> with_spsc spsc
+          qoq |> with_mailbox mailbox |> with_batch batch
           |> with_trace trace_flag)
       (fun rt ->
       let account = Scoop.Runtime.processor rt in
@@ -1088,15 +1088,6 @@ let demo_cmd =
             "Max requests a handler drains per wakeup (>= 1); 1 reproduces \
              the paper's one-dequeue-per-iteration handler loop.")
   in
-  let spsc =
-    Arg.(
-      value
-      & opt (enum [ ("linked", `Linked); ("ring", `Ring) ]) `Linked
-      & info [ "spsc" ] ~docv:"KIND"
-          ~doc:
-            "Private-queue backing store: $(b,linked) (unbounded list) or \
-             $(b,ring) (bounded Lamport ring).")
-  in
   let deadline =
     Arg.(
       value
@@ -1140,7 +1131,7 @@ let demo_cmd =
   in
   Cmd.v
     (Cmd.info "demo" ~doc:"Small end-to-end SCOOP program with statistics")
-    Term.(const demo $ trace $ mailbox $ batch $ spsc $ deadline $ bound
+    Term.(const demo $ trace $ mailbox $ batch $ deadline $ bound
           $ backpressure $ pools)
 
 let faults_cmd =

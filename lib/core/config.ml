@@ -6,8 +6,7 @@
    [`Qoq] is the queue-of-queues of Fig. 4, [`Direct] the original
    lock-plus-single-queue structure of Fig. 2.  Orthogonal runtime knobs
    ride along: [batch] bounds how many requests a handler drains per
-   wakeup (1 reproduces the paper's one-dequeue-per-iteration loop), and
-   [spsc] picks the private-queue backing store of the §3.1 ablation.
+   wakeup (1 reproduces the paper's one-dequeue-per-iteration loop).
 
    The [hoisted] flag does not change the runtime; it tells benchmark code
    which kernel *shape* to use — the naive shape (a sync before every
@@ -35,9 +34,6 @@ type t = {
   batch : int;
       (* max requests a handler drains per wakeup (>= 1); one park/unpark
          and one consumer-side synchronization cover the whole batch *)
-  spsc : [ `Linked | `Ring ];
-      (* private-queue backing store: unbounded linked list vs bounded
-         Lamport ring (§3.1 ablation) *)
   client_query : bool;
       (* execute queries on the client after a sync round trip (Fig. 10b)
          instead of packaging them for the handler (Fig. 10a) *)
@@ -57,9 +53,6 @@ type t = {
   pools : string list;
       (* extra named scheduler pools created by [Runtime.run] beyond the
          always-present "default" *)
-  pool : string option;
-      (* pool new processors' handler fibers are pinned to by default;
-         [None] = the spawner's pool *)
   endpoint : endpoint; (* where processors live; see [endpoint] above *)
   trace : bool;
       (* record runtime events into a fresh private sink; the runtime's
@@ -73,7 +66,6 @@ let none =
     name = "none";
     mailbox = `Direct;
     batch = default_batch;
-    spsc = `Linked;
     client_query = false;
     dyn_sync = false;
     hoisted = false;
@@ -82,7 +74,6 @@ let none =
     bound = 0;
     overflow = `Block;
     pools = [];
-    pool = None;
     endpoint = In_process;
     trace = false;
   }
@@ -96,7 +87,6 @@ let all =
     name = "all";
     mailbox = `Qoq;
     batch = default_batch;
-    spsc = `Linked;
     client_query = true;
     dyn_sync = true;
     hoisted = true;
@@ -105,7 +95,6 @@ let all =
     bound = 0;
     overflow = `Block;
     pools = [];
-    pool = None;
     endpoint = In_process;
     trace = false;
   }
@@ -119,7 +108,6 @@ let eve_qs =
     name = "eve-qs";
     mailbox = `Qoq;
     batch = default_batch;
-    spsc = `Linked;
     client_query = true;
     dyn_sync = true;
     hoisted = false;
@@ -128,7 +116,6 @@ let eve_qs =
     bound = 0;
     overflow = `Block;
     pools = [];
-    pool = None;
     endpoint = In_process;
     trace = false;
   }
@@ -155,11 +142,7 @@ let with_batch batch t =
   if batch < 1 then invalid_arg "Config.with_batch: batch must be >= 1";
   { t with batch }
 
-let with_spsc spsc t = { t with spsc }
 let with_client_query client_query t = { t with client_query }
-let with_dyn_sync dyn_sync t = { t with dyn_sync }
-let with_hoisted hoisted t = { t with hoisted }
-let with_eve eve t = { t with eve }
 
 let with_deadline d t =
   if d <= 0.0 then invalid_arg "Config.with_deadline: deadline must be > 0";
@@ -173,16 +156,8 @@ let with_bound bound t =
 
 let with_overflow overflow t = { t with overflow }
 let with_pools pools t = { t with pools }
-let with_pool pool t = { t with pool = Some pool }
-let with_default_pool t = { t with pool = None }
 let with_trace trace t = { t with trace }
-let with_endpoint endpoint t = { t with endpoint }
 let with_listen addr t = { t with endpoint = Listen addr }
-
-let with_connect addrs t =
-  if addrs = [] then
-    invalid_arg "Config.with_connect: at least one node address required";
-  { t with endpoint = Connect addrs }
 
 (* -- Addresses ------------------------------------------------------------ *)
 
@@ -223,9 +198,12 @@ let endpoint_to_string = function
    runtime keep the qoq structure); [node addr] the hosting half.  The
    node side must use a queue-of-queues config: a Direct-mode
    reservation takes the handler lock, which would head-of-line block
-   the single serve fiber multiplexing a connection. *)
+   the single serve fiber multiplexing a connection.  An empty address
+   list is refused here: processor ids are routed [id mod length addrs]. *)
 
 let remote addrs =
+  if addrs = [] then
+    invalid_arg "Config.remote: at least one node address required";
   { qoq with name = "remote"; endpoint = Connect addrs }
 
 let node addr = { qoq with name = "node"; endpoint = Listen addr }
@@ -254,22 +232,6 @@ let by_name name =
       List.find_opt
         (fun c -> c.name = name)
         (presets @ [ eve_base; eve_qs ]))
-
-let mailbox_of_string = function
-  | "qoq" -> Some `Qoq
-  | "direct" -> Some `Direct
-  | _ -> None
-
-let overflow_of_string = function
-  | "block" -> Some `Block
-  | "fail" -> Some `Fail
-  | "shed" | "shed_oldest" | "shed-oldest" -> Some `Shed_oldest
-  | _ -> None
-
-let spsc_of_string = function
-  | "linked" -> Some `Linked
-  | "ring" -> Some `Ring
-  | _ -> None
 
 let pp ppf t =
   match t.endpoint with

@@ -12,10 +12,9 @@
 
     {!eve_base} and {!eve_qs} model the EVE retrofit experiment (§4.5).
 
-    Orthogonal to the presets, [mailbox], [batch] and [spsc] select the
-    request path: which communication structure a processor uses, how
-    many requests its handler loop drains per wakeup, and which SPSC
-    queue backs the private queues. *)
+    Orthogonal to the presets, [mailbox] and [batch] select the request
+    path: which communication structure a processor uses, and how many
+    requests its handler loop drains per wakeup. *)
 
 type addr = Unix_sock of string | Tcp of string * int
 (** A node address: a unix-domain socket path or a TCP host/port. *)
@@ -39,8 +38,6 @@ type t = {
   batch : int;
       (** max requests a handler drains per wakeup (>= 1); 1 reproduces
           the paper's one-dequeue-per-iteration handler loop *)
-  spsc : [ `Linked | `Ring ];
-      (** private-queue backing store (§3.1 ablation) *)
   client_query : bool;
   dyn_sync : bool;
   hoisted : bool;
@@ -59,9 +56,6 @@ type t = {
   pools : string list;
       (** extra named scheduler pools created by [Runtime.run] beyond the
           always-present ["default"] ([[]] in every preset) *)
-  pool : string option;
-      (** pool new processors' handler fibers are pinned to by default;
-          [None] (every preset) = the spawner's pool *)
   endpoint : endpoint;
       (** where processors live ({!In_process} in every preset) *)
   trace : bool;
@@ -89,7 +83,8 @@ val remote : addr list -> t
 (** Client half of the distributed runtime: {!qoq} with
     [endpoint = Connect addrs].  Remote registrations always use the
     packaged wire path; local processors of the same runtime keep the
-    queue-of-queues structure. *)
+    queue-of-queues structure.
+    @raise Invalid_argument on an empty address list. *)
 
 val node : addr -> t
 (** Hosting half: {!qoq} with [endpoint = Listen addr].  Node configs
@@ -119,11 +114,7 @@ val with_mailbox : [ `Qoq | `Direct ] -> t -> t
 val with_batch : int -> t -> t
 (** @raise Invalid_argument if the batch is < 1. *)
 
-val with_spsc : [ `Linked | `Ring ] -> t -> t
 val with_client_query : bool -> t -> t
-val with_dyn_sync : bool -> t -> t
-val with_hoisted : bool -> t -> t
-val with_eve : bool -> t -> t
 
 val with_deadline : float -> t -> t
 (** Default deadline (seconds) for blocking queries and syncs without an
@@ -137,14 +128,8 @@ val with_bound : int -> t -> t
 
 val with_overflow : [ `Block | `Fail | `Shed_oldest ] -> t -> t
 val with_pools : string list -> t -> t
-val with_pool : string -> t -> t
-val with_default_pool : t -> t
 val with_trace : bool -> t -> t
-val with_endpoint : endpoint -> t -> t
 val with_listen : addr -> t -> t
-
-val with_connect : addr list -> t -> t
-(** @raise Invalid_argument on an empty address list. *)
 
 (** {2 Addresses} *)
 
@@ -159,15 +144,6 @@ val endpoint_to_string : endpoint -> string
 
 val uses_qoq : t -> bool
 (** [t.mailbox = `Qoq]. *)
-
-val mailbox_of_string : string -> [ `Qoq | `Direct ] option
-(** ["qoq"] / ["direct"]. *)
-
-val spsc_of_string : string -> [ `Linked | `Ring ] option
-(** ["linked"] / ["ring"]. *)
-
-val overflow_of_string : string -> [ `Block | `Fail | `Shed_oldest ] option
-(** ["block"] / ["fail"] / ["shed"]. *)
 
 val pp : Format.formatter -> t -> unit
 (** The preset name, suffixed with ["@listen:..."]/["@connect:..."]

@@ -575,7 +575,7 @@ let take_private_queue t =
   | Qoq { cache; _ } -> (
     match Qs_queues.Treiber_stack.pop cache with
     | Some pq -> pq
-    | None -> Qs_sched.Bqueue.Spsc.create ~backing:t.config.Config.spsc ())
+    | None -> Qs_sched.Bqueue.Spsc.create ())
   | Direct _ | Remote _ ->
     invalid_arg "Scoop.Processor.take_private_queue: processor is in lock mode"
 

@@ -49,14 +49,9 @@ let pool_counters () =
   Qs_sched.Sched.(pool_counters_assoc (current_pool_counters ()))
 
 (* [?pool] pins the new processor's handler fiber to a scheduler pool;
-   it defaults to the runtime's [Config.pool] (if any), so a whole
-   runtime can route its handlers to a dedicated pool with one config
-   field. *)
+   without it the handler runs in the spawner's pool. *)
 let processor ?pool t =
   let id = Atomic.fetch_and_add t.next_id 1 in
-  let pool =
-    match pool with Some _ -> pool | None -> t.ctx.Ctx.config.Config.pool
-  in
   let proc =
     match t.remotes with
     | Some rc ->

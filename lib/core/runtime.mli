@@ -23,7 +23,7 @@ val create : ?config:Config.t -> ?obs:Qs_obs.Sink.t -> unit -> t
     scheduler to get all layers' events in one place.
 
     Note that [create] does not make scheduler pools — only {!run} does;
-    an unknown [Config.pool] fails at {!processor} time.
+    a [?pool] naming one that does not exist fails at {!processor} time.
 
     With [config.endpoint = Connect addrs] (see {!Config.remote}), the
     runtime connects to those nodes up front and every subsequent
@@ -46,11 +46,11 @@ val run :
     (see paper §2.5).
 
     [config.pools] names extra scheduler pools for this run (see
-    [Qs_sched.Sched.run]); [config.pool] pins every
-    processor created without an explicit [?pool] to that pool.  The
-    shutdown on return drains every pool: stream closes propagate to
-    pinned handlers wherever they run, and their exit latches are awaited
-    like any other ([grace] is passed to {!shutdown}).
+    [Qs_sched.Sched.run]); {!processor}'s [?pool] pins a handler to one
+    of them.  The shutdown on return drains every pool: stream closes
+    propagate to pinned handlers wherever they run, and their exit
+    latches are awaited like any other ([grace] is passed to
+    {!shutdown}).
 
     With [config.trace] (or an explicit [~obs] sink) the whole stack is
     instrumented into one shared sink: scheduler workers record
@@ -62,11 +62,10 @@ val run :
 
 val processor : ?pool:string -> t -> Processor.t
 (** Spawn a new processor (handler fiber).  [pool] pins its handler fiber
-    to the named scheduler pool (default: the runtime's [Config.pool] if
-    set, else the spawner's pool).  On a runtime with a [Connect]
-    endpoint, the processor is instead a remote proxy: its handler runs
-    on the node the static shard map routes this processor id to
-    (id mod connection count), and [pool] is ignored.
+    to the named scheduler pool (default: the spawner's pool).  On a
+    runtime with a [Connect] endpoint, the processor is instead a remote
+    proxy: its handler runs on the node the static shard map routes this
+    processor id to (id mod connection count), and [pool] is ignored.
     @raise Invalid_argument on an unknown pool name. *)
 
 val is_remote : t -> bool

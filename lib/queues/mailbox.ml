@@ -3,10 +3,9 @@
 
    The paper's central claim (§3–§4) is that the *communication
    structure* between clients and handlers dominates SCOOP performance.
-   Abstracting that structure behind one signature makes the §3.1 queue
-   ablations (linked vs ring private queues, specialized MPSC vs generic
-   MPMC queue-of-queues, socket transport) config-selectable rather than
-   code-forked, and gives every implementation a batched [drain] so a
+   Abstracting that structure behind one signature lets one blocking
+   layer wrap every raw queue and one property suite check every
+   implementation, and gives every implementation a batched [drain] so a
    consumer can take a whole burst of elements under one synchronization
    instead of paying one atomic round trip per element.
 
@@ -14,9 +13,10 @@
 
    - the raw lock-free queues in this library (non-blocking: [dequeue]
      returns [None] on a momentarily-empty mailbox);
-   - the blocking fiber-level queues in [Qs_sched.Bqueue] (blocking:
-     [dequeue] parks the consumer fiber and [None] means
-     closed-and-drained), plus the socket transport in [Qs_remote].
+   - the blocking fiber-level queues [Qs_sched.Bqueue.Make] builds on
+     top of them (blocking: [dequeue] parks the consumer fiber and
+     [None] means closed-and-drained), plus the socket transport in
+     [Qs_remote].
 
    Producers and consumers keep the ownership contract of the underlying
    queue (SPSC/MPSC/MPMC); [drain] is a consumer-side operation. *)

@@ -1,9 +1,9 @@
 (** The MAILBOX abstraction: the common interface of every
     request-carrying queue in the runtime (paper §3.1 made pluggable).
 
-    Conforming modules: {!Spsc_queue}, {!Spsc_ring.As_mailbox},
-    {!Mpsc_queue}, {!Sharded_mpmc} here; [Qs_sched.Bqueue.Spsc] /
-    [Qs_sched.Bqueue.Mpsc] at the blocking fiber layer; and
+    Conforming modules: {!Spsc_queue}, {!Mpsc_queue}, {!Sharded_mpmc}
+    here; [Qs_sched.Bqueue.Spsc] / [Qs_sched.Bqueue.Mpsc] at the blocking
+    fiber layer, both built from these by [Qs_sched.Bqueue.Make]; and
     [Qs_remote.Socket_queue.As_mailbox] for the socket transport.
 
     The ownership contract (who may enqueue / dequeue concurrently) is

@@ -17,8 +17,6 @@ type 'a node = {
 type 'a t = {
   mutable head : 'a node; (* consumer-owned: last dequeued (dummy) node *)
   mutable tail : 'a node; (* producer-owned: last enqueued node *)
-  pushed : int Atomic.t;  (* diagnostics *)
-  popped : int Atomic.t;
   closed : bool Atomic.t;
 }
 
@@ -26,20 +24,13 @@ let make_node value = { value; next = Atomic.make None }
 
 let create () =
   let dummy = make_node None in
-  {
-    head = dummy;
-    tail = dummy;
-    pushed = Atomic.make 0;
-    popped = Atomic.make 0;
-    closed = Atomic.make false;
-  }
+  { head = dummy; tail = dummy; closed = Atomic.make false }
 
 let push t v =
   if Atomic.get t.closed then raise Mailbox.Closed;
   let n = make_node (Some v) in
   Atomic.set t.tail.next (Some n);
-  t.tail <- n;
-  Atomic.incr t.pushed
+  t.tail <- n
 
 let pop t =
   match Atomic.get t.head.next with
@@ -50,23 +41,11 @@ let pop t =
        lives on as the new dummy node. *)
     n.value <- None;
     t.head <- n;
-    Atomic.incr t.popped;
     v
-
-let peek t =
-  match Atomic.get t.head.next with
-  | None -> None
-  | Some n -> n.value
 
 let is_empty t = Atomic.get t.head.next = None
 
-let length t =
-  (* Racy estimate; exact when producer and consumer are quiescent. *)
-  max 0 (Atomic.get t.pushed - Atomic.get t.popped)
-
-(* Batched pop: walk as many published nodes as fit in [buf], then
-   publish the consumption with a single counter update instead of one
-   per element. *)
+(* Batched pop: walk as many published nodes as fit in [buf]. *)
 let drain t buf =
   let cap = Array.length buf in
   let taken = ref 0 in
@@ -82,8 +61,6 @@ let drain t buf =
       t.head <- n;
       incr taken
   done;
-  if !taken > 0 then
-    ignore (Atomic.fetch_and_add t.popped !taken : int);
   !taken
 
 let close t = Atomic.set t.closed true

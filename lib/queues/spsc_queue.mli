@@ -6,7 +6,7 @@
     handler), so no compare-and-swap is needed on either path.
 
     Safety contract: at most one domain/fiber calls {!push} concurrently, and
-    at most one calls {!pop}/{!peek} concurrently.  Producer and consumer may
+    at most one calls {!pop}/{!drain} concurrently.  Producer and consumer may
     run in parallel with each other. *)
 
 type 'a t
@@ -20,20 +20,13 @@ val push : 'a t -> 'a -> unit
 val pop : 'a t -> 'a option
 (** Consumer side: remove the oldest element, or [None] if empty. *)
 
-val peek : 'a t -> 'a option
-(** Consumer side: the oldest element without removing it. *)
-
 val is_empty : 'a t -> bool
 (** Consumer-side emptiness test ([true] means no element is currently
     visible to the consumer). *)
 
-val length : 'a t -> int
-(** Racy size estimate, exact when both ends are quiescent. *)
-
 val drain : 'a t -> 'a array -> int
 (** Consumer side: batched {!pop} — move up to [Array.length buf]
-    elements into a prefix of [buf], publishing the consumption with a
-    single counter update, and return how many were taken. *)
+    elements into a prefix of [buf] and return how many were taken. *)
 
 val close : 'a t -> unit
 (** Close the producer side; pending elements remain poppable. *)

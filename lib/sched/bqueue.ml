@@ -3,10 +3,10 @@
    [Spsc] is a private queue (client -> handler request stream); [Mpsc] is
    both the queue-of-queues (clients enqueue private queues, Fig. 4) and
    the single request queue of the lock-based baseline runtime (Fig. 2).
-   Both conform to the blocking [MAILBOX] signature — the fiber-level
-   instance of the [Qs_queues.Mailbox] abstraction: [dequeue]/[drain]
-   park the consumer *fiber* instead of returning empty, and [None] / 0
-   mean closed-and-drained, the handler loop's shutdown signal.
+   Both are [Make] over a raw [Qs_queues.Mailbox.S] queue, so they are
+   the fiber-level instance of that abstraction: [dequeue]/[drain] park
+   the consumer *fiber* instead of returning empty, and [None] / 0 mean
+   closed-and-drained, the handler loop's shutdown signal.
 
    Blocking parks the consumer fiber via [Sched.suspend]; producers wake
    it through a one-slot waiter exchanged atomically, so the wake-up is a
@@ -15,36 +15,9 @@
    switch a direct handoff (paper §3.2).
 
    [drain] is the batching hook: one park/unpark transition (and one
-   consumer-side synchronization, where the backing queue allows it)
-   moves a whole burst of elements, instead of one blocking round trip
-   per element. *)
-
-module type MAILBOX = sig
-  type 'a t
-
-  val create : unit -> 'a t
-
-  val enqueue : 'a t -> 'a -> unit
-  (* Append one element and wake the consumer.  After [close] the element
-     is silently dropped: runtime shutdown may race fibers that still hold
-     registrations (the seed runtime's tolerance), and the raw
-     [Qs_queues.Mailbox] instances below this layer are where
-     enqueue-after-close raises. *)
-
-  val dequeue : 'a t -> 'a option
-  (* Block the calling fiber until an element is available; [None] once
-     the queue is closed {e and} drained. *)
-
-  val drain : 'a t -> 'a array -> int
-  (* Block until at least one element is available, then move every
-     already-pending element (up to [Array.length buf]) into a prefix of
-     [buf] and return the count; [0] once the queue is closed {e and}
-     drained. *)
-
-  val close : 'a t -> unit
-  val is_closed : 'a t -> bool
-  val is_empty : 'a t -> bool
-end
+   consumer-side synchronization, where the raw queue allows it) moves a
+   whole burst of elements, instead of one blocking round trip per
+   element. *)
 
 module Waiter = struct
   type t = Sched.resumer option Atomic.t
@@ -65,135 +38,40 @@ module Waiter = struct
       if ready () then wake w)
 end
 
-module Spsc = struct
-  (* The private-queue backing store is the §3.1 ablation axis the
-     config's [spsc] knob selects: unbounded linked list (no client ever
-     waits, one allocation per request) vs bounded ring (allocation-free,
-     cache-friendly, but a client logging into a full ring spins). *)
-  type 'a backing =
-    | Linked of 'a Qs_queues.Spsc_queue.t
-    | Ring of 'a Qs_queues.Spsc_ring.t
-
+module Make (Q : Qs_queues.Mailbox.S) = struct
   type 'a t = {
-    q : 'a backing;
+    q : 'a Q.t;
     waiter : Waiter.t;
   }
 
-  let create ?(backing = `Linked) () =
-    let q =
-      match backing with
-      | `Linked -> Linked (Qs_queues.Spsc_queue.create ())
-      | `Ring -> Ring (Qs_queues.Spsc_ring.create ())
-    in
-    { q; waiter = Waiter.create () }
+  let create () = { q = Q.create (); waiter = Waiter.create () }
 
-  let push_backing t v =
-    match t.q with
-    | Linked q -> Qs_queues.Spsc_queue.push q v
-    | Ring r ->
-      (* A full ring makes the client wait — the bounded queue's only
-         option, and exactly the cost the ablation measures. *)
-      if not (Qs_queues.Spsc_ring.try_push r v) then begin
-        while not (Qs_queues.Spsc_ring.try_push r v) do
-          Sched.yield ()
-        done
-      end
-
-  let pop_backing t =
-    match t.q with
-    | Linked q -> Qs_queues.Spsc_queue.pop q
-    | Ring r -> Qs_queues.Spsc_ring.pop r
-
-  let drain_backing t buf =
-    match t.q with
-    | Linked q -> Qs_queues.Spsc_queue.drain q buf
-    | Ring r -> Qs_queues.Spsc_ring.drain r buf
-
-  let is_empty t =
-    match t.q with
-    | Linked q -> Qs_queues.Spsc_queue.is_empty q
-    | Ring r -> Qs_queues.Spsc_ring.is_empty r
-
-  let is_closed t =
-    match t.q with
-    | Linked q -> Qs_queues.Spsc_queue.is_closed q
-    | Ring r -> Qs_queues.Spsc_ring.is_closed r
-
-  let length t =
-    match t.q with
-    | Linked q -> Qs_queues.Spsc_queue.length q
-    | Ring r -> Qs_queues.Spsc_ring.length r
-
+  (* After [close] the element is silently dropped: runtime shutdown may
+     race fibers that still hold registrations, and the raw queue below
+     is where enqueue-after-close raises. *)
   let enqueue t v =
-    match push_backing t v with
+    match Q.enqueue t.q v with
     | () -> Waiter.wake t.waiter
     | exception Qs_queues.Mailbox.Closed -> ()
 
   let close t =
-    (match t.q with
-    | Linked q -> Qs_queues.Spsc_queue.close q
-    | Ring r -> Qs_queues.Spsc_ring.close r);
+    Q.close t.q;
     Waiter.wake t.waiter
 
-  let ready t () = is_closed t || not (is_empty t)
-
-  let rec dequeue t =
-    match pop_backing t with
-    | Some v -> Some v
-    | None ->
-      if is_closed t then
-        (* Re-check: a producer may have raced the close. *)
-        pop_backing t
-      else begin
-        Waiter.park t.waiter ~ready:(ready t);
-        dequeue t
-      end
-
-  let rec drain t buf =
-    if Array.length buf = 0 then 0
-    else
-      match drain_backing t buf with
-      | 0 ->
-        if is_closed t then drain_backing t buf
-        else begin
-          Waiter.park t.waiter ~ready:(ready t);
-          drain t buf
-        end
-      | n -> n
-end
-
-module Mpsc = struct
-  type 'a t = {
-    q : 'a Qs_queues.Mpsc_queue.t;
-    waiter : Waiter.t;
-  }
-
-  let create () =
-    { q = Qs_queues.Mpsc_queue.create (); waiter = Waiter.create () }
-
-  let enqueue t v =
-    match Qs_queues.Mpsc_queue.push t.q v with
-    | () -> Waiter.wake t.waiter
-    | exception Qs_queues.Mailbox.Closed -> ()
-
-  let close t =
-    Qs_queues.Mpsc_queue.close t.q;
-    Waiter.wake t.waiter
-
-  let is_closed t = Qs_queues.Mpsc_queue.is_closed t.q
-  let is_empty t = Qs_queues.Mpsc_queue.is_empty t.q
+  let is_closed t = Q.is_closed t.q
+  let is_empty t = Q.is_empty t.q
   let ready t () = is_closed t || not (is_empty t)
 
   (* [None] means closed *and* drained: a close does not discard pending
      requests, matching the handler loop of Fig. 7 where `false` from the
      outer dequeue means "no more work", not "momentarily empty". *)
   let rec dequeue t =
-    match Qs_queues.Mpsc_queue.pop t.q with
+    match Q.dequeue t.q with
     | Some v -> Some v
     | None ->
       if is_closed t then
         (* Re-check: a producer may have raced the close. *)
-        Qs_queues.Mpsc_queue.pop t.q
+        Q.dequeue t.q
       else begin
         Waiter.park t.waiter ~ready:(ready t);
         dequeue t
@@ -202,9 +80,9 @@ module Mpsc = struct
   let rec drain t buf =
     if Array.length buf = 0 then 0
     else
-      match Qs_queues.Mpsc_queue.drain t.q buf with
+      match Q.drain t.q buf with
       | 0 ->
-        if is_closed t then Qs_queues.Mpsc_queue.drain t.q buf
+        if is_closed t then Q.drain t.q buf
         else begin
           Waiter.park t.waiter ~ready:(ready t);
           drain t buf
@@ -212,18 +90,5 @@ module Mpsc = struct
       | n -> n
 end
 
-(* First-class MAILBOX views, for generic tests and benchmarks.  [Spsc]'s
-   optional backing argument is fixed per view; [Mpsc] conforms as-is. *)
-let mailboxes : (string * (module MAILBOX)) list =
-  let spsc backing =
-    (module struct
-      include Spsc
-
-      let create () = Spsc.create ~backing ()
-    end : MAILBOX)
-  in
-  [
-    ("bqueue:spsc-linked", spsc `Linked);
-    ("bqueue:spsc-ring", spsc `Ring);
-    ("bqueue:mpsc", (module Mpsc : MAILBOX));
-  ]
+module Spsc = Make (Qs_queues.Spsc_queue)
+module Mpsc = Make (Qs_queues.Mpsc_queue)

@@ -1,59 +1,27 @@
 (** Blocking single-consumer queues used as the runtime's communication
     channels.  Blocking parks the consumer fiber, never the domain.
 
-    Both {!Spsc} and {!Mpsc} conform to {!MAILBOX}, the blocking
-    fiber-level instance of the [Qs_queues.Mailbox] abstraction:
+    Both {!Spsc} and {!Mpsc} are {!Make} over a raw queue, so they are
+    the blocking fiber-level instance of [Qs_queues.Mailbox.S]:
     [dequeue]/[drain] park instead of returning empty, and [None] / [0]
-    mean closed-and-drained.  {!drain} is the batching hook — one
-    park/unpark transition moves a whole burst of elements. *)
+    mean closed-and-drained.  [drain] is the batching hook — one
+    park/unpark transition moves a whole burst of elements.
 
-module type MAILBOX = sig
-  type 'a t
+    One departure from the raw contract: [enqueue] after [close] silently
+    drops the element instead of raising — runtime shutdown may race
+    fibers that still hold registrations. *)
 
-  val create : unit -> 'a t
+module Make (Q : Qs_queues.Mailbox.S) : Qs_queues.Mailbox.S
+(** The blocking body over a raw queue [Q], which keeps its ownership
+    contract (who may enqueue and dequeue concurrently).  [dequeue]
+    blocks the calling fiber until an element is available; [drain]
+    blocks until at least one is, then moves every already-pending
+    element (up to [Array.length buf]) into a prefix of [buf]. *)
 
-  val enqueue : 'a t -> 'a -> unit
-  (** Append one element and wake the consumer.  After {!close} the
-      element is silently dropped — runtime shutdown may race fibers
-      that still hold registrations; the raw [Qs_queues.Mailbox]
-      instances are where enqueue-after-close raises. *)
+module Spsc : Qs_queues.Mailbox.S
+(** A private queue over {!Qs_queues.Spsc_queue}: one client enqueues,
+    one handler dequeues, and a client never waits to log a request. *)
 
-  val dequeue : 'a t -> 'a option
-  (** Block the calling fiber until an element is available; [None] once
-      the queue is closed {e and} drained. *)
-
-  val drain : 'a t -> 'a array -> int
-  (** Block until at least one element is available, then move every
-      already-pending element (up to [Array.length buf]) into a prefix
-      of [buf] and return the count; [0] once the queue is closed
-      {e and} drained. *)
-
-  val close : 'a t -> unit
-  val is_closed : 'a t -> bool
-  val is_empty : 'a t -> bool
-end
-
-module Spsc : sig
-  (** A private queue: one client enqueues, one handler dequeues. *)
-
-  include MAILBOX
-
-  val create : ?backing:[ `Linked | `Ring ] -> unit -> 'a t
-  (** [`Linked] (default) is the unbounded linked SPSC queue — a client
-      never waits to log a request.  [`Ring] is the bounded Lamport ring
-      of the §3.1 ablation — allocation-free, but an enqueue into a full
-      ring spins (yielding the fiber) until the handler drains. *)
-
-  val length : 'a t -> int
-end
-
-module Mpsc : sig
-  (** A queue-of-queues / baseline request queue: many clients enqueue, one
-      handler dequeues; closable for shutdown. *)
-
-  include MAILBOX
-end
-
-val mailboxes : (string * (module MAILBOX)) list
-(** First-class views of every blocking mailbox shape (linked SPSC, ring
-    SPSC, MPSC), for generic property tests and benchmarks. *)
+module Mpsc : Qs_queues.Mailbox.S
+(** A queue-of-queues / baseline request queue over
+    {!Qs_queues.Mpsc_queue}: many clients enqueue, one handler dequeues. *)

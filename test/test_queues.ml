@@ -22,18 +22,9 @@ let test_spsc_fifo () =
   for i = 1 to 100 do
     Q.Spsc_queue.push q i
   done;
-  check_int "length" 100 (Q.Spsc_queue.length q);
   check_list "fifo" (List.init 100 (fun i -> i + 1))
     (drain (fun () -> Q.Spsc_queue.pop q));
   check_bool "drained" true (Q.Spsc_queue.is_empty q)
-
-let test_spsc_peek () =
-  let q = Q.Spsc_queue.create () in
-  Alcotest.(check (option int)) "peek empty" None (Q.Spsc_queue.peek q);
-  Q.Spsc_queue.push q 7;
-  Alcotest.(check (option int)) "peek" (Some 7) (Q.Spsc_queue.peek q);
-  Alcotest.(check (option int)) "pop" (Some 7) (Q.Spsc_queue.pop q);
-  Alcotest.(check (option int)) "empty again" None (Q.Spsc_queue.pop q)
 
 let test_mpsc_fifo () =
   let q = Q.Mpsc_queue.create () in
@@ -281,76 +272,11 @@ let test_ws_deque_thieves () =
   check_int "every element taken exactly once" (sum_to n)
     (!own + Atomic.get stolen)
 
-let test_ring_basic () =
-  let r = Q.Spsc_ring.create ~capacity_pow2:2 () in
-  check_int "capacity" 4 (Q.Spsc_ring.capacity r);
-  check_bool "empty" true (Q.Spsc_ring.is_empty r);
-  for i = 1 to 4 do
-    check_bool "push" true (Q.Spsc_ring.try_push r i)
-  done;
-  check_bool "full" false (Q.Spsc_ring.try_push r 5);
-  check_int "length" 4 (Q.Spsc_ring.length r);
-  check_list "fifo" [ 1; 2; 3; 4 ] (drain (fun () -> Q.Spsc_ring.pop r));
-  (* wraps around *)
-  for i = 5 to 7 do
-    check_bool "push after wrap" true (Q.Spsc_ring.try_push r i)
-  done;
-  check_list "wrapped fifo" [ 5; 6; 7 ] (drain (fun () -> Q.Spsc_ring.pop r))
-
-let test_ring_capacity_validation () =
-  Alcotest.check_raises "zero"
-    (Invalid_argument "Spsc_ring.create: capacity_pow2 out of range")
-    (fun () -> ignore (Q.Spsc_ring.create ~capacity_pow2:0 () : int Q.Spsc_ring.t))
-
-let test_ring_parallel () =
-  let r = Q.Spsc_ring.create ~capacity_pow2:4 () in
-  let n = 5_000 in
-  let producer =
-    Domain.spawn (fun () ->
-      let backoff = Q.Backoff.create () in
-      for i = 1 to n do
-        while not (Q.Spsc_ring.try_push r i) do
-          Q.Backoff.once backoff
-        done;
-        Q.Backoff.reset backoff
-      done)
-  in
-  let seen = ref 0 and sum = ref 0 in
-  while !seen < n do
-    match Q.Spsc_ring.pop r with
-    | Some v ->
-      assert (v = !seen + 1);
-      incr seen;
-      sum := !sum + v
-    | None -> Domain.cpu_relax ()
-  done;
-  Domain.join producer;
-  check_int "ordered sum through bounded ring" (sum_to n) !sum
-
-let prop_ring_model =
-  QCheck2.Test.make ~count:300 ~name:"ring agrees with bounded FIFO model"
-    ~print:print_ops
-    QCheck2.Gen.(list_size (int_bound 40) op_gen)
-    (fun ops ->
-      let r = Q.Spsc_ring.create ~capacity_pow2:2 () in
-      let model = Queue.create () in
-      List.for_all
-        (function
-          | Push v ->
-            let accepted = Q.Spsc_ring.try_push r v in
-            let model_accepts = Queue.length model < 4 in
-            if model_accepts then Queue.push v model;
-            accepted = model_accepts
-          | Pop -> Q.Spsc_ring.pop r = Queue.take_opt model)
-        ops)
-
 (* -- generic MAILBOX properties --------------------------------------------- *)
 
 (* One property suite, instantiated for every Mailbox.S conformer: the raw
-   lock-free queues, the bounded ring and the socket transport here, and
-   the blocking fiber-level Bqueue layer below.  Element counts stay under
-   the ring's default capacity (256) because ring enqueues spin when full
-   and nothing drains concurrently in these sequential properties. *)
+   lock-free queues and the socket transport here, and the blocking
+   fiber-level Bqueue layer below. *)
 
 module Sched = Qs_sched.Sched
 
@@ -433,9 +359,60 @@ struct
           M.is_closed t && enqueue_stopped && !taken = xs
           && M.dequeue t = None))
 
+  (* A random mix of enqueue, dequeue and [drain k] against a FIFO model.
+     A pop that would find the mailbox empty is skipped (a blocking
+     instance would park forever), so a run goes through empty -> refill
+     many times: the cycle a recycled private queue goes through. *)
+  type mix = Enq of int | Deq | Drain of int
+
+  let mix =
+    QCheck2.Gen.(
+      list_size (int_range 1 100)
+        (frequency
+           [
+             (2, map (fun v -> Enq v) small_int);
+             (1, return Deq);
+             (1, map (fun k -> Drain k) (int_range 1 8));
+           ]))
+
+  let print_mix = function
+    | Enq v -> Printf.sprintf "enq %d" v
+    | Deq -> "deq"
+    | Drain k -> Printf.sprintf "drain %d" k
+
+  let interleaved =
+    QCheck2.Test.make ~count:I.count
+      ~name:(I.name ^ ": interleaved ops agree with FIFO model")
+      ~print:QCheck2.Print.(list print_mix)
+      mix
+      (fun ops ->
+        with_mailbox (fun t ->
+          let model = Queue.create () in
+          let step = function
+            | Enq v ->
+              M.enqueue t v;
+              Queue.push v model;
+              true
+            | Deq -> Queue.is_empty model || M.dequeue t = Some (Queue.pop model)
+            | Drain k ->
+              Queue.is_empty model
+              ||
+              let buf = Array.make k 0 in
+              let n = M.drain t buf in
+              (* [drain] may stop short of [k] (the socket instance takes
+                 only what has arrived), but never returns 0 while
+                 elements are pending. *)
+              n >= 1
+              && Array.to_list (Array.sub buf 0 n)
+                 = List.init n (fun _ -> Queue.pop model)
+          in
+          List.for_all step ops
+          && Queue.fold (fun ok v -> ok && M.dequeue t = Some v) true model
+          && M.is_empty t))
+
   let tests =
     List.map QCheck_alcotest.to_alcotest
-      [ fifo; drain_is_dequeue; close_keeps_pending ]
+      [ fifo; drain_is_dequeue; close_keeps_pending; interleaved ]
 end
 
 module Raw_defaults = struct
@@ -451,15 +428,6 @@ module Props_spsc_linked =
       include Raw_defaults
 
       let name = "spsc-linked"
-    end)
-
-module Props_spsc_ring =
-  Mailbox_props
-    (Q.Spsc_ring.As_mailbox)
-    (struct
-      include Raw_defaults
-
-      let name = "spsc-ring"
     end)
 
 module Props_mpsc =
@@ -534,28 +502,11 @@ end
 
 module Props_bq_spsc_linked =
   Mailbox_props
-    (struct
-      include Bq.Spsc
-
-      let create () = create ~backing:`Linked ()
-    end)
+    (Bq.Spsc)
     (struct
       include Bq_defaults
 
       let name = "bqueue:spsc-linked"
-    end)
-
-module Props_bq_spsc_ring =
-  Mailbox_props
-    (struct
-      include Bq.Spsc
-
-      let create () = create ~backing:`Ring ()
-    end)
-    (struct
-      include Bq_defaults
-
-      let name = "bqueue:spsc-ring"
     end)
 
 module Props_bq_mpsc =
@@ -567,12 +518,11 @@ module Props_bq_mpsc =
       let name = "bqueue:mpsc"
     end)
 
-(* The first-class [Bqueue.mailboxes] registry stays usable as packed
-   modules (that is how benchmarks consume it). *)
+(* Both blocking queues stay usable as first-class [Mailbox.S] modules. *)
 let test_mailbox_registry () =
   Sched.run (fun () ->
     List.iter
-      (fun (name, (module M : Bq.MAILBOX)) ->
+      (fun (name, (module M : Q.Mailbox.S)) ->
         let t = M.create () in
         for i = 1 to 10 do
           M.enqueue t i
@@ -592,7 +542,10 @@ let test_mailbox_registry () =
         done;
         check_list (name ^ " pending after close") [ 5; 6; 7; 8; 9; 10 ]
           (List.rev !rest))
-      Bq.mailboxes)
+      [
+        ("bqueue:spsc", (module Bq.Spsc : Q.Mailbox.S));
+        ("bqueue:mpsc", (module Bq.Mpsc : Q.Mailbox.S));
+      ])
 
 (* Cross-domain stress over the sharded MPMC queue: nothing lost, nothing
    duplicated, and per-producer FIFO (each producer's elements arrive in
@@ -663,7 +616,6 @@ let () =
       ( "sequential",
         [
           Alcotest.test_case "spsc fifo" `Quick test_spsc_fifo;
-          Alcotest.test_case "spsc peek" `Quick test_spsc_peek;
           Alcotest.test_case "mpsc fifo" `Quick test_mpsc_fifo;
           Alcotest.test_case "sharded-mpmc fifo" `Quick test_sharded_mpmc_fifo;
           Alcotest.test_case "sharded-mpmc pop_from any start" `Quick
@@ -672,9 +624,6 @@ let () =
           Alcotest.test_case "ws_deque owner" `Quick test_ws_deque_owner;
           Alcotest.test_case "ws_deque steal order" `Quick test_ws_deque_steal_order;
           Alcotest.test_case "spinlock" `Quick test_spinlock;
-          Alcotest.test_case "ring basic" `Quick test_ring_basic;
-          Alcotest.test_case "ring capacity validation" `Quick
-            test_ring_capacity_validation;
         ] );
       ( "properties",
         [
@@ -682,14 +631,12 @@ let () =
           qc prop_mpsc;
           qc prop_sharded_mpmc;
           qc prop_treiber;
-          qc prop_ring_model;
         ] );
       ( "mailbox",
-        Props_spsc_linked.tests @ Props_spsc_ring.tests @ Props_mpsc.tests
+        Props_spsc_linked.tests @ Props_mpsc.tests
         @ Props_sharded_1.tests @ Props_sharded_2.tests @ Props_sharded_8.tests
         @ Props_socket.tests
-        @ Props_bq_spsc_linked.tests @ Props_bq_spsc_ring.tests
-        @ Props_bq_mpsc.tests
+        @ Props_bq_spsc_linked.tests @ Props_bq_mpsc.tests
         @ [ Alcotest.test_case "bqueue registry" `Quick test_mailbox_registry ] );
       ( "parallel",
         [
@@ -698,7 +645,6 @@ let () =
             test_sharded_mpmc_stress;
           Alcotest.test_case "spsc pipeline order" `Quick test_spsc_parallel;
           Alcotest.test_case "ws_deque 2 thieves" `Quick test_ws_deque_thieves;
-          Alcotest.test_case "ring pipeline order" `Quick test_ring_parallel;
           Alcotest.test_case "spinlock mutual exclusion" `Quick
             test_spinlock_mutual_exclusion;
         ] );

@@ -634,76 +634,113 @@ let test_parfor_single_chunk () =
 
 module Bq = Qs_sched.Bqueue
 
-let test_bqueue_spsc_blocks () =
-  let received =
-    S.run (fun () ->
-      let q = Bq.Spsc.create () in
-      let log = ref [] in
-      S.spawn (fun () ->
-        (* Consumer parks on the empty queue. *)
-        for _ = 1 to 5 do
-          match Bq.Spsc.dequeue q with
-          | Some v -> log := v :: !log
-          | None -> Alcotest.fail "unexpected close"
-        done);
-      S.spawn (fun () ->
-        for i = 1 to 5 do
-          Bq.Spsc.enqueue q i;
-          S.yield ()
-        done);
-      S.yield ();
-      log)
-  in
-  Alcotest.(check (list int)) "fifo through parking" [ 1; 2; 3; 4; 5 ]
-    (List.rev !received)
-
-let test_bqueue_mpsc_close_drains () =
-  S.run (fun () ->
-    let q = Bq.Mpsc.create () in
-    Bq.Mpsc.enqueue q 1;
-    Bq.Mpsc.enqueue q 2;
-    Bq.Mpsc.close q;
-    check_bool "closed" true (Bq.Mpsc.is_closed q);
-    Alcotest.(check (option int)) "first" (Some 1) (Bq.Mpsc.dequeue q);
-    Alcotest.(check (option int)) "second" (Some 2) (Bq.Mpsc.dequeue q);
-    Alcotest.(check (option int)) "drained" None (Bq.Mpsc.dequeue q))
-
-let test_bqueue_mpsc_close_wakes_consumer () =
-  let result =
-    S.run (fun () ->
-      let q : int Bq.Mpsc.t = Bq.Mpsc.create () in
-      let got = ref (Some 99) in
-      S.spawn (fun () -> got := Bq.Mpsc.dequeue q);
-      S.spawn (fun () ->
-        S.yield ();
-        Bq.Mpsc.close q);
-      got)
-  in
-  Alcotest.(check (option int)) "woken with None" None !result
-
-let test_bqueue_mpsc_many_producers () =
-  let total =
-    S.run ~domains:3 (fun () ->
-      let q = Bq.Mpsc.create () in
-      let producers = 5 and per = 500 in
-      let latch = Latch.create producers in
-      for _ = 1 to producers do
+(* The blocking-queue cases, run over both [Bqueue] instances.  The last
+   case delivers across domains from [producers] fibers: one for the
+   private queue's single-producer contract, several for the MPSC. *)
+module Bqueue_cases (B : Qs_queues.Mailbox.S) (I : sig
+  val name : string
+  val producers : int
+end) =
+struct
+  let parks_and_wakes () =
+    let received =
+      S.run (fun () ->
+        let q = B.create () in
+        let log = ref [] in
         S.spawn (fun () ->
-          for i = 1 to per do
-            Bq.Mpsc.enqueue q i
-          done;
-          Latch.count_down latch)
-      done;
-      let acc = ref 0 in
-      for _ = 1 to producers * per do
-        match Bq.Mpsc.dequeue q with
-        | Some v -> acc := !acc + v
-        | None -> Alcotest.fail "unexpected close"
-      done;
-      Latch.wait latch;
-      !acc)
-  in
-  check_int "every message delivered" (5 * (500 * 501 / 2)) total
+          (* Consumer parks on the empty queue. *)
+          for _ = 1 to 5 do
+            match B.dequeue q with
+            | Some v -> log := v :: !log
+            | None -> Alcotest.fail "unexpected close"
+          done);
+        S.spawn (fun () ->
+          for i = 1 to 5 do
+            B.enqueue q i;
+            S.yield ()
+          done);
+        S.yield ();
+        log)
+    in
+    Alcotest.(check (list int)) "fifo through parking" [ 1; 2; 3; 4; 5 ]
+      (List.rev !received)
+
+  let close_drains () =
+    S.run (fun () ->
+      let q = B.create () in
+      B.enqueue q 1;
+      B.enqueue q 2;
+      B.close q;
+      check_bool "closed" true (B.is_closed q);
+      Alcotest.(check (option int)) "first" (Some 1) (B.dequeue q);
+      Alcotest.(check (option int)) "second" (Some 2) (B.dequeue q);
+      Alcotest.(check (option int)) "drained" None (B.dequeue q))
+
+  let close_wakes_consumer () =
+    let result =
+      S.run (fun () ->
+        let q : int B.t = B.create () in
+        let got = ref (Some 99) in
+        S.spawn (fun () -> got := B.dequeue q);
+        S.spawn (fun () ->
+          S.yield ();
+          B.close q);
+        got)
+    in
+    Alcotest.(check (option int)) "woken with None" None !result
+
+  let cross_domain () =
+    let per = 2500 / I.producers in
+    let total =
+      S.run ~domains:3 (fun () ->
+        let q = B.create () in
+        let latch = Latch.create I.producers in
+        for _ = 1 to I.producers do
+          S.spawn (fun () ->
+            for i = 1 to per do
+              B.enqueue q i
+            done;
+            Latch.count_down latch)
+        done;
+        let acc = ref 0 in
+        for _ = 1 to I.producers * per do
+          match B.dequeue q with
+          | Some v -> acc := !acc + v
+          | None -> Alcotest.fail "unexpected close"
+        done;
+        Latch.wait latch;
+        !acc)
+    in
+    check_int "every message delivered" (I.producers * (per * (per + 1) / 2))
+      total
+
+  let tests =
+    let case name f = Alcotest.test_case (I.name ^ " " ^ name) `Quick f in
+    [
+      case "parks and wakes" parks_and_wakes;
+      case "close drains" close_drains;
+      case "close wakes" close_wakes_consumer;
+      case
+        (if I.producers = 1 then "cross-domain delivery" else "many producers")
+        cross_domain;
+    ]
+end
+
+module Bq_spsc_cases =
+  Bqueue_cases
+    (Bq.Spsc)
+    (struct
+      let name = "spsc"
+      let producers = 1
+    end)
+
+module Bq_mpsc_cases =
+  Bqueue_cases
+    (Bq.Mpsc)
+    (struct
+      let name = "mpsc"
+      let producers = 5
+    end)
 
 (* -- property tests --------------------------------------------------------------- *)
 
@@ -1418,15 +1455,7 @@ let () =
           Alcotest.test_case "condition parity" `Quick test_cond_parity;
           Alcotest.test_case "signal wakes one" `Quick test_cond_signal_wakes_one;
         ] );
-      ( "blocking queues",
-        [
-          Alcotest.test_case "spsc parks and wakes" `Quick test_bqueue_spsc_blocks;
-          Alcotest.test_case "mpsc close drains" `Quick test_bqueue_mpsc_close_drains;
-          Alcotest.test_case "mpsc close wakes" `Quick
-            test_bqueue_mpsc_close_wakes_consumer;
-          Alcotest.test_case "mpsc many producers" `Quick
-            test_bqueue_mpsc_many_producers;
-        ] );
+      ("blocking queues", Bq_spsc_cases.tests @ Bq_mpsc_cases.tests);
       ( "parfor",
         [
           Alcotest.test_case "covers range" `Quick test_parfor_covers_range;

@@ -353,25 +353,6 @@ let test_processor_pool_pinning () =
     in
     Alcotest.(check string) "unpinned handler in default" "default" seen_free)
 
-(* [Config.pool] pins every processor created without an explicit
-   [?pool]; an explicit [?pool] still wins. *)
-let test_default_pool_pinning () =
-  R.run
-    ~config:Cfg.(all |> with_pools [ "svc"; "aux" ] |> with_pool "svc")
-    (fun rt ->
-    let implicit = R.processor rt in
-    let explicit = R.processor ~pool:"aux" rt in
-    let a = Sh.create implicit (ref "") in
-    let b = Sh.create explicit (ref "") in
-    let in_pool h cell =
-      R.separate rt h (fun reg ->
-        Sh.apply reg cell (fun r -> r := S.current_pool ());
-        Sh.get reg cell (fun r -> !r))
-    in
-    Alcotest.(check string) "implicit follows config.pool" "svc"
-      (in_pool implicit a);
-    Alcotest.(check string) "explicit ?pool wins" "aux" (in_pool explicit b))
-
 let test_unknown_pool_rejected () =
   R.run (fun rt ->
     Alcotest.check_raises "unknown pool"
@@ -385,14 +366,10 @@ let test_unknown_pool_rejected () =
 let test_pools_equivalence () =
   let tellers = 4 and deposits = 150 and initial = 100 in
   let expected = initial + (tellers * deposits) in
-  let run ~pools ~pool =
-    let config =
-      Cfg.all
-      |> (match pools with Some ps -> Cfg.with_pools ps | None -> Fun.id)
-      |> match pool with Some p -> Cfg.with_pool p | None -> Fun.id
-    in
+  let run ?pool () =
+    let config = Cfg.(all |> with_pools (Option.to_list pool)) in
     R.run ~domains:2 ~config (fun rt ->
-      let account = R.processor rt in
+      let account = R.processor ?pool rt in
       let balance = Sh.create account (ref initial) in
       let latch = Latch.create tellers in
       for _ = 1 to tellers do
@@ -409,10 +386,8 @@ let test_pools_equivalence () =
       in
       (final, Scoop.Stats.assoc (R.stats rt)))
   in
-  let final_global, s_global = run ~pools:None ~pool:None in
-  let final_pooled, s_pooled =
-    run ~pools:(Some [ "bank" ]) ~pool:(Some "bank")
-  in
+  let final_global, s_global = run () in
+  let final_pooled, s_pooled = run ~pool:"bank" () in
   check_int "global balance" expected final_global;
   check_int "pooled balance" expected final_pooled;
   let picture s =
@@ -1668,6 +1643,13 @@ let test_by_name_remote () =
     (Cfg.by_name "connect:unix:/a,bogus" = None);
   check_bool "empty connect rejected" true (Cfg.by_name "connect:" = None)
 
+(* An empty shard map is refused when the config is built: routing a
+   processor takes its id mod the number of addresses. *)
+let test_remote_empty_rejected () =
+  Alcotest.check_raises "no node addresses"
+    (Invalid_argument "Config.remote: at least one node address required")
+    (fun () -> ignore (Cfg.remote [] : Cfg.t))
+
 let test_pp_endpoint () =
   let str c = Format.asprintf "%a" Cfg.pp c in
   check_bool "in-process configs print bare" true (str Cfg.qoq = "qoq");
@@ -1756,8 +1738,6 @@ let () =
         [
           Alcotest.test_case "processor pinning" `Quick
             test_processor_pool_pinning;
-          Alcotest.test_case "config.pool default pinning" `Quick
-            test_default_pool_pinning;
           Alcotest.test_case "unknown pool rejected" `Quick
             test_unknown_pool_rejected;
           Alcotest.test_case "pooled vs global equivalence" `Quick
@@ -1779,6 +1759,8 @@ let () =
           Alcotest.test_case "addr round trip" `Quick
             test_addr_string_round_trip;
           Alcotest.test_case "by_name remote forms" `Quick test_by_name_remote;
+          Alcotest.test_case "remote without addresses" `Quick
+            test_remote_empty_rejected;
           Alcotest.test_case "pp endpoint" `Quick test_pp_endpoint;
           Alcotest.test_case "config builder chain" `Quick
             test_config_builder_chain;
