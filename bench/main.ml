@@ -650,11 +650,14 @@ let remote_ablation (s : H.scale) =
 
 (* -- per-request allocation probe ------------------------------------------- *)
 
-(* What does one request allocate?  The call+query round-trip workload
-   on the qoq preset, measured with GC word deltas (the same idiom as
-   the transport row of the timeout ablation).  One domain: client and
-   handler then allocate on the measured domain, so the minor-word
-   delta is the whole story. *)
+(* What does one request allocate, and how much of it survives?  The
+   call+query round-trip workload on the qoq preset, measured with GC
+   word deltas (the same idiom as the transport row of the timeout
+   ablation).  One domain: client and handler then allocate on the
+   measured domain, so the minor-word delta is the whole story.  The
+   window is bracketed by [Gc.minor ()], so the promoted-word counter is
+   current at both ends ([major_words] from [Gc.quick_stat] lags a
+   window this short). *)
 let allocation_probe (s : H.scale) =
   print_newline ();
   print_endline
@@ -673,8 +676,9 @@ let allocation_probe (s : H.scale) =
           Scoop.Registration.call reg (fun () -> incr r);
           ignore (Scoop.Registration.query reg (fun () -> !r) : int)
         done;
+        Gc.minor ();
         let minor0 = Gc.minor_words () in
-        let major0 = (Gc.quick_stat ()).Gc.major_words in
+        let promoted0 = (Gc.quick_stat ()).Gc.promoted_words in
         let t0 = Unix.gettimeofday () in
         for _ = 1 to rounds do
           Scoop.Registration.call reg (fun () -> incr r);
@@ -682,13 +686,14 @@ let allocation_probe (s : H.scale) =
         done;
         let secs = Unix.gettimeofday () -. t0 in
         let minor = Gc.minor_words () -. minor0 in
-        let major = (Gc.quick_stat ()).Gc.major_words -. major0 in
+        Gc.minor ();
+        let promoted = (Gc.quick_stat ()).Gc.promoted_words -. promoted0 in
         let requests = float_of_int (2 * rounds) in
-        (minor /. requests, major /. requests, secs *. 1e9 /. requests)))
+        (minor /. requests, promoted /. requests, secs *. 1e9 /. requests)))
   in
   (* Best-of-reps: per-request allocation is deterministic, the timing
      is the quietest observed interleaving. *)
-  let minor, major, ns =
+  let minor, promoted, ns =
     List.init (max 3 s.H.reps) (fun _ -> measure ())
     |> List.fold_left
          (fun best ((_, _, ns) as m) ->
@@ -698,9 +703,9 @@ let allocation_probe (s : H.scale) =
          None
     |> Option.get
   in
-  Printf.printf "%-36s %10.1f minor + %6.1f major words, %6.0f ns/request\n"
-    "call + query round trip" minor major ns;
-  ((minor, major, ns), 2 * rounds)
+  Printf.printf "%-36s %10.1f minor, %6.2f promoted words, %6.0f ns/request\n"
+    "call + query round trip" minor promoted ns;
+  ((minor, promoted, ns), 2 * rounds)
 
 (* -- trace conformance probe ------------------------------------------------- *)
 
@@ -1007,7 +1012,7 @@ let write_json path (s : H.scale) micro_rows batching_rows pipeline_rows
   let alloc_json =
     match alloc_info with
     | None -> []
-    | Some ((minor, major, ns), requests) ->
+    | Some ((minor, promoted, ns), requests) ->
       [
         ( "allocation",
           Obj
@@ -1015,7 +1020,7 @@ let write_json path (s : H.scale) micro_rows batching_rows pipeline_rows
               ("preset", String "qoq");
               ("requests", Int requests);
               ("minor_words_per_request", Float minor);
-              ("major_words_per_request", Float major);
+              ("promoted_words_per_request", Float promoted);
               ("ns_per_request", Float ns);
             ] );
       ]

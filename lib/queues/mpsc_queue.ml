@@ -11,7 +11,15 @@
    consumer can observe a non-empty queue whose tail has no successor.  In
    that window {!pop} spins briefly (the producer is between two
    instructions), which is the standard trade-off of this queue: wait-free
-   producers, mostly-wait-free consumer. *)
+   producers, mostly-wait-free consumer.
+
+   Invariant: a consumed node holds no link to its successor.  The
+   consumer clears the old dummy's [next] once it has read it as [Some]:
+   the producer that won that node in the exchange has already linked it
+   and never touches it again, so the clear races nothing.  Without it a
+   promoted dummy would keep, through the remembered set, every node
+   pushed since alive into the next minor GC, which would then promote
+   the whole chain. *)
 
 type 'a node = {
   mutable value : 'a option;
@@ -43,6 +51,7 @@ let rec pop t =
     let v = n.value in
     n.value <- None;
     t.tail <- n;
+    Atomic.set tail.next None;
     v
   | None ->
     if Atomic.get t.head == tail then None (* genuinely empty *)
@@ -73,6 +82,7 @@ let drain t buf =
         | None -> assert false);
         n.value <- None;
         t.tail <- n;
+        Atomic.set tail.next None;
         go (taken + 1)
       | None ->
         if Atomic.get t.head == tail then taken (* genuinely empty *)

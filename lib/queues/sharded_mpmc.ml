@@ -31,7 +31,18 @@
    "None" retains its meaning of "nothing pending" for the scheduler's
    work-finding loop.  [is_empty] short-circuits on the first non-empty
    shard — the stall detector calls it on every park decision and must
-   not scan the world when work is one load away. *)
+   not scan the world when work is one load away.
+
+   Invariant: a consumed node holds no link to its successor.  The CAS
+   winner clears the [next] of the node it advanced past; that link was
+   written once by a producer and is never written again.  A stale
+   consumer that then reads the cleared link sees [None], exactly as if
+   the shard were empty: [shard_is_empty] re-reads a fresh [tail], finds
+   [head] elsewhere and reports the transient case, so the sweep retries
+   and [None] still means "nothing pending".  Without the clear a
+   promoted dummy would keep, through the remembered set, every node
+   pushed since alive into the next minor GC, which would then promote
+   the whole chain. *)
 
 type 'a node = {
   mutable value : 'a option;
@@ -102,6 +113,7 @@ let rec pop_shard s =
     if Atomic.compare_and_set s.tail tail n then begin
       let v = n.value in
       n.value <- None;
+      Atomic.set tail.next None;
       v
     end
     else pop_shard s (* another consumer advanced; re-read *)

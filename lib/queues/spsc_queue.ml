@@ -7,7 +7,15 @@
    [tail], the consumer owns [head], and the only shared edge is the
    [next] pointer of the producer's last node, which is an [Atomic] so that
    the node's payload is published to the consumer (release on
-   [Atomic.set], acquire on [Atomic.get]). *)
+   [Atomic.set], acquire on [Atomic.get]).
+
+   Invariant: a consumed node holds no link to its successor.  Once the
+   consumer has advanced past the old dummy it clears that node's [next].
+   The link was written once, by the producer, and is never written again,
+   so the clear races nothing.  Without it a dummy that a minor GC
+   promoted would keep, through the remembered set, every node pushed
+   since alive until the next minor GC, which would then promote the
+   whole chain. *)
 
 type 'a node = {
   mutable value : 'a option;
@@ -33,7 +41,8 @@ let push t v =
   t.tail <- n
 
 let pop t =
-  match Atomic.get t.head.next with
+  let old = t.head in
+  match Atomic.get old.next with
   | None -> None
   | Some n ->
     let v = n.value in
@@ -41,6 +50,7 @@ let pop t =
        lives on as the new dummy node. *)
     n.value <- None;
     t.head <- n;
+    Atomic.set old.next None;
     v
 
 let is_empty t = Atomic.get t.head.next = None
@@ -51,7 +61,8 @@ let drain t buf =
   let taken = ref 0 in
   let continue_ = ref true in
   while !continue_ && !taken < cap do
-    match Atomic.get t.head.next with
+    let old = t.head in
+    match Atomic.get old.next with
     | None -> continue_ := false
     | Some n ->
       (match n.value with
@@ -59,6 +70,7 @@ let drain t buf =
       | None -> assert false);
       n.value <- None;
       t.head <- n;
+      Atomic.set old.next None;
       incr taken
   done;
   !taken

@@ -10,30 +10,32 @@ type 'a t = { head : 'a list Atomic.t }
 
 let create () = { head = Atomic.make [] }
 
-let push t v =
-  let b = Backoff.create () in
-  let rec loop () =
-    let old = Atomic.get t.head in
-    if not (Atomic.compare_and_set t.head old (v :: old)) then begin
-      Backoff.once b;
-      loop ()
-    end
-  in
-  loop ()
+(* Top-level recursion, and a backoff created only after a failed CAS:
+   this stack is the private-queue cache, so every reservation and every
+   recycle runs one push or pop, and the uncontended path must allocate
+   nothing beyond the cons cell and the [Some]. *)
+let rec push_loop t v b =
+  let old = Atomic.get t.head in
+  if not (Atomic.compare_and_set t.head old (v :: old)) then begin
+    let b = match b with Some b -> b | None -> Backoff.create () in
+    Backoff.once b;
+    push_loop t v (Some b)
+  end
 
-let pop t =
-  let b = Backoff.create () in
-  let rec loop () =
-    match Atomic.get t.head with
-    | [] -> None
-    | v :: rest as old ->
-      if Atomic.compare_and_set t.head old rest then Some v
-      else begin
-        Backoff.once b;
-        loop ()
-      end
-  in
-  loop ()
+let push t v = push_loop t v None
+
+let rec pop_loop t b =
+  match Atomic.get t.head with
+  | [] -> None
+  | v :: rest as old ->
+    if Atomic.compare_and_set t.head old rest then Some v
+    else begin
+      let b = match b with Some b -> b | None -> Backoff.create () in
+      Backoff.once b;
+      pop_loop t (Some b)
+    end
+
+let pop t = pop_loop t None
 
 let is_empty t = Atomic.get t.head = []
 

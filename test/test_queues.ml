@@ -272,6 +272,79 @@ let test_ws_deque_thieves () =
   check_int "every element taken exactly once" (sum_to n)
     (!own + Atomic.get stolen)
 
+(* -- consumed nodes do not promote ------------------------------------------ *)
+
+(* Promoted words per element over [n] steps, in a window bracketed by
+   [Gc.minor ()] (so the counter is current at both ends), with a minor
+   GC every 4096 steps.  The queue is created first and promoted by the
+   opening [Gc.minor ()], so its dummy is old from the start: if a
+   consumed node kept its successor link, the remembered set would root
+   every node pushed since the last minor GC, and each GC would promote
+   that whole chain (7 words an element: node, [next] box, [Some]). *)
+let promoted_per_step ~n step =
+  Gc.minor ();
+  let p0 = (Gc.quick_stat ()).Gc.promoted_words in
+  for i = 1 to n do
+    step i;
+    if i land 4095 = 0 then Gc.minor ()
+  done;
+  Gc.minor ();
+  ((Gc.quick_stat ()).Gc.promoted_words -. p0) /. float_of_int n
+
+(* Each raw queue, once through [dequeue] and once through [drain] over
+   bursts of 4. *)
+let no_promotion (module M : Q.Mailbox.S) ~via () =
+  let n = 100_000 in
+  let q = M.create () in
+  let per =
+    match via with
+    | `Pop ->
+      promoted_per_step ~n (fun i ->
+        M.enqueue q i;
+        if M.dequeue q <> Some i then Alcotest.fail "dequeue lost an element")
+    | `Drain ->
+      let buf = Array.make 4 0 in
+      promoted_per_step ~n:(n / 4) (fun i ->
+        for j = 0 to 3 do
+          M.enqueue q ((4 * i) + j)
+        done;
+        if M.drain q buf <> 4 then Alcotest.fail "drain lost an element")
+      /. 4.0
+  in
+  check_bool
+    (Printf.sprintf "%.2f promoted words/element < 0.5" per)
+    true (per < 0.5)
+
+let no_promotion_cases =
+  List.concat_map
+    (fun (name, m) ->
+      [
+        Alcotest.test_case (name ^ " consumed nodes, pop") `Quick
+          (no_promotion m ~via:`Pop);
+        Alcotest.test_case (name ^ " consumed nodes, drain") `Quick
+          (no_promotion m ~via:`Drain);
+      ])
+    [
+      ("spsc", (module Q.Spsc_queue : Q.Mailbox.S));
+      ("mpsc", (module Q.Mpsc_queue : Q.Mailbox.S));
+      ("sharded-mpmc", (module Q.Sharded_mpmc : Q.Mailbox.S));
+    ]
+
+(* The private-queue cache runs one push and one pop per reservation:
+   uncontended, they allocate the cons cell and the [Some], nothing more. *)
+let test_treiber_alloc () =
+  let s = Q.Treiber_stack.create () in
+  let n = 10_000 in
+  let w0 = Gc.minor_words () in
+  for i = 1 to n do
+    Q.Treiber_stack.push s i;
+    ignore (Sys.opaque_identity (Q.Treiber_stack.pop s) : int option)
+  done;
+  let per = (Gc.minor_words () -. w0) /. float_of_int n in
+  check_bool
+    (Printf.sprintf "push+pop: %.1f minor words <= 5" per)
+    true (per <= 5.0)
+
 (* -- generic MAILBOX properties --------------------------------------------- *)
 
 (* One property suite, instantiated for every Mailbox.S conformer: the raw
@@ -624,7 +697,10 @@ let () =
           Alcotest.test_case "ws_deque owner" `Quick test_ws_deque_owner;
           Alcotest.test_case "ws_deque steal order" `Quick test_ws_deque_steal_order;
           Alcotest.test_case "spinlock" `Quick test_spinlock;
+          Alcotest.test_case "treiber push+pop allocation" `Quick
+            test_treiber_alloc;
         ] );
+      ("promotion", no_promotion_cases);
       ( "properties",
         [
           qc prop_spsc;

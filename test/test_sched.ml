@@ -92,6 +92,27 @@ let test_yield_interleaves () =
     | [ `A1; `B1; `A2; `B2 ] | [ `B1; `A1; `B2; `A2 ] -> true
     | _ -> false)
 
+(* A yield is one trip through the pool's injection queue.  The node it
+   leaves behind must not pin its successors: with a minor GC every 4096
+   yields, 100k yields on one domain promote well under half a word
+   each (7 if a consumed node kept its [next] link). *)
+let test_yield_no_promotion () =
+  let n = 100_000 in
+  let per =
+    S.run ~domains:1 (fun () ->
+      Gc.minor ();
+      let p0 = (Gc.quick_stat ()).Gc.promoted_words in
+      for i = 1 to n do
+        S.yield ();
+        if i land 4095 = 0 then Gc.minor ()
+      done;
+      Gc.minor ();
+      ((Gc.quick_stat ()).Gc.promoted_words -. p0) /. float_of_int n)
+  in
+  check_bool
+    (Printf.sprintf "%.2f promoted words/yield < 0.5" per)
+    true (per < 0.5)
+
 let test_suspend_resume () =
   let resumer = ref None in
   let result = ref 0 in
@@ -1342,6 +1363,8 @@ let () =
           Alcotest.test_case "obs sink records events" `Quick
             test_obs_sink_records_sched_events;
           Alcotest.test_case "yield interleaves" `Quick test_yield_interleaves;
+          Alcotest.test_case "yield promotes nothing" `Quick
+            test_yield_no_promotion;
           Alcotest.test_case "suspend/resume" `Quick test_suspend_resume;
           Alcotest.test_case "resume idempotent" `Quick test_resume_idempotent;
           Alcotest.test_case "stall detection" `Quick test_stall_detection;
