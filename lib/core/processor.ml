@@ -57,35 +57,14 @@ let () =
     | Overloaded id -> Some (Printf.sprintf "Scoop.Processor.Overloaded(%d)" id)
     | _ -> None)
 
-(* Per-registration proxy operations implemented by the remote client
-   layer (a connection's demultiplexer + wire encoder).  Defined here —
-   not in [Remote_client] — to break the type cycle: [Registration]
-   branches on this record, [Remote_client] builds it, and both already
-   depend on [Processor].  All payload closures cross the wire under
-   [Marshal.Closures], so they must only reference module-level state of
-   the shared binary (the node executes them against {e its} globals).
-
-   [px_query] is the blocking round trip (the remote analogue of the
-   packaged Fig. 10a path — client-side query execution is meaningless
-   across a process boundary, so remote registrations always package);
-   [px_query_async] returns the promise immediately, which is what makes
-   remote queries pipeline.  [px_on_poison] installs the registration's
-   poison completion: the demultiplexer invokes it when the node reports
-   a handler failure (dirty-processor rule across the connection) or
-   when the connection is lost. *)
-type reg_proxy = {
-  px_call : (unit -> unit) -> unit;
-  px_query : timeout:float option -> (unit -> Obj.t) -> Obj.t;
-  px_query_async :
-    (unit -> Obj.t) -> on_force:(bool -> unit) -> Obj.t Qs_sched.Promise.t;
-  px_sync : timeout:float option -> unit;
-  px_close : unit -> unit;
-  px_on_poison : (exn -> Printexc.raw_backtrace -> unit) -> unit;
-}
-
+(* How a remote processor is reached, supplied by the remote client
+   layer.  [rem_open ~poison] opens one registration on the node and
+   returns its enqueue: the requests a local registration logs into a
+   private queue go into the node connection instead. *)
 type remote_ops = {
   rem_node : string; (* address label, for errors and pp *)
-  rem_open : unit -> reg_proxy; (* open one registration on the node *)
+  rem_open :
+    poison:(exn -> Printexc.raw_backtrace -> unit) -> Request.t -> unit;
 }
 
 (* The two communication structures of the paper, as one closed variant:
@@ -560,11 +539,11 @@ let remote_node t =
   | Remote ops -> Some ops.rem_node
   | Qoq _ | Direct _ -> None
 
-(* Open a registration on the remote node; the returned proxy carries the
-   per-registration wire operations.  Only valid on remote processors. *)
-let remote_open t =
+(* Open a registration on the remote node and return its enqueue.  Only
+   valid on remote processors. *)
+let remote_open t ~poison =
   match t.comm with
-  | Remote ops -> ops.rem_open ()
+  | Remote ops -> ops.rem_open ~poison
   | Qoq _ | Direct _ ->
     invalid_arg "Scoop.Processor.remote_open: processor is local"
 

@@ -29,26 +29,20 @@ exception Overloaded of int
     id).  Raised at admission under [`Fail]; delivered as the failure
     completion of shed requests under [`Shed_oldest]. *)
 
-type reg_proxy = {
-  px_call : (unit -> unit) -> unit;
-  px_query : timeout:float option -> (unit -> Obj.t) -> Obj.t;
-  px_query_async :
-    (unit -> Obj.t) -> on_force:(bool -> unit) -> Obj.t Qs_sched.Promise.t;
-  px_sync : timeout:float option -> unit;
-  px_close : unit -> unit;
-  px_on_poison : (exn -> Printexc.raw_backtrace -> unit) -> unit;
-}
-(** Per-registration wire operations of a remote processor, implemented
-    by [Remote_client] and consumed by [Registration.make_remote]
-    (defined here to break the type cycle between the two).  Payload
-    closures cross the connection under [Marshal.Closures]: they must
-    only reference module-level state of the shared binary — the node
-    executes them against {e its} globals. *)
-
 type remote_ops = {
   rem_node : string;  (** address label, for errors and [pp] *)
-  rem_open : unit -> reg_proxy;  (** open one registration on the node *)
+  rem_open :
+    poison:(exn -> Printexc.raw_backtrace -> unit) -> Request.t -> unit;
+      (** [rem_open ~poison] opens one registration on the node and
+          returns its enqueue, which logs requests into the node
+          connection.  [poison] is the registration's poison completion:
+          the connection invokes it when the node reports a failed call
+          on the registration's stream, or when the connection is lost. *)
 }
+(** How a remote processor is reached, implemented by [Remote_client].
+    Request closures cross the connection under [Marshal.Closures]: they
+    must only reference module-level state of the shared binary — the
+    node executes them against {e its} globals. *)
 
 type t
 
@@ -92,9 +86,11 @@ val is_remote : t -> bool
 val remote_node : t -> string option
 (** The node address label of a remote processor, [None] if local. *)
 
-val remote_open : t -> reg_proxy
-(** Open a registration on the remote node (the remote half of the
-    separate rule).  @raise Invalid_argument on a local processor. *)
+val remote_open :
+  t -> poison:(exn -> Printexc.raw_backtrace -> unit) -> Request.t -> unit
+(** [remote_open t ~poison] opens a registration on the remote node (the
+    remote half of the separate rule) and returns its enqueue; see
+    {!remote_ops}.  @raise Invalid_argument on a local processor. *)
 
 val admit : t -> unit
 (** Admission control for a Call or Query about to be logged.  A no-op

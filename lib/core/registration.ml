@@ -42,7 +42,9 @@ type t = {
   rid : int; (* unique id of this registration, for event attribution *)
   proc : Processor.t;
   ctx : Ctx.t;
-  enqueue : Request.t -> unit;
+  mutable enqueue : Request.t -> unit;
+      (* the private queue's push, the handler's request queue, or the
+         node connection; knotted by [make_remote] *)
   mutable synced : bool;
   mutable closed : bool;
   mutable changed : bool;
@@ -57,10 +59,6 @@ type t = {
       (* the [poison] completion, preallocated once per registration so
          logging a call shares one closure instead of building one each
          time; knotted right after [make] builds the record *)
-  remote : Processor.reg_proxy option;
-      (* [Some px] iff the reserved processor is remote: every operation
-         is rerouted through the per-registration wire proxy instead of
-         the local enqueue (the packaged Fig. 10a shapes, shipped) *)
 }
 
 let processor t = t.proc
@@ -100,38 +98,19 @@ let make ~proc ~ctx ~enqueue () =
       logged = 0;
       poison = Atomic.make None;
       fail_to = (fun _ _ -> ());
-      remote = None;
     }
   in
   t.fail_to <- poison t;
   t
 
-(* Remote registration: open the wire-level registration on the node and
-   install this registration's poison completion as the proxy's poison
-   callback — the demultiplexer invokes it when the node reports a
-   handler failure on this stream, or when the connection is lost, so
-   the dirty-processor rule crosses the connection unchanged. *)
+(* Remote registration: the same record, logging into the node
+   connection.  The connection takes this registration's poison
+   completion, so a handler failure the node reports on this stream, or
+   a lost connection, poisons it like a failed local call: the
+   dirty-processor rule crosses the connection unchanged. *)
 let make_remote ~proc ~ctx () =
-  let px = Processor.remote_open proc in
-  let t =
-    {
-      rid = Atomic.fetch_and_add next_rid 1;
-      proc;
-      ctx;
-      enqueue =
-        (fun _ ->
-          invalid_arg "Scoop.Registration: remote registration has no local queue");
-      synced = false;
-      closed = false;
-      changed = true;
-      logged = 0;
-      poison = Atomic.make None;
-      fail_to = (fun _ _ -> ());
-      remote = Some px;
-    }
-  in
-  t.fail_to <- poison t;
-  px.Processor.px_on_poison t.fail_to;
+  let t = make ~proc ~ctx ~enqueue:ignore () in
+  t.enqueue <- Processor.remote_open proc ~poison:t.fail_to;
   t
 
 (* Lifecycle stamps.  [birth] is read once at operation entry; the
@@ -185,43 +164,18 @@ let call t f =
   t.synced <- false;
   t.logged <- t.logged + 1;
   let birth = Qs_obs.Clock.now_ns () in
-  match t.remote with
-  | Some px ->
-    (* Remote: ship the thunk itself. *)
-    trace_logged t;
-    px.Processor.px_call f;
-    (* Fire-and-forget: no reply carries a completion to time against,
-       so the remote call histogram measures the send-side handoff
-       (serialization + socket write + any transport backpressure). *)
-    Qs_obs.Histogram.record t.ctx.Ctx.stats.Stats.h_call_remote
-      (Qs_obs.Clock.now_ns () - birth)
-  | None ->
-    Processor.admit t.proc;
-    let admit = admit_stamp t birth in
-    (* Logged only once admitted: a call refused at admission never
-       enters the log.  The handler traces its execution. *)
-    trace_logged t;
-    t.enqueue
-      (Request.Call
-         { run = f; poison = t.fail_to; reg = t.rid; birth; admit })
+  Processor.admit t.proc;
+  let admit = admit_stamp t birth in
+  (* Logged only once admitted: a call refused at admission never enters
+     the log.  The handler traces its execution. *)
+  trace_logged t;
+  t.enqueue
+    (Request.Call { run = f; poison = t.fail_to; reg = t.rid; birth; admit })
 
 let force_sync ?timeout t =
   Qs_obs.Counter.incr t.ctx.Ctx.stats.Stats.syncs_sent;
   let round_trip () =
-    match t.remote with
-    | Some px -> (
-      let timeout = effective_timeout t timeout in
-      if Option.is_some timeout then
-        Qs_obs.Counter.incr t.ctx.Ctx.stats.Stats.timer_arms;
-      (* The wire sync: the node acknowledges once every request this
-         registration logged before it has been served (the wait/release
-         pair of §3.2, stretched over the connection).  A timeout leaves
-         the sync outstanding node-side, exactly like the local flavour
-         leaves the Sync request logged. *)
-      try px.Processor.px_sync ~timeout
-      with Qs_sched.Timer.Timeout -> timed_out t)
-    | None -> (
-      match effective_timeout t timeout with
+    match effective_timeout t timeout with
     | None ->
       Qs_sched.Sched.suspend (fun resume -> t.enqueue (Request.Sync resume))
     | Some dt -> (
@@ -236,7 +190,7 @@ let force_sync ?timeout t =
         (* The Sync request stays logged; when the handler reaches it the
            resumer is a no-op (its claim was lost to the timer).  The
            synced status is *not* established. *)
-        timed_out t))
+        timed_out t)
   in
   (match t.ctx.Ctx.trace with
   | None -> round_trip ()
@@ -271,11 +225,11 @@ let sync ?timeout t =
      and any failure among them recorded. *)
   check_poison t
 
-(* Tail of a packaged-flavour round trip, shared by the local and remote
-   flavours: close the trace span, re-establish synced (the
-   handler has drained everything logged up to the query), surface an
-   earlier failed call (matching the client-executed flavour, where
-   [sync] raises before [f] ever runs), then unwrap. *)
+(* Tail of a packaged-flavour round trip: close the trace span,
+   re-establish synced (the handler has drained everything logged up to
+   the query), surface an earlier failed call (matching the
+   client-executed flavour, where [sync] raises before [f] ever runs),
+   then unwrap. *)
 let finish_round_trip t ~t0 outcome =
   (match t.ctx.Ctx.trace with
   | Some tr ->
@@ -304,45 +258,14 @@ let await_ivar ?timeout t result ~t0 =
   in
   finish_round_trip t ~t0 outcome
 
-(* Remote packaged query (Fig. 10a over the wire): the producer closure
-   ships to the node; the demultiplexer fills the rendezvous with the
-   typed completion that came back.  [client_query] is deliberately
-   ignored for remote registrations — running the producer client-side
-   is meaningless when the handler's state lives in the node's globals.
-   The closure is shipped as-is (no trace wrapper: a wrapper would
-   capture the local trace buffer, which must not cross the wire). *)
-let remote_query ?timeout t px f =
-  Qs_obs.Counter.incr t.ctx.Ctx.stats.Stats.packaged_queries;
-  let t0 =
-    match t.ctx.Ctx.trace with Some tr -> Trace.now tr | None -> 0.0
-  in
-  t.logged <- t.logged + 1;
-  let timeout = effective_timeout t timeout in
-  if Option.is_some timeout then
-    Qs_obs.Counter.incr t.ctx.Ctx.stats.Stats.timer_arms;
-  let outcome =
-    match px.Processor.px_query ~timeout f with
-    | v -> Ok v
-    | exception Qs_sched.Timer.Timeout ->
-      (* The wire request stays outstanding node-side and will still be
-         served; only the rendezvous is abandoned (same contract as the
-         local packaged flavour). *)
-      timed_out t
-    | exception e -> Error (e, Printexc.get_raw_backtrace ())
-  in
-  finish_round_trip t ~t0 outcome
-
 let query ?timeout t f =
   touch t;
   Qs_obs.Counter.incr t.ctx.Ctx.stats.Stats.queries;
-  match t.remote with
-  | Some px ->
-    Obj.obj
-      (remote_query ?timeout t px
-         (Obj.magic (f : unit -> _) : unit -> Obj.t))
-  | None ->
   let birth = Qs_obs.Clock.now_ns () in
-  if t.ctx.Ctx.config.Config.client_query then begin
+  (* A remote handler's state lives in the node's globals, where only a
+     shipped query can read it. *)
+  if t.ctx.Ctx.config.Config.client_query && not (Processor.is_remote t.proc)
+  then begin
     (* Modified query rule (§3.2): synchronize, then run [f] on the client.
        No packaging, no result transfer, and the OCaml compiler sees the
        call statically.  A raising [f] raises here naturally; a failure
@@ -393,7 +316,8 @@ let query ?timeout t f =
    block is still open.  A rejected promise never does: shedding and
    abort reject without draining.  The [synced] write happens in the promise's force hook,
    which runs on the forcing client fiber, never on the handler: the
-   field stays single-writer. *)
+   field stays single-writer.  A node's drained hint does not cross the
+   wire, so forcing a remote promise never elides a sync. *)
 let query_async t f =
   touch t;
   Qs_obs.Counter.incr t.ctx.Ctx.stats.Stats.queries;
@@ -439,23 +363,7 @@ let query_async t f =
       end)
     | _ -> ()
   in
-  let promise =
-    match t.remote with
-    | Some px ->
-      (* Remote pipelined query: the proxy ships the producer and hands
-         back the promise the demultiplexer will fulfil.  The drained
-         hint is not forwarded over the wire, so [was_drained] stays
-         false and forcing never elides a remote sync — conservative,
-         and correct.  The proxy is untyped (its closures cross the
-         wire), so producer and promise go through the uniform-
-         representation coercion, paired at this one typed call site. *)
-      (Obj.magic
-         (px.Processor.px_query_async
-            (Obj.magic (f : unit -> _) : unit -> Obj.t)
-            ~on_force)
-        : _ Qs_sched.Promise.t)
-    | None -> Qs_sched.Promise.create ~on_force ()
-  in
+  let promise = Qs_sched.Promise.create ~on_force () in
   promise_slot := Some promise;
   (match trace with
   | Some tr ->
@@ -466,14 +374,10 @@ let query_async t f =
       Trace.record tr ~proc ~client:rid
         (Trace.Query_pipelined (Trace.now tr -. t0)))
   | None -> ());
-  (match t.remote with
-  | Some _ -> () (* already shipped through the proxy, which stamps and
-                    records the wire round trip itself *)
-  | None ->
-    let birth = Qs_obs.Clock.now_ns () in
-    Processor.admit t.proc;
-    let admit = admit_stamp t birth in
-    t.enqueue (Request.Pipelined { run = f; promise; reg = rid; birth; admit }));
+  let birth = Qs_obs.Clock.now_ns () in
+  Processor.admit t.proc;
+  let admit = admit_stamp t birth in
+  t.enqueue (Request.Pipelined { run = f; promise; reg = rid; birth; admit });
   promise
 
 let mark_unchanged t = t.changed <- false
@@ -490,6 +394,4 @@ let mark_unchanged t = t.changed <- false
 let close t =
   if t.closed then invalid_arg "Scoop.Registration: closed twice";
   t.closed <- true;
-  match t.remote with
-  | Some px -> px.Processor.px_close ()
-  | None -> t.enqueue (Request.End t.changed)
+  t.enqueue (Request.End t.changed)

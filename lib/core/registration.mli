@@ -115,12 +115,13 @@ val make :
   proc:Processor.t -> ctx:Ctx.t -> enqueue:(Request.t -> unit) -> unit -> t
 
 val make_remote : proc:Processor.t -> ctx:Ctx.t -> unit -> t
-(** Registration on a remote processor: opens a wire-level registration
-    on the node ({!Processor.remote_open}) and reroutes every operation
-    through the resulting proxy.  [client_query] does not apply.  The proxy's poison callback is wired to
-    this registration, so the dirty-processor rule crosses the
-    connection (including connection loss, which poisons with
-    [Connection_lost]). *)
+(** Registration on a remote processor: an ordinary registration whose
+    enqueue is the node connection ({!Processor.remote_open}), so every
+    operation logs the same requests as on a local handler.  Queries are
+    always packaged ([client_query] does not apply).  The connection
+    holds this registration's poison completion, so the dirty-processor
+    rule crosses it: a failed call on the node, or a lost connection,
+    poisons the registration. *)
 
 val mark_unchanged : t -> unit
 (** The block only evaluated a failing wait condition: {!close} logs an

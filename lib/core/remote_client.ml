@@ -1,38 +1,40 @@
 (* Client half of the distributed runtime: one connection per node, a
-   demultiplexer fiber per connection, and per-registration proxies
-   implementing [Processor.reg_proxy].
+   demultiplexer fiber per connection, and, for each remote registration,
+   the enqueue that logs its requests into the connection.
 
-   The proxy speaks the same Mailbox-shaped interface the in-process
-   registration does, so call / query / query_async / sync, typed
-   completions, [?timeout] and the dirty-processor rule all work
-   unchanged against a processor living on a node:
+   A remote registration is an ordinary [Registration] whose enqueue is
+   [open_reg]'s result.  It is handed the same [Request.t] values a local
+   handler drains from a private queue, so call / query / query_async /
+   sync, typed completions, [?timeout] and the dirty-processor rule take
+   one request path whichever side of a socket the handler is on:
 
-   - calls are fire-and-forget [Rcall] frames (the logged side of the
+   - a [Call] is a fire-and-forget [Rcall] frame (the logged side of the
      separate rule, now a socket write instead of a private-queue push;
      a burst of them from one dispatch shares one write);
-   - blocking queries and syncs flush the connection, then park the
-     client fiber on an ivar the demultiplexer fills when the
-     completion frame arrives;
-   - pipelined queries hand back a promise the demultiplexer fulfils —
-     k remote queries in flight overlap their round trips exactly like
-     the in-process flavour overlaps handler executions;
+   - a [Query] or [Pipelined] request parks its own ivar or promise in
+     the connection's pending table and ships [Rquery]; the
+     demultiplexer fills it when the completion frame arrives, so k
+     pipelined queries overlap their round trips exactly like the
+     in-process flavour overlaps handler executions;
+   - a [Sync] parks its resumer there and ships [Rsync];
    - a handler failure on the node arrives as [Rpoisoned] *in stream
      order*, so the client observes it at the same sync point the
      in-process runtime would surface it.
 
    Connection loss is a poison event: every open registration on the
    connection is poisoned with [Connection_lost] and every outstanding
-   rendezvous is rejected with it — a waiting client gets a typed
-   failure, never a hang. *)
+   completion fails with it — a waiting client gets a typed failure,
+   never a hang. *)
 
 module SQ = Qs_remote.Socket_queue
 
+(* An outstanding rendezvous, keyed by its wire id, with the ns stamp
+   its round trip is measured from: the request's birth for a query,
+   the send for a sync. *)
 type pending =
-  | Blocked of Obj.t Qs_sched.Ivar.t (* a blocking query's rendezvous *)
-  | Promised of { p : Obj.t Qs_sched.Promise.t; birth : int }
-      (* a pipelined query's promise, with its issue stamp (ns) so the
-         demultiplexer can fold the wire round trip into the remote
-         pipelined latency histogram at fulfilment *)
+  | Blocked : 'a Qs_sched.Ivar.t * int -> pending (* a blocking query *)
+  | Promised : 'a Qs_sched.Promise.t * int -> pending (* a pipelined query *)
+  | Syncing : Qs_sched.Sched.resumer * int -> pending (* a sync *)
 
 type conn = {
   label : string; (* "unix:..." / "tcp:...", for errors and stats *)
@@ -40,14 +42,12 @@ type conn = {
   send_q : Remote_proto.client_msg SQ.t;
   recv_q : Remote_proto.node_msg SQ.t;
   lock : Mutex.t; (* guards the tables, [lost] and [closing] *)
-  pending : (int, pending) Hashtbl.t; (* qid -> rendezvous *)
-  syncs : (int, unit Qs_sched.Ivar.t) Hashtbl.t; (* sid -> sync latch *)
+  pending : (int, pending) Hashtbl.t; (* qid or sid -> rendezvous *)
   poisons : (int, exn -> Printexc.raw_backtrace -> unit) Hashtbl.t;
       (* reg -> the registration's poison completion *)
   mutable lost : bool;
   mutable closing : bool; (* orderly teardown: EOF is expected, not a loss *)
-  next_qid : int Atomic.t;
-  next_sid : int Atomic.t;
+  next_qid : int Atomic.t; (* numbers queries and syncs alike *)
   next_reg : int Atomic.t;
   stats : Stats.t;
 }
@@ -64,12 +64,23 @@ let with_lock conn f =
     Mutex.unlock conn.lock;
     raise e
 
-(* Tear the connection down: mark it lost, then resolve every observer
-   outside the lock — poison callbacks first (so a rejected waiter that
-   races ahead already finds its registration poisoned), then pending
-   rendezvous and sync latches.  Idempotent; an orderly [close] sets
-   [closing] first, which suppresses the failure accounting (EOF after
-   [Bye] is the protocol working, not breaking). *)
+(* Deliver a failure into an outstanding rendezvous.  A sync has no
+   error channel: resuming it is enough, because only a lost connection
+   fails a sync, and that has already poisoned the registration, which
+   the sync point checks. *)
+let reject ?bt e = function
+  | Blocked (iv, _) -> ignore (Qs_sched.Ivar.try_fill_error ?bt iv e : bool)
+  | Promised (p, _) ->
+    ignore (Qs_sched.Promise.try_fulfill_error ?bt p e : bool)
+  | Syncing (resume, _) -> resume ()
+
+(* Tear the connection down: mark it lost and poison every open
+   registration under the lock, then fail the pending rendezvous outside
+   it.  Whoever finds [lost] set under the lock therefore finds its
+   registration already poisoned, so a failed or resumed waiter always
+   meets the poison at its sync point.  Idempotent; an orderly [close]
+   sets [closing] first, which suppresses the failure accounting (EOF
+   after [Bye] is the protocol working, not breaking). *)
 let connection_lost conn =
   let e = Remote_proto.Connection_lost conn.label in
   let bt = Printexc.get_callstack 0 in
@@ -77,31 +88,20 @@ let connection_lost conn =
     with_lock conn (fun () ->
       if conn.lost then None
       else begin
+        Hashtbl.iter (fun _ poison -> poison e bt) conn.poisons;
         conn.lost <- true;
-        let cbs = Hashtbl.fold (fun _ cb acc -> cb :: acc) conn.poisons [] in
         let pend = Hashtbl.fold (fun _ p acc -> p :: acc) conn.pending [] in
-        let syn = Hashtbl.fold (fun _ iv acc -> iv :: acc) conn.syncs [] in
         Hashtbl.reset conn.poisons;
         Hashtbl.reset conn.pending;
-        Hashtbl.reset conn.syncs;
-        Some (conn.closing, cbs, pend, syn)
+        Some (conn.closing, pend)
       end)
   in
   match observers with
   | None -> ()
-  | Some (closing, cbs, pend, syn) ->
+  | Some (closing, pend) ->
     if not closing then
       Qs_obs.Counter.incr conn.stats.Stats.remote_failures;
-    List.iter (fun cb -> cb e bt) cbs;
-    List.iter
-      (function
-        | Blocked iv -> ignore (Qs_sched.Ivar.try_fill_error ~bt iv e : bool)
-        | Promised { p; _ } ->
-          ignore (Qs_sched.Promise.try_fulfill_error ~bt p e : bool))
-      pend;
-    List.iter
-      (fun iv -> ignore (Qs_sched.Ivar.try_fill_error ~bt iv e : bool))
-      syn
+    List.iter (reject ~bt e) pend
 
 let on_closed conn write =
   match write () with
@@ -128,44 +128,44 @@ let send_now conn msg =
    its waiter.  Runs until EOF or a torn frame, then declares the
    connection lost and closes the descriptor. *)
 
+(* Take a rendezvous off the table as its completion arrives, folding
+   the round trip into the remote histogram: a remote round trip ends
+   where its completion is produced, as a local one ends on the handler.
+   A failed round trip is still a completed one.  [None] is a rendezvous
+   the connection already failed; a timed-out client leaves its entry in
+   place, and the late completion lands in an abandoned ivar. *)
+let arrived conn qid =
+  let stats = conn.stats in
+  Qs_obs.Counter.incr stats.Stats.remote_replies;
+  let entry =
+    with_lock conn (fun () ->
+      let p = Hashtbl.find_opt conn.pending qid in
+      Hashtbl.remove conn.pending qid;
+      p)
+  in
+  let since birth = Qs_obs.Clock.now_ns () - birth in
+  (match entry with
+  | Some (Blocked (_, birth) | Syncing (_, birth)) ->
+    Qs_obs.Histogram.record stats.Stats.h_query_remote (since birth)
+  | Some (Promised (_, birth)) ->
+    Qs_obs.Histogram.record stats.Stats.h_pipelined_remote (since birth)
+  | None -> ());
+  entry
+
 let handle conn = function
   | Remote_proto.Rresult { qid; v } -> (
-    Qs_obs.Counter.incr conn.stats.Stats.remote_replies;
-    match with_lock conn (fun () ->
-        let p = Hashtbl.find_opt conn.pending qid in
-        Hashtbl.remove conn.pending qid;
-        p)
-    with
-    | Some (Blocked iv) -> ignore (Qs_sched.Ivar.try_fill iv v : bool)
-    | Some (Promised { p; birth }) ->
-      Qs_obs.Histogram.record conn.stats.Stats.h_pipelined_remote
-        (Qs_obs.Clock.now_ns () - birth);
-      ignore (Qs_sched.Promise.try_fulfill p v : bool)
-    | None -> () (* rendezvous abandoned (timed out) — drop the late result *))
-  | Rfailed { qid; msg } -> (
-    Qs_obs.Counter.incr conn.stats.Stats.remote_replies;
-    let e = Remote_proto.Remote_error msg in
-    match with_lock conn (fun () ->
-        let p = Hashtbl.find_opt conn.pending qid in
-        Hashtbl.remove conn.pending qid;
-        p)
-    with
-    | Some (Blocked iv) -> ignore (Qs_sched.Ivar.try_fill_error iv e : bool)
-    | Some (Promised { p; birth }) ->
-      (* A failed round trip is still a completed one: fold it in. *)
-      Qs_obs.Histogram.record conn.stats.Stats.h_pipelined_remote
-        (Qs_obs.Clock.now_ns () - birth);
-      ignore (Qs_sched.Promise.try_fulfill_error p e : bool)
-    | None -> ())
+    match arrived conn qid with
+    | Some (Blocked (iv, _)) ->
+      ignore (Qs_sched.Ivar.try_fill iv (Obj.obj v) : bool)
+    | Some (Promised (p, _)) ->
+      ignore (Qs_sched.Promise.try_fulfill p (Obj.obj v) : bool)
+    | Some (Syncing _) | None -> ())
+  | Rfailed { qid; msg } ->
+    Option.iter (reject (Remote_proto.Remote_error msg)) (arrived conn qid)
   | Rsynced { sid } -> (
-    Qs_obs.Counter.incr conn.stats.Stats.remote_replies;
-    match with_lock conn (fun () ->
-        let iv = Hashtbl.find_opt conn.syncs sid in
-        Hashtbl.remove conn.syncs sid;
-        iv)
-    with
-    | Some iv -> ignore (Qs_sched.Ivar.try_fill iv () : bool)
-    | None -> ())
+    match arrived conn sid with
+    | Some (Syncing (resume, _)) -> resume ()
+    | Some (Blocked _ | Promised _) | None -> ())
   | Rpoisoned { reg; msg } -> (
     (* The node-side handler failed a call this registration logged: the
        dirty-processor rule crossing the connection.  The callback CASes
@@ -184,106 +184,71 @@ let rec demux conn =
   | exception SQ.Truncated_frame -> connection_lost conn
   | exception _ -> connection_lost conn
 
-(* -- Per-registration proxy ----------------------------------------------- *)
+(* -- Per-registration enqueue --------------------------------------------- *)
 
-let open_reg conn ~proc =
+(* Record a rendezvous under a fresh wire id, then send the frame built
+   from that id ([flush]: write it before returning).  Never raises: on
+   a lost connection or a failed send the failure goes into the
+   rendezvous, as a local handler delivers a failure into a request's
+   completion. *)
+let ship conn ~flush entry frame =
+  Qs_obs.Counter.incr conn.stats.Stats.remote_requests;
+  let qid = Atomic.fetch_and_add conn.next_qid 1 in
+  try
+    with_lock conn (fun () ->
+      if conn.lost then raise (Remote_proto.Connection_lost conn.label);
+      Hashtbl.replace conn.pending qid entry);
+    (if flush then send_now else send) conn (frame qid)
+  with e ->
+    let bt = Printexc.get_raw_backtrace () in
+    with_lock conn (fun () -> Hashtbl.remove conn.pending qid);
+    reject ~bt e entry
+
+(* Open a registration on the node and return its enqueue.  The poison
+   completion is installed at open, so a registration that only queries
+   or syncs is poisoned by a lost connection too.
+   @raise Connection_lost if the connection is already lost. *)
+let open_reg conn ~proc ~poison =
   let reg = Atomic.fetch_and_add conn.next_reg 1 in
   let stats = conn.stats in
-  let poison_cb = ref (fun (_ : exn) (_ : Printexc.raw_backtrace) -> ()) in
   with_lock conn (fun () ->
     if conn.lost then raise (Remote_proto.Connection_lost conn.label);
-    Hashtbl.replace conn.poisons reg (fun e bt -> !poison_cb e bt));
+    Hashtbl.replace conn.poisons reg poison);
   send conn (Remote_proto.Open { reg; proc });
-  let px_call f =
-    Qs_obs.Counter.incr stats.Stats.remote_requests;
-    send conn (Remote_proto.Rcall { reg; f })
+  (* The producer ships as itself, viewed at the wire's [unit -> Obj.t]
+     (every value has the uniform representation); [handle] decodes the
+     result at its rendezvous's own type.  A typed [Obj.repr] wrapper
+     would marshal a second closure with every query. *)
+  let rquery run qid =
+    Remote_proto.Rquery
+      { reg; qid; f = (Obj.magic (run : unit -> _) : unit -> Obj.t) }
   in
-  let px_query ~timeout f =
+  function
+  | Request.Call { run; birth; _ } ->
     Qs_obs.Counter.incr stats.Stats.remote_requests;
-    (* Issue stamp *before* the wire write, so the recorded round trip
-       includes serialization and any transport backpressure — the
-       remote analogue of a local request's birth stamp. *)
-    let birth = Qs_obs.Clock.now_ns () in
-    let qid = Atomic.fetch_and_add conn.next_qid 1 in
-    let iv = Qs_sched.Ivar.create () in
-    with_lock conn (fun () ->
-      if conn.lost then raise (Remote_proto.Connection_lost conn.label);
-      Hashtbl.replace conn.pending qid (Blocked iv));
-    (try send_now conn (Remote_proto.Rquery { reg; qid; f })
-     with e ->
-       with_lock conn (fun () -> Hashtbl.remove conn.pending qid);
-       raise e);
-    let outcome =
-      match timeout with
-      | None -> Some (Qs_sched.Ivar.result iv)
-      | Some dt -> Qs_sched.Ivar.result_timeout iv dt
-    in
-    (* Completed round trips (including failed ones) fold into the
-       remote query histogram; timeouts abandon the rendezvous without
-       recording — the deadline is accounted separately. *)
-    if Option.is_some outcome then
-      Qs_obs.Histogram.record stats.Stats.h_query_remote
-        (Qs_obs.Clock.now_ns () - birth);
-    match outcome with
-    | Some (Ok v) -> v
-    | Some (Error (e, bt)) -> Printexc.raise_with_backtrace e bt
-    | None ->
-      (* Abandon the rendezvous: dropping the table entry makes the
-         eventual [Rresult] a no-op (the request is still served
-         node-side, same contract as an in-process timed-out query). *)
-      with_lock conn (fun () -> Hashtbl.remove conn.pending qid);
-      raise Qs_sched.Timer.Timeout
-  in
-  let px_query_async f ~on_force =
-    Qs_obs.Counter.incr stats.Stats.remote_requests;
-    let birth = Qs_obs.Clock.now_ns () in
-    let qid = Atomic.fetch_and_add conn.next_qid 1 in
-    let p = Qs_sched.Promise.create ~on_force () in
-    with_lock conn (fun () ->
-      if conn.lost then
-        ignore
-          (Qs_sched.Promise.try_fulfill_error p
-             (Remote_proto.Connection_lost conn.label)
-            : bool)
-      else Hashtbl.replace conn.pending qid (Promised { p; birth }));
-    if not (Qs_sched.Promise.is_resolved p) then begin
-      try send conn (Remote_proto.Rquery { reg; qid; f })
-      with e ->
-        with_lock conn (fun () -> Hashtbl.remove conn.pending qid);
-        ignore (Qs_sched.Promise.try_fulfill_error p e : bool)
-    end;
-    p
-  in
-  let px_sync ~timeout =
-    Qs_obs.Counter.incr stats.Stats.remote_requests;
-    let birth = Qs_obs.Clock.now_ns () in
-    let sid = Atomic.fetch_and_add conn.next_sid 1 in
-    let iv = Qs_sched.Ivar.create () in
-    with_lock conn (fun () ->
-      if conn.lost then raise (Remote_proto.Connection_lost conn.label);
-      Hashtbl.replace conn.syncs sid iv);
-    (try send_now conn (Remote_proto.Rsync { reg; sid })
-     with e ->
-       with_lock conn (fun () -> Hashtbl.remove conn.syncs sid);
-       raise e);
-    let outcome =
-      match timeout with
-      | None -> Some (Qs_sched.Ivar.result iv)
-      | Some dt -> Qs_sched.Ivar.result_timeout iv dt
-    in
-    (* Syncs are blocking remote round trips too: same histogram as
-       remote queries (this pair replaced the summed [remote_rtt_ns]). *)
-    if Option.is_some outcome then
-      Qs_obs.Histogram.record stats.Stats.h_query_remote
-        (Qs_obs.Clock.now_ns () - birth);
-    match outcome with
-    | Some (Ok ()) -> ()
-    | Some (Error (e, bt)) -> Printexc.raise_with_backtrace e bt
-    | None ->
-      with_lock conn (fun () -> Hashtbl.remove conn.syncs sid);
-      raise Qs_sched.Timer.Timeout
-  in
-  let px_close () =
+    send conn (Remote_proto.Rcall { reg; f = run });
+    (* Fire-and-forget: no reply carries a completion to time against,
+       so the remote call histogram measures the send-side handoff
+       (serialization + socket write + any transport backpressure). *)
+    Qs_obs.Histogram.record stats.Stats.h_call_remote
+      (Qs_obs.Clock.now_ns () - birth)
+  | Request.Query { run; result; birth; _ } ->
+    (* Its client parks next: the frame must not wait for the deferred
+       flush. *)
+    ship conn ~flush:true (Blocked (result, birth)) (rquery run)
+  | Request.Pipelined { run; promise; birth; _ } ->
+    ship conn ~flush:false (Promised (promise, birth)) (rquery run)
+  | Request.Sync resume ->
+    (* Logged from [Sched.suspend]'s register callback, which runs
+       outside any fiber: waiting there for the write lock or a full
+       socket would perform an effect nothing handles.  The frame goes
+       out from a fiber of its own instead; [ship] never raises, and a
+       lost connection resumes the client into the poison check. *)
+    Qs_sched.Sched.spawn (fun () ->
+      ship conn ~flush:true
+        (Syncing (resume, Qs_obs.Clock.now_ns ()))
+        (fun sid -> Remote_proto.Rsync { reg; sid }))
+  | Request.End _ ->
     (* Drop the poison callback with the registration: after [close] the
        only remaining consumer is the block-exit poison check, which
        reads what was already recorded — a failure the node reports
@@ -293,16 +258,6 @@ let open_reg conn ~proc =
     if not conn.lost then
       try send conn (Remote_proto.Rclose { reg })
       with Remote_proto.Connection_lost _ -> ()
-  in
-  let px_on_poison cb = poison_cb := cb in
-  {
-    Processor.px_call;
-    px_query;
-    px_query_async;
-    px_sync;
-    px_close;
-    px_on_poison;
-  }
 
 (* -- Connection lifecycle ------------------------------------------------- *)
 
@@ -327,12 +282,10 @@ let open_conn ~stats addr =
       recv_q;
       lock = Mutex.create ();
       pending = Hashtbl.create 64;
-      syncs = Hashtbl.create 16;
       poisons = Hashtbl.create 16;
       lost = false;
       closing = false;
       next_qid = Atomic.make 0;
-      next_sid = Atomic.make 0;
       next_reg = Atomic.make 0;
       stats;
     }

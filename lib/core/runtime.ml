@@ -61,7 +61,7 @@ let processor ?pool t =
       let ops =
         {
           Processor.rem_node = Remote_client.conn_label conn;
-          rem_open = (fun () -> Remote_client.open_reg conn ~proc:id);
+          rem_open = Remote_client.open_reg conn ~proc:id;
         }
       in
       Processor.create_remote ?sink:t.ctx.Ctx.sink ~id

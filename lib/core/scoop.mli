@@ -85,10 +85,12 @@ exception Remote_error of string
     [Handler_failure (id, Remote_error msg)]. *)
 
 exception Connection_lost of string
-(** The connection to the named node died with operations outstanding:
-    every pending remote rendezvous is rejected with this, and every
-    open registration on the connection is poisoned with it — a client
-    blocked on a remote query gets a typed failure, never a hang. *)
+(** The connection to the named node died: every pending completion on
+    it fails with this, and every open registration on the connection
+    is poisoned with it, so a waiting client gets a typed failure, never
+    a hang.  A blocking query or sync then raises
+    [Handler_failure (id, Connection_lost _)]; a forced promise raises
+    [Connection_lost]. *)
 
 val run :
   ?domains:int ->
@@ -125,7 +127,8 @@ module Internal : sig
   (** Wire message types and the handshake guard. *)
 
   module Remote_client = Remote_client
-  (** Per-connection demultiplexer and registration proxies. *)
+  (** Per-connection demultiplexer and the enqueue of remote
+      registrations. *)
 
   module Node = Node
   (** The node's accept loop and serve fibers (behind {!Remote.listen}). *)

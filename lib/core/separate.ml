@@ -63,8 +63,8 @@ let enter_one ?deadline ctx proc =
   Qs_obs.Counter.incr ctx.Ctx.stats.Stats.reservations;
   let reg =
     if Processor.is_remote proc then
-      (* Remote separate rule: the wire-level Open the proxy issues plays
-         the private-queue enqueue — asynchronous, like qoq reservation.
+      (* Remote separate rule: the wire-level Open plays the
+         private-queue enqueue — asynchronous, like qoq reservation.
          The node enters a real separate block on its side and serves
          this registration's stream in order. *)
       Registration.make_remote ~proc ~ctx ()

@@ -433,10 +433,12 @@ let test_remote_timeout () =
       in
       check_int "registration usable after a remote timeout" 7 late))
 
-let test_remote_disconnect_mid_query () =
-  (* A peer that dies with a query outstanding must produce a typed
-     rejection, not a hang: the rogue node accepts, swallows a few
-     bytes, and slams the connection. *)
+(* A peer that dies with a rendezvous outstanding must produce a typed
+   failure, not a hang: the rogue node accepts, swallows a few bytes,
+   and slams the connection while [op] waits on it.  The loss poisons
+   the registration, so a blocking query and a sync surface it the same
+   way, as [Handler_failure (_, Connection_lost _)]. *)
+let check_disconnect_mid op =
   let path = next_sock () in
   let addr = Scoop.Config.Unix_sock path in
   let lfd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
@@ -454,21 +456,89 @@ let test_remote_disconnect_mid_query () =
     ~config:(Scoop.Remote.connect [ addr ])
     (fun rt ->
       let p = Scoop.Runtime.processor rt in
-      let ok =
+      let observed =
         try
           Scoop.Runtime.separate rt p (fun reg ->
-            ignore (Scoop.Registration.query reg (fun () -> 1) : int);
-            false)
+            op reg;
+            "no failure")
         with
-        | Scoop.Connection_lost _ -> true
-        | Scoop.Handler_failure (_, Scoop.Connection_lost _) -> true
+        | Scoop.Handler_failure (_, Scoop.Connection_lost _) -> "poisoned"
+        | e -> Printexc.to_string e
       in
-      check_bool "typed rejection, not a hang" true ok;
+      Alcotest.(check string)
+        "Handler_failure (_, Connection_lost _), not a hang" "poisoned" observed;
       check_bool "connection loss counted" true
         (Qs_obs.Counter.get (Scoop.Runtime.stats rt).Scoop.Stats.remote_failures
         >= 1));
   Domain.join rogue;
   try Unix.unlink path with Unix.Unix_error _ -> ()
+
+let test_remote_disconnect_mid_query () =
+  check_disconnect_mid (fun reg ->
+    ignore (Scoop.Registration.query reg (fun () -> 1) : int))
+
+let test_remote_disconnect_mid_sync () =
+  check_disconnect_mid Scoop.Registration.sync
+
+let test_remote_sync_timeout () =
+  (* The remote sync's deadline: a wedged node handler times the sync
+     out without establishing the synced status; the registration stays
+     usable. *)
+  with_node (fun addr ->
+    with_client addr (fun rt ->
+      let p = Scoop.Runtime.processor rt in
+      let late =
+        Scoop.Runtime.separate rt p (fun reg ->
+          Scoop.Registration.call reg (fun () -> Unix.sleepf 0.3);
+          (match Scoop.Registration.sync ~timeout:0.05 reg with
+          | () -> Alcotest.fail "expected Timeout"
+          | exception Scoop.Timeout -> ());
+          check_bool "timed-out sync establishes nothing" false
+            (Scoop.Registration.is_synced reg);
+          Scoop.Registration.sync reg;
+          Scoop.Registration.query reg (fun () -> 7))
+      in
+      check_int "registration usable after a remote sync timeout" 7 late))
+
+(* Node globals for the concurrent-sync case, one per client fiber. *)
+let sync_served = Array.init 8 (fun _ -> Atomic.make 0)
+
+let test_remote_concurrent_syncs () =
+  (* Syncs logged while other clients hold the connection's write lock or
+     fill its socket: each sync must still return only once the node has
+     served every call its registration logged before it.  The node runs
+     in this process, so the client reads the node's counters directly. *)
+  Array.iter (fun c -> Atomic.set c 0) sync_served;
+  with_node (fun addr ->
+    Scoop.Runtime.run ~domains:2
+      ~config:(Scoop.Remote.connect [ addr ])
+      (fun rt ->
+        Fun.protect
+          ~finally:(fun () -> Scoop.Runtime.shutdown_nodes rt)
+          (fun () ->
+            let early = Atomic.make 0 in
+            let clients =
+              Array.mapi
+                (fun i served ->
+                  let p = Scoop.Runtime.processor rt in
+                  let finished = Qs_sched.Ivar.create () in
+                  S.spawn (fun () ->
+                    Scoop.Runtime.separate rt p (fun reg ->
+                      for round = 1 to 20 do
+                        for _ = 1 to 50 do
+                          Scoop.Registration.call reg (fun () ->
+                            Atomic.incr sync_served.(i))
+                        done;
+                        Scoop.Registration.sync reg;
+                        if Atomic.get served <> round * 50 then Atomic.incr early
+                      done);
+                    Qs_sched.Ivar.fill finished ());
+                  finished)
+                sync_served
+            in
+            Array.iter Qs_sched.Ivar.read clients;
+            check_int "no sync returned before its calls were served" 0
+              (Atomic.get early))))
 
 (* Wait conditions on a remote processor: no local handler announces
    changes, so the wait polls with fiber-level pauses.  It runs once
@@ -527,10 +597,13 @@ let test_remote_node_survives_garbage () =
       check_int "node still serving after a torn peer" 2026 v))
 
 (* The cases below drive [Remote_client] directly, which exposes the
-   connection's send queue and so its transport counters. *)
+   connection's send queue and so its transport counters.  A raw
+   registration is the enqueue [open_reg] returns; the [raw_*] helpers
+   log into it the requests a [Registration] would. *)
 module RC = Scoop.Internal.Remote_client
+module Req = Scoop.Internal.Request
 
-let with_raw_client addr f =
+let with_raw_client ?(poison = fun _ _ -> ()) addr f =
   S.run (fun () ->
     let rc = RC.connect ~stats:(Scoop.Stats.create ()) [ addr ] in
     let conn = rc.RC.conns.(0) in
@@ -538,28 +611,43 @@ let with_raw_client addr f =
       ~finally:(fun () ->
         RC.shutdown_nodes rc;
         RC.close rc)
-      (fun () -> f conn (RC.open_reg conn ~proc:0)))
+      (fun () -> f conn (RC.open_reg conn ~proc:0 ~poison)))
+
+let raw_call reg run =
+  let birth = Qs_obs.Clock.now_ns () in
+  reg (Req.Call { run; poison = (fun _ _ -> ()); reg = 0; birth; admit = birth })
+
+let raw_query reg run =
+  let result = Qs_sched.Ivar.create () in
+  let birth = Qs_obs.Clock.now_ns () in
+  reg (Req.Query { run; result; reg = 0; birth; admit = birth });
+  Qs_sched.Ivar.read result
+
+let raw_query_async reg run =
+  let promise = Scoop.Promise.create () in
+  let birth = Qs_obs.Clock.now_ns () in
+  reg (Req.Pipelined { run; promise; reg = 0; birth; admit = birth });
+  promise
+
+let raw_sync reg = S.suspend (fun resume -> reg (Req.Sync resume))
 
 let sent conn name = Qs_obs.Counter.value (Sq.counters conn.RC.send_q) name
 
 let test_remote_write_counts () =
   with_node (fun addr ->
-    with_raw_client addr (fun conn px ->
-      px.Scoop.Processor.px_sync ~timeout:None;
+    with_raw_client addr (fun conn reg ->
+      raw_sync reg;
       (* A lone blocking query: one write, made before the client parks. *)
       let w0 = sent conn "writes" in
-      let v = px.px_query ~timeout:None (fun () -> Obj.repr 7) in
-      check_int "query answered" 7 (Obj.obj v);
+      let v = raw_query reg (fun () -> 7) in
+      check_int "query answered" 7 v;
       check_int "lone blocking query: exactly one write" 1
         (sent conn "writes" - w0);
       (* 32 pipelined queries issued in one dispatch. *)
       let w0 = sent conn "writes" and f0 = sent conn "frames_sent" in
-      let ps =
-        Array.init 32 (fun i ->
-          px.px_query_async (fun () -> Obj.repr (i * i)) ~on_force:ignore)
-      in
+      let ps = Array.init 32 (fun i -> raw_query_async reg (fun () -> i * i)) in
       Array.iteri
-        (fun i p -> check_int "pipelined result" (i * i) (Obj.obj (Scoop.Promise.await p)))
+        (fun i p -> check_int "pipelined result" (i * i) (Scoop.Promise.await p))
         ps;
       check_int "32 frames sent" 32 (sent conn "frames_sent" - f0);
       let w = sent conn "writes" - w0 in
@@ -570,14 +658,13 @@ let test_remote_poison_before_completion () =
   (* Coalescing keeps per-direction FIFO order: the node reports the
      poisoning ahead of every completion it guards, so each rejected
      promise resolves after the registration was poisoned. *)
+  let poisoned = ref false and ordered = ref true in
   with_node (fun addr ->
-    with_raw_client addr (fun _ px ->
-      let poisoned = ref false and ordered = ref true in
-      px.Scoop.Processor.px_on_poison (fun _ _ -> poisoned := true);
-      px.px_call (fun () -> failwith "boom");
+    with_raw_client ~poison:(fun _ _ -> poisoned := true) addr (fun _ reg ->
+      raw_call reg (fun () -> failwith "boom");
       let ps =
         Array.init 32 (fun _ ->
-          let p = px.px_query_async (fun () -> Obj.repr 1) ~on_force:ignore in
+          let p = raw_query_async reg (fun () -> 1) in
           Scoop.Promise.on_resolve p (fun _ -> if not !poisoned then ordered := false);
           p)
       in
@@ -607,9 +694,9 @@ let test_remote_backpressure () =
   let config = Scoop.Config.(qoq |> with_bound 4) in
   let node = Domain.spawn (fun () -> Scoop.Remote.listen ~config addr) in
   Fun.protect ~finally:(fun () -> Domain.join node) (fun () ->
-    with_raw_client addr (fun conn px ->
-      px.Scoop.Processor.px_sync ~timeout:None;
-      px.px_call bp_wedge;
+    with_raw_client addr (fun conn reg ->
+      raw_sync reg;
+      raw_call reg bp_wedge;
       let b0 = sent conn "bytes_sent" in
       let frame =
         8
@@ -622,7 +709,7 @@ let test_remote_backpressure () =
          case instead of growing without bound. *)
       S.spawn (fun () ->
         while (not (Atomic.get stop)) && Atomic.get issued < 100_000 do
-          px.px_call bp_call;
+          raw_call reg bp_call;
           Atomic.incr issued
         done;
         Qs_sched.Ivar.fill flooder ());
@@ -644,7 +731,7 @@ let test_remote_backpressure () =
       Atomic.set stop true;
       Atomic.set bp_release true;
       Qs_sched.Ivar.read flooder;
-      px.px_sync ~timeout:None;
+      raw_sync reg;
       check_bool "flooding client blocks" true (blocked && not finished);
       let cap = 128 * 1024 in
       check_bool (Printf.sprintf "unsent bytes %d under %d" unsent cap) true
@@ -676,11 +763,10 @@ let test_remote_peer_dies_mid_burst () =
       Domain.join rogue;
       let typed = function Scoop.Connection_lost _ -> true | _ -> false in
       let r =
-        match RC.open_reg rc.RC.conns.(0) ~proc:0 with
+        match RC.open_reg rc.RC.conns.(0) ~proc:0 ~poison:(fun _ _ -> ()) with
         | exception e -> [ typed e ]
-        | px ->
-          Array.init 8 (fun _ ->
-            px.Scoop.Processor.px_query_async (fun () -> Obj.repr 1) ~on_force:ignore)
+        | reg ->
+          Array.init 8 (fun _ -> raw_query_async reg (fun () -> 1))
           |> Array.to_list
           |> List.map (fun p ->
                match Scoop.Promise.await p with
@@ -823,10 +909,14 @@ let () =
           Alcotest.test_case "pipelined remote queries" `Quick
             test_remote_pipelined;
           Alcotest.test_case "remote timeout" `Quick test_remote_timeout;
+          Alcotest.test_case "remote sync timeout" `Quick test_remote_sync_timeout;
           Alcotest.test_case "remote wait condition" `Quick
             test_remote_wait_condition;
           Alcotest.test_case "disconnect mid-query" `Quick
             test_remote_disconnect_mid_query;
+          Alcotest.test_case "disconnect mid-sync" `Quick
+            test_remote_disconnect_mid_sync;
+          Alcotest.test_case "concurrent syncs" `Quick test_remote_concurrent_syncs;
           Alcotest.test_case "node survives torn peer" `Quick
             test_remote_node_survives_garbage;
           Alcotest.test_case "write counts" `Quick test_remote_write_counts;
