@@ -709,50 +709,23 @@ let allocation_probe (s : H.scale) =
 
 (* -- trace conformance probe ------------------------------------------------- *)
 
-(* Run the elision workload traced — with several concurrent clients —
-   and replay the recorded SCOOP events through the conformance
-   automaton of the operational semantics (via Qs_conform, which
-   partitions the merged stream per registration before checking): the
-   handler never executes a call before it was logged, and every
-   dynamically elided sync happened in the synced state (a round trip
-   established the drained log and nothing was logged since).  This is
-   the evidence that the request path and the handler-side elision
-   preserve the reasoning rules — and, since tracing no longer changes
-   the request representation, the path checked is the path that runs.
-
-   The partitioning matters: this probe used to feed the merged
-   multi-client stream straight into Qs_semantics.Replay, whose
-   automaton is only sound per single-client stream — under concurrency
-   the interleaved log watermarks made the check vacuous at best. *)
-let conformance_probe (s : H.scale) =
+(* Run the `basic` scenario of `qs check` (concurrent clients, calls,
+   queries, pipelined queries and the dynamic sync elision they produce)
+   and replay its recorded SCOOP events through the conformance automaton
+   of the operational semantics: the handler never executes a call
+   before it was logged, and every elided sync happened in the synced
+   state.  Since tracing does not change the request representation, the
+   path checked is the path that runs. *)
+let conformance_probe () =
   print_newline ();
   print_endline
-    "trace conformance: concurrent elision workload replayed through the \
-     semantics automaton (per-registration partitions)";
+    "trace conformance: the `basic` scenario replayed through the semantics \
+     automaton (per-registration partitions)";
   print_endline (String.make 72 '-');
-  let sink = Qs_obs.Sink.create () in
-  let rounds = max 50 (s.H.m / 8) in
-  let clients = 4 in
-  let elided =
-    Scoop.Runtime.run ~domains:2 ~obs:sink (fun rt ->
-      let h = Scoop.Runtime.processor rt in
-      let r = ref 0 in
-      let latch = Qs_sched.Latch.create clients in
-      for _ = 1 to clients do
-        Qs_sched.Sched.spawn (fun () ->
-          for _ = 1 to rounds do
-            Scoop.Runtime.separate rt h (fun reg ->
-              Scoop.Registration.call reg (fun () -> incr r);
-              let p = Scoop.Registration.query_async reg (fun () -> !r) in
-              ignore (Scoop.Promise.await p : int))
-          done;
-          Qs_sched.Latch.count_down latch)
-      done;
-      Qs_sched.Latch.wait latch;
-      assert (!r = clients * rounds);
-      Counter.get (Scoop.Runtime.stats rt).Scoop.Stats.syncs_elided)
-  in
-  match Qs_conform.check_trace (Scoop.Trace.of_sink sink) with
+  let module Sc = Qs_scenarios.Scenario in
+  let o = Sc.run (Option.get (Sc.find "basic")) in
+  let elided = Counter.get o.Sc.stats.Scoop.Stats.syncs_elided in
+  match o.Sc.verdict with
   | Error e ->
     Format.printf "  UNCHECKABLE: %a@." Qs_conform.pp_error e;
     (0, elided, 1)
@@ -1244,7 +1217,7 @@ let run scale only json trace_out =
     if want "alloc" then Some (allocation_probe scale) else None
   in
   let conformance_info =
-    if want "conformance" then Some (conformance_probe scale) else None
+    if want "conformance" then Some (conformance_probe ()) else None
   in
   if want "load" then load_probe scale;
   if want "micro" then begin

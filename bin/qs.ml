@@ -8,22 +8,13 @@
            (default: all) and print the removals.
      qs sim [--task t] [--lang l]
          — print simulated scalability curves from the calibrated model.
-     qs demo [--deadline SECS] [--bound N --backpressure POLICY] [--pools]
-         — a small end-to-end SCOOP program with runtime statistics;
-           optionally walk through the deadline semantics (a query
-           against a wedged handler raising Scoop.Timeout), the
-           bounded-mailbox overflow policies, and the scheduler pools
-           (a pinned handler's pool absorbing and shedding workers,
-           with per-pool counters).
-     qs faults [--mailbox m]
-         — walk the failure paths (raising query, rejected promise,
-           poisoned registration, aborted processor) and print the
-           failure counters.
-     qs trace <example> [--trace-out FILE]
-         — run a traced example workload and print the merged
-           per-processor / per-worker observability summary; optionally
-           export a Chrome trace-event JSON file (chrome://tracing,
-           ui.perfetto.dev).
+     qs check [SCENARIO] [--break] [--mailbox m] [--trace-out FILE]
+         — run the traced walkthrough scenarios (bank tellers, wait
+           conditions, deadlines, shedding, every failure path, pinned
+           pools, ...), print each one's counters, latency histograms
+           and event tracks, and replay its trace through the
+           semantics' conformance automaton; optionally export a Chrome
+           trace-event JSON file (chrome://tracing, ui.perfetto.dev).
      qs node <addr>
          — host SCOOP handlers at the address and serve remote clients
            until one sends a shutdown request.
@@ -186,573 +177,86 @@ let sim task lang =
         langs)
     tasks
 
-(* -- demo --------------------------------------------------------------------- *)
+(* -- check --------------------------------------------------------------------- *)
 
-(* The two registry views every scenario prints ([demo], [faults],
-   [trace]): counters by name, latency histograms by name. *)
-let print_counters st =
-  Format.printf "== runtime counters ==@.%a@." Qs_obs.Counter.pp_snapshot
-    (Scoop.Stats.assoc st)
-
-let print_histograms st =
-  Format.printf "== latency histograms ==@.%a@." Qs_obs.Histogram.pp_snapshot
-    (Scoop.Stats.hist_assoc st)
-
-(* Deadline walkthrough (--deadline): a blocking query against a
-   deliberately wedged handler abandons its rendezvous with
-   [Scoop.Timeout] instead of blocking forever — and because a timeout
-   does not poison the registration, the same handle still answers once
-   the handler recovers. *)
-let deadline_demo mailbox d =
-  Scoop.Runtime.run ~domains:1
-    ~config:Scoop.Config.(qoq |> with_mailbox mailbox)
-    (fun rt ->
-    let w = Scoop.Runtime.processor rt in
-    Scoop.Runtime.separate rt w (fun reg ->
-      Scoop.Registration.call reg (fun () -> Qs_sched.Sched.sleep (4.0 *. d));
-      (match Scoop.Registration.query ~timeout:d reg (fun () -> 0) with
-      | _ -> print_endline "deadline: query answered in time (unexpected here)"
-      | exception Scoop.Timeout ->
-        Printf.printf
-          "deadline: query against a handler wedged for %.2fs raised \
-           Scoop.Timeout after %.2fs\n"
-          (4.0 *. d) d);
-      let v = Scoop.Registration.query reg (fun () -> 42) in
-      Printf.printf
-        "deadline: the same registration answered %d once the handler \
-         recovered (timeouts do not poison)\n"
-        v);
-    let st = Scoop.Runtime.stats rt in
-    Printf.printf "deadline: timers armed %d, timeouts fired %d\n"
-      (Qs_obs.Counter.get st.Scoop.Stats.timer_arms)
-      (Qs_obs.Counter.get st.Scoop.Stats.timeouts_fired))
-
-(* Backpressure walkthrough (--bound/--backpressure): wedge the handler,
-   flood its bounded mailbox, and show what each overflow policy does
-   with the backlog. *)
-let backpressure_demo mailbox bound overflow =
-  let policy =
-    match overflow with
-    | `Block -> "block"
-    | `Fail -> "fail"
-    | `Shed_oldest -> "shed"
-  in
-  let flood = 8 * bound in
-  let shed =
-    Scoop.Runtime.run ~domains:2
-      ~config:
-        Scoop.Config.(
-          qoq |> with_mailbox mailbox |> with_bound bound
-          |> with_overflow overflow)
-      (fun rt ->
-      let w = Scoop.Runtime.processor rt in
-      let served = Scoop.Shared.create w (ref 0) in
-      (try
-         Scoop.Runtime.separate rt w (fun reg ->
-           (* The first call wedges the handler so the flood piles up. *)
-           Scoop.Shared.apply reg served (fun r ->
-             Qs_sched.Sched.sleep 0.02;
-             incr r);
-           for _ = 2 to flood do
-             Scoop.Shared.apply reg served incr
-           done;
-           Scoop.Registration.sync reg)
-       with
-      | Scoop.Overloaded id ->
-        Printf.printf
-          "backpressure[%s]: admission refused by processor %d mid-flood\n"
-          policy id
-      | Scoop.Handler_failure (id, Scoop.Overloaded _) ->
-        Printf.printf
-          "backpressure[%s]: shed calls poisoned the registration on \
-           processor %d\n"
-          policy id);
-      let r =
-        Scoop.Runtime.separate rt w (fun reg ->
-          Scoop.Shared.get reg served (fun r -> !r))
-      in
-      Printf.printf "backpressure[%s bound=%d]: %d of %d calls served\n" policy
-        bound r flood;
-      Qs_obs.Counter.get (Scoop.Runtime.stats rt).Scoop.Stats.shed_requests)
-  in
-  Printf.printf "backpressure[%s]: shed_requests = %d\n" policy shed
-
-(* Scheduler-pool walkthrough (--pools): pin a handler to a dedicated
-   "hot" pool, flood it from default-pool clients, and print the
-   per-pool counters — idle workers migrate into the hot pool while it
-   has pending injections and shrink away once it drains. *)
-let pools_demo mailbox =
-  let clients = 4 and per = 500 in
-  let kv =
-    Scoop.Runtime.run ~domains:2
-      ~config:
-        Scoop.Config.(qoq |> with_mailbox mailbox |> with_pools [ "hot" ])
-      (fun rt ->
-      let h = Scoop.Runtime.processor ~pool:"hot" rt in
-      let cell = Scoop.Shared.create h (ref 0) in
-      let latch = Qs_sched.Latch.create clients in
-      for _ = 1 to clients do
-        Qs_sched.Sched.spawn (fun () ->
-          for _ = 1 to per do
-            Scoop.Runtime.separate rt h (fun reg ->
-              Scoop.Shared.apply reg cell incr)
-          done;
-          Qs_sched.Latch.count_down latch)
-      done;
-      Qs_sched.Latch.wait latch;
-      let served =
-        Scoop.Runtime.separate rt h (fun reg ->
-          Scoop.Shared.get reg cell (fun r -> !r))
-      in
-      Printf.printf
-        "pools: handler pinned to \"hot\" served %d calls from %d \
-         default-pool clients\n"
-        served clients;
-      Scoop.Runtime.pool_counters ())
-  in
-  let v k = match List.assoc_opt k kv with Some n -> n | None -> 0 in
-  Printf.printf
-    "pools: pool_drains = %d, pool_migrations = %d, pool_idle_shrinks = %d\n"
-    (v "pool_drains") (v "pool_migrations") (v "pool_idle_shrinks");
-  List.iter
-    (fun name ->
-      Printf.printf
-        "pools: %-8s workers=%d pending=%d drains=%d migrations=%d \
-         idle_shrinks=%d\n"
-        name
-        (v (Printf.sprintf "pool.%s.workers" name))
-        (v (Printf.sprintf "pool.%s.pending" name))
-        (v (Printf.sprintf "pool.%s.drains" name))
-        (v (Printf.sprintf "pool.%s.migrations" name))
-        (v (Printf.sprintf "pool.%s.idle_shrinks" name)))
-    [ "default"; "hot" ]
-
-let demo trace_flag mailbox batch deadline bound overflow pools_flag =
-  if batch < 1 then begin
-    Printf.eprintf "qs: --batch must be >= 1 (got %d)\n" batch;
-    exit 1
-  end;
-  if bound < 0 then begin
-    Printf.eprintf "qs: --bound must be >= 0 (got %d)\n" bound;
-    exit 1
-  end;
-  (match deadline with
-  | Some d when d <= 0.0 ->
-    Printf.eprintf "qs: --deadline must be > 0 (got %g)\n" d;
-    exit 1
-  | _ -> ());
-  let stats =
-    Scoop.Runtime.run ~domains:1
-      ~config:
-        Scoop.Config.(
-          qoq |> with_mailbox mailbox |> with_batch batch
-          |> with_trace trace_flag)
-      (fun rt ->
-      let account = Scoop.Runtime.processor rt in
-      let balance = Scoop.Shared.create account (ref 100) in
-      let tellers = 4 and deposits = 1000 in
-      let latch = Qs_sched.Latch.create tellers in
-      for _ = 1 to tellers do
-        Qs_sched.Sched.spawn (fun () ->
-          for _ = 1 to deposits do
-            Scoop.Runtime.separate rt account (fun reg ->
-              Scoop.Shared.apply reg balance (fun b -> b := !b + 1))
-          done;
-          Qs_sched.Latch.count_down latch)
-      done;
-      Qs_sched.Latch.wait latch;
-      (* Live mid-run scheduler counters: readable at any point from
-         inside the scheduler (approximate until quiescence). *)
-      (match Scoop.Runtime.sched_counters () with
-      | Some c ->
-        Format.printf "scheduler so far: %a@." Qs_sched.Sched.pp_counters c
-      | None -> ());
-      let final =
-        Scoop.Runtime.separate rt account (fun reg ->
-          Scoop.Shared.get reg balance (fun b -> !b))
-      in
-      Printf.printf "final balance: %d (expected %d)\n" final
-        (100 + (tellers * deposits));
-      (match Scoop.Runtime.obs rt with
-      | Some sink ->
-        print_histograms (Scoop.Runtime.stats rt);
-        Format.printf "== event tracks ==@.%a@." Qs_obs.Sink.pp_track_summary
-          sink
-      | None -> ());
-      Scoop.Runtime.stats rt)
-  in
-  print_counters stats;
-  Option.iter (fun d -> deadline_demo mailbox d) deadline;
-  if bound > 0 then backpressure_demo mailbox bound overflow;
-  if pools_flag then pools_demo mailbox
-
-(* -- faults ------------------------------------------------------------------- *)
-
-(* Walk through each failure path of the request pipeline — raising
-   blocking query, rejected pipelined query, poisoned registration,
-   aborted processor — and print the failure counters that account for
-   them. *)
-let faults mailbox =
-  let lifecycle_name = function
-    | Scoop.Processor.Running -> "running"
-    | Scoop.Processor.Draining -> "draining"
-    | Scoop.Processor.Stopped -> "stopped"
-    | Scoop.Processor.Failed -> "failed"
-  in
-  let stats =
-    Scoop.Runtime.run ~domains:1
-      ~config:Scoop.Config.(qoq |> with_mailbox mailbox)
-      (fun rt ->
-      let worker = Scoop.Runtime.processor rt in
-      let cell = Scoop.Shared.create worker (ref 0) in
-      (* A raising blocking query re-raises on the client; the
-         registration stays clean. *)
-      Scoop.Runtime.separate rt worker (fun reg ->
-        Scoop.Shared.apply reg cell incr;
-        match Scoop.Registration.query reg (fun () -> failwith "query fault") with
-        | _ -> assert false
-        | exception Failure _ ->
-          print_endline "blocking query: failure re-raised at the call site");
-      (* A raising pipelined query rejects its promise; forcing
-         re-raises. *)
-      Scoop.Runtime.separate rt worker (fun reg ->
-        let p =
-          Scoop.Registration.query_async reg (fun () -> failwith "promise fault")
-        in
-        match Scoop.Promise.await p with
-        | _ -> assert false
-        | exception Failure _ ->
-          print_endline "pipelined query: promise rejected, await re-raised");
-      (* A raising asynchronous call poisons the registration: the
-         dirty-processor rule surfaces it as Handler_failure at the next
-         sync point. *)
-      (try
-         Scoop.Runtime.separate rt worker (fun reg ->
-           Scoop.Registration.call reg (fun () -> failwith "call fault");
-           ignore (Scoop.Shared.get reg cell (fun r -> !r) : int))
-       with Scoop.Handler_failure (id, e) ->
-         Printf.printf
-           "asynchronous call: registration on processor %d poisoned by %s\n"
-           id (Printexc.to_string e));
-      (* The handler survived every fault. *)
-      let v =
-        Scoop.Runtime.separate rt worker (fun reg ->
-          Scoop.Shared.get reg cell (fun r -> !r))
-      in
-      Printf.printf "handler survived the faults: cell = %d\n" v;
-      Scoop.Runtime.shutdown rt;
-      Printf.printf "lifecycle after shutdown: %s\n"
-        (lifecycle_name (Scoop.Processor.lifecycle worker));
-      (* Aborting discards still-pending requests unexecuted.  [abort]
-         reaches only the processors created since [shutdown]. *)
-      let w = Scoop.Runtime.processor rt in
-      let cell = Scoop.Shared.create w (ref 0) in
-      Scoop.Runtime.separate rt w (fun reg ->
-        for _ = 1 to 5 do
-          Scoop.Shared.apply reg cell incr
-        done);
-      Scoop.Runtime.abort rt;
-      Scoop.Runtime.stats rt)
-  in
-  Printf.printf "abort: discarded %d pending requests unexecuted\n"
-    (Qs_obs.Counter.get stats.Scoop.Stats.aborted_requests);
-  print_counters stats
-
-(* -- trace -------------------------------------------------------------------- *)
-
-(* Example workloads for `qs trace`.  Each exercises all three
-   instrumented layers — scheduler workers, processor handlers, client
-   operations — so the exported Chrome trace shows the whole stack. *)
-
-let quickstart rt =
-  (* The demo's bank tellers, plus periodic audit queries so the trace
-     contains sync/query round trips as well as asynchronous calls. *)
-  let account = Scoop.Runtime.processor rt in
-  let balance = Scoop.Shared.create account (ref 100) in
-  let tellers = 4 and deposits = 200 in
-  let latch = Qs_sched.Latch.create tellers in
-  for _ = 1 to tellers do
-    Qs_sched.Sched.spawn (fun () ->
-      for i = 1 to deposits do
-        Scoop.Runtime.separate rt account (fun reg ->
-          Scoop.Shared.apply reg balance (fun b -> b := !b + 1);
-          if i mod 50 = 0 then
-            ignore (Scoop.Shared.get reg balance (fun b -> !b) : int))
-      done;
-      Qs_sched.Latch.count_down latch)
-  done;
-  Qs_sched.Latch.wait latch;
-  ignore
-    (Scoop.Runtime.separate rt account (fun reg ->
-       Scoop.Shared.get reg balance (fun b -> !b))
-      : int)
-
-let prodcons rt =
-  (* Bounded producer/consumer over two handlers with wait conditions:
-     reservations, wait retries and multi-handler transfers. *)
-  let buf_proc = Scoop.Runtime.processor rt in
-  let sink_proc = Scoop.Runtime.processor rt in
-  let buffer = Scoop.Shared.create buf_proc (Queue.create ()) in
-  let consumed = Scoop.Shared.create sink_proc (ref 0) in
-  let items = 500 in
-  let latch = Qs_sched.Latch.create 2 in
-  Qs_sched.Sched.spawn (fun () ->
-    for i = 1 to items do
-      Scoop.Runtime.separate_when rt buf_proc
-        ~pred:(fun reg -> Scoop.Shared.get reg buffer Queue.length < 16)
-        (fun reg -> Scoop.Shared.apply reg buffer (fun q -> Queue.push i q))
-    done;
-    Qs_sched.Latch.count_down latch);
-  Qs_sched.Sched.spawn (fun () ->
-    for _ = 1 to items do
-      let v =
-        Scoop.Runtime.separate_when rt buf_proc
-          ~pred:(fun reg -> Scoop.Shared.get reg buffer Queue.length > 0)
-          (fun reg -> Scoop.Shared.get reg buffer Queue.pop)
-      in
-      Scoop.Runtime.separate rt sink_proc (fun reg ->
-        Scoop.Shared.apply reg consumed (fun c -> c := !c + v))
-    done;
-    Qs_sched.Latch.count_down latch);
-  Qs_sched.Latch.wait latch;
-  let total =
-    Scoop.Runtime.separate rt sink_proc (fun reg ->
-      Scoop.Shared.get reg consumed (fun c -> !c))
-  in
-  Printf.printf "consumed %d items (checksum %d, expected %d)\n" items total
-    (items * (items + 1) / 2)
-
-let trace_examples =
-  [ ("quickstart", quickstart); ("prodcons", prodcons) ]
-
-let trace_run name out domains mailbox batch =
-  if batch < 1 then begin
-    Printf.eprintf "qs: --batch must be >= 1 (got %d)\n" batch;
-    exit 1
-  end;
-  let workload = List.assoc name trace_examples in
-  let sink = Qs_obs.Sink.create () in
-  let sched = ref None in
-  let stats =
-    Scoop.Runtime.run ~domains
-      ~config:Scoop.Config.(qoq |> with_mailbox mailbox |> with_batch batch)
-      ~obs:sink
-      ~on_counters:(fun c -> sched := Some c)
-      (fun rt ->
-        workload rt;
-        Scoop.Runtime.stats rt)
-  in
-  (* The scheduler has quiesced: sink readers and counters are exact. *)
-  print_histograms stats;
-  Format.printf "== event tracks ==@.%a@." Qs_obs.Sink.pp_track_summary sink;
-  (match !sched with
-  | Some c -> Format.printf "== scheduler ==@.%a@." Qs_sched.Sched.pp_counters c
-  | None -> ());
-  print_counters stats;
-  Printf.printf "events retained: %d, dropped to ring overflow: %d\n"
-    (Qs_obs.Sink.recorded sink) (Qs_obs.Sink.dropped sink);
-  match out with
-  | None -> ()
-  | Some path ->
-    let counters =
-      Scoop.Stats.assoc stats
-      @ (match !sched with
-        | Some c -> Qs_sched.Sched.counters_assoc c
-        | None -> [])
-    in
-    Qs_obs.Chrome.write_file ~counters
-      ~histograms:(Scoop.Stats.hist_assoc stats)
-      sink path;
-    Printf.printf
-      "wrote Chrome trace to %s (load in chrome://tracing or ui.perfetto.dev)\n"
-      path
-
-(* -- check -------------------------------------------------------------------- *)
-
-(* Traced conformance scenarios for `qs check`: each runs a small
-   workload under tracing and then replays the recorded event rings
-   through the conformance automaton of the operational semantics
-   (Qs_conform partitions the merged stream per registration before
-   handing each partition to Qs_semantics.Replay).  The scenarios
-   deliberately cover the failure vocabulary — timeouts, shed requests,
-   poisoned registrations — not just the happy path. *)
-
-let check_basic rt =
-  (* Concurrent clients over two handlers: asynchronous calls, blocking
-     queries, pipelined queries, and the dynamic sync elision those
-     produce.  Several client fibers per handler is the point — the
-     merged ring interleaves their watermarks, which is exactly what the
-     per-registration partitioning must untangle. *)
-  let a = Scoop.Runtime.processor rt in
-  let b = Scoop.Runtime.processor rt in
-  let ca = Scoop.Shared.create a (ref 0) in
-  let cb = Scoop.Shared.create b (ref 0) in
-  let clients = 3 and rounds = 25 in
-  let latch = Qs_sched.Latch.create clients in
-  for _ = 1 to clients do
-    Qs_sched.Sched.spawn (fun () ->
-      for i = 1 to rounds do
-        Scoop.Runtime.separate rt a (fun reg ->
-          Scoop.Shared.apply reg ca incr;
-          if i mod 5 = 0 then
-            ignore (Scoop.Shared.get reg ca (fun r -> !r) : int));
-        Scoop.Runtime.separate rt b (fun reg ->
-          Scoop.Shared.apply reg cb incr;
-          let p = Scoop.Registration.query_async reg (fun () -> 0) in
-          ignore (Scoop.Promise.await p : int))
-      done;
-      Qs_sched.Latch.count_down latch)
-  done;
-  Qs_sched.Latch.wait latch
-
-let check_timeout rt =
-  (* A deliberately wedged handler: the bounded query abandons its
-     rendezvous (a TimedOut event — a no-op on the automaton, the log
-     stays intact) and the same registration then recovers with an
-     unbounded query after the slow call drains. *)
-  let h = Scoop.Runtime.processor rt in
-  let r = ref 0 in
-  Scoop.Runtime.separate rt h (fun reg ->
-    Scoop.Registration.call reg (fun () ->
-      Qs_sched.Sched.sleep 0.15;
-      incr r);
-    (match Scoop.Registration.query ~timeout:0.02 reg (fun () -> !r) with
-    | _ -> failwith "wedged query must time out"
-    | exception Scoop.Timeout -> ());
-    if Scoop.Registration.query reg (fun () -> !r) <> 1 then
-      failwith "recovery query must observe the slow call")
-
-let check_shed rt =
-  (* Overflow a bounded handler under [`Shed_oldest]: the wedge call
-     holds the handler while the flood crosses the bound, so the oldest
-     pending calls are shed (Shed events, attributed to this
-     registration) and the poison surfaces as [Overloaded] at the sync
-     point. *)
-  let h = Scoop.Runtime.processor rt in
-  let r = ref 0 in
-  let surfaced = ref false in
-  (try
-     Scoop.Runtime.separate rt h (fun reg ->
-       Scoop.Registration.call reg (fun () -> Qs_sched.Sched.sleep 0.05);
-       for _ = 1 to 6 do
-         Scoop.Registration.call reg (fun () -> incr r)
-       done;
-       match Scoop.Registration.query reg (fun () -> !r) with
-       | _ -> ()
-       | exception Scoop.Handler_failure (_, Scoop.Overloaded _) ->
-         surfaced := true)
-   with Scoop.Handler_failure (_, Scoop.Overloaded _) -> surfaced := true);
-  if not !surfaced then
-    print_endline
-      "  note: flood drained without shedding (fast handler); trace still \
-       checked"
-
-let check_poison rt =
-  (* A raising asynchronous call poisons its registration; the next sync
-     point surfaces [Handler_failure].  The Poisoned event marks the
-     stream dirty — from here an elided sync would be a violation, and
-     the runtime indeed never elides across the poison.  The handler
-     itself survives for the next registration. *)
-  let h = Scoop.Runtime.processor rt in
-  let cell = Scoop.Shared.create h (ref 0) in
-  (try
-     Scoop.Runtime.separate rt h (fun reg ->
-       Scoop.Registration.call reg (fun () -> failwith "check: call fault");
-       ignore (Scoop.Shared.get reg cell (fun r -> !r) : int));
-     failwith "poisoned sync must raise Handler_failure"
-   with Scoop.Handler_failure _ -> ());
-  let v =
-    Scoop.Runtime.separate rt h (fun reg ->
-      Scoop.Shared.apply reg cell incr;
-      Scoop.Shared.get reg cell (fun r -> !r))
-  in
-  if v <> 1 then failwith "handler must survive the poisoned registration"
-
-let check_scenarios =
-  [
-    ( "basic",
-      (check_basic, Scoop.Config.all, "concurrent calls/queries/elisions") );
-    ( "timeout",
-      (check_timeout, Scoop.Config.all, "wedged query abandons its rendezvous")
-    );
-    ( "shed",
-      ( check_shed,
-        Scoop.Config.(all |> with_bound 2 |> with_overflow `Shed_oldest),
-        "bounded handler sheds oldest under overflow" ) );
-    ( "poison",
-      (check_poison, Scoop.Config.all, "failed call poisons the registration")
-    );
-  ]
-
-let check_run only break_flag domains =
+(* Run each scenario of the shared table traced, print its walkthrough
+   and the registry views, then replay the recorded event rings through
+   the conformance automaton of the operational semantics (Qs_conform
+   partitions the merged stream per registration before handing each
+   partition to Qs_semantics.Replay). *)
+let check_run only break_flag domains mailbox trace_out =
+  let module Sc = Qs_scenarios.Scenario in
   let scenarios =
     match only with
-    | None -> check_scenarios
-    | Some n -> [ (n, List.assoc n check_scenarios) ]
+    | None -> Sc.all
+    | Some name -> [ Option.get (Sc.find name) ]
   in
+  if trace_out <> None && List.length scenarios > 1 then begin
+    Printf.eprintf "qs: --trace-out needs a SCENARIO\n";
+    exit 1
+  end;
   let failures = ref 0 in
-  let injected_caught = ref 0 in
+  let fail fmt =
+    incr failures;
+    Format.printf fmt
+  in
   List.iter
-    (fun (name, (workload, config, blurb)) ->
-      Printf.printf "== %s: %s ==\n%!" name blurb;
-      let sink = Qs_obs.Sink.create () in
-      Scoop.Runtime.run ~domains ~config ~obs:sink (fun rt -> workload rt);
-      let tr = Scoop.Trace.of_sink sink in
-      (match Qs_conform.check_trace tr with
-      | Error e ->
-        incr failures;
-        Format.printf "  UNCHECKABLE: %a@." Qs_conform.pp_error e
-      | Ok report ->
+    (fun (sc : Sc.t) ->
+      Printf.printf "== %s: %s ==\n%!" sc.Sc.name sc.Sc.doc;
+      let o = Sc.run ~domains ~mailbox sc in
+      let counters =
+        Scoop.Stats.assoc o.Sc.stats @ Qs_sched.Sched.counters_assoc o.Sc.sched
+      in
+      let histograms = Scoop.Stats.hist_assoc o.Sc.stats in
+      Format.printf "== runtime counters ==@.%a@." Qs_obs.Counter.pp_snapshot
+        counters;
+      Format.printf "== latency histograms ==@.%a@." Qs_obs.Histogram.pp_snapshot
+        histograms;
+      Format.printf "== event tracks ==@.%a@." Qs_obs.Sink.pp_track_summary
+        o.Sc.sink;
+      Printf.printf "events retained: %d, dropped to ring overflow: %d\n"
+        (Qs_obs.Sink.recorded o.Sc.sink)
+        (Qs_obs.Sink.dropped o.Sc.sink);
+      Option.iter
+        (fun path ->
+          Qs_obs.Chrome.write_file ~counters ~histograms o.Sc.sink path;
+          Printf.printf
+            "wrote Chrome trace to %s (load in chrome://tracing or \
+             ui.perfetto.dev)\n"
+            path)
+        trace_out;
+      (match o.Sc.verdict with
+      | Error e -> fail "  UNCHECKABLE: %a@." Qs_conform.pp_error e
+      | Ok report when report.Qs_conform.violations <> [] ->
+        fail "  @[<v>%a@]@." Qs_conform.pp_report report
+      | Ok report -> (
         Format.printf "  @[<v>%a@]@." Qs_conform.pp_report report;
-        if report.Qs_conform.violations <> [] then incr failures
-        else if break_flag then begin
-          (* Negative control: hand-break the trace by appending an
-             execution the client never logged, on a stream that really
-             exists, and insist the checker notices. *)
-          match report.Qs_conform.streams with
-          | [] -> ()
-          | s :: _ ->
-            Scoop.Trace.record tr ~proc:s.Qs_conform.st_proc
-              ~client:s.Qs_conform.st_client
-              (Scoop.Trace.Call_executed 0.);
-            (match Qs_conform.check_trace tr with
-            | Ok broken when broken.Qs_conform.violations <> [] ->
-              incr injected_caught;
-              Format.printf
-                "  injected phantom execution caught: %a@."
-                Qs_conform.pp_violation
-                (List.hd broken.Qs_conform.violations)
-            | Ok _ ->
-              incr failures;
-              print_endline
-                "  BROKEN TRACE NOT DETECTED: injected phantom execution \
-                 passed the checker"
-            | Error e ->
-              incr failures;
-              Format.printf "  UNCHECKABLE after injection: %a@."
-                Qs_conform.pp_error e)
-        end);
+        (* Negative control: a phantom execution on a real stream must
+           be flagged, proving the gate can fail. *)
+        if break_flag then
+          match Sc.phantom o with
+          | Some (Ok broken) when broken.Qs_conform.violations <> [] ->
+            Format.printf "  injected phantom execution caught: %a@."
+              Qs_conform.pp_violation
+              (List.hd broken.Qs_conform.violations)
+          | Some (Error e) ->
+            fail "  UNCHECKABLE after injection: %a@." Qs_conform.pp_error e
+          | Some (Ok _) | None ->
+            fail
+              "  BROKEN TRACE NOT DETECTED: injected phantom execution \
+               passed the checker@."));
       print_newline ())
     scenarios;
+  let n = List.length scenarios in
   if !failures > 0 then begin
     Printf.printf "qs check: FAILED (%d scenario(s) with violations)\n"
       !failures;
     exit 1
-  end;
-  if break_flag then
-    if !injected_caught = List.length scenarios then
-      Printf.printf
-        "qs check: ok — %d scenario(s) conform, all injected breaks caught\n"
-        (List.length scenarios)
-    else begin
-      Printf.printf
-        "qs check: FAILED — only %d of %d injected breaks caught\n"
-        !injected_caught (List.length scenarios);
-      exit 1
-    end
-  else
-    Printf.printf "qs check: ok — %d scenario(s), 0 violations\n"
-      (List.length scenarios)
+  end
+  else if break_flag then
+    Printf.printf
+      "qs check: ok — %d scenario(s) conform, all injected breaks caught\n" n
+  else Printf.printf "qs check: ok — %d scenario(s), 0 violations\n" n
 
 (* -- node / remote ------------------------------------------------------------ *)
 
@@ -1066,136 +570,19 @@ let sim_cmd =
     (Cmd.info "sim" ~doc:"Simulated speedup curves (Fig. 19)")
     Term.(const sim $ task $ lang)
 
-let demo_cmd =
-  let trace =
-    Arg.(value & flag & info [ "trace" ] ~doc:"Enable detailed event tracing.")
-  in
-  let mailbox =
-    Arg.(
-      value
-      & opt (enum [ ("qoq", `Qoq); ("direct", `Direct) ]) `Qoq
-      & info [ "mailbox" ] ~docv:"MAILBOX"
-          ~doc:
-            "Handler communication structure: $(b,qoq) (queue-of-queues, \
-             Fig. 4) or $(b,direct) (lock + single request queue, Fig. 2).")
-  in
-  let batch =
-    Arg.(
-      value
-      & opt int Scoop.Config.default_batch
-      & info [ "batch" ] ~docv:"N"
-          ~doc:
-            "Max requests a handler drains per wakeup (>= 1); 1 reproduces \
-             the paper's one-dequeue-per-iteration handler loop.")
-  in
-  let deadline =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "deadline" ] ~docv:"SECS"
-          ~doc:
-            "Also walk through the deadline semantics: a blocking query \
-             with this timeout against a wedged handler raises \
-             Scoop.Timeout without poisoning the registration.")
-  in
-  let bound =
-    Arg.(
-      value
-      & opt int 0
-      & info [ "bound" ] ~docv:"N"
-          ~doc:
-            "Also walk through mailbox backpressure: bound each handler's \
-             admitted-but-undrained requests to $(docv) (0 = unbounded, \
-             skip the walkthrough) and flood a wedged handler.")
-  in
-  let backpressure =
-    Arg.(
-      value
-      & opt
-          (enum [ ("block", `Block); ("fail", `Fail); ("shed", `Shed_oldest) ])
-          `Block
-      & info [ "backpressure" ] ~docv:"POLICY"
-          ~doc:
-            "Overflow policy for --bound: $(b,block) (admission backs off), \
-             $(b,fail) (admission raises Scoop.Overloaded) or $(b,shed) \
-             (shed the oldest pending request, poisoning its client).")
-  in
-  let pools =
-    Arg.(
-      value & flag
-      & info [ "pools" ]
-          ~doc:
-            "Also walk through scheduler pools: pin a handler to a \
-             dedicated $(b,hot) pool, flood it from default-pool clients, \
-             and print the per-pool drain/migration/shrink counters.")
-  in
-  Cmd.v
-    (Cmd.info "demo" ~doc:"Small end-to-end SCOOP program with statistics")
-    Term.(const demo $ trace $ mailbox $ batch $ deadline $ bound
-          $ backpressure $ pools)
-
-let faults_cmd =
-  let mailbox =
-    Arg.(
-      value
-      & opt (enum [ ("qoq", `Qoq); ("direct", `Direct) ]) `Qoq
-      & info [ "mailbox" ] ~docv:"MAILBOX"
-          ~doc:"Handler communication structure: $(b,qoq) or $(b,direct).")
-  in
-  Cmd.v
-    (Cmd.info "faults"
-       ~doc:
-         "Demonstrate the failure semantics: raising queries, rejected \
-          promises, poisoned registrations and aborted processors")
-    Term.(const faults $ mailbox)
-
-let trace_cmd =
-  let example =
-    Arg.(
-      required
-      & pos 0
-          (some (enum (List.map (fun (n, _) -> (n, n)) trace_examples)))
-          None
-      & info [] ~docv:"EXAMPLE"
-          ~doc:"Traced workload: $(b,quickstart) or $(b,prodcons).")
-  in
-  let out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "trace-out" ] ~docv:"FILE"
-          ~doc:
-            "Write the merged event trace as Chrome trace-event JSON \
-             (loadable in chrome://tracing or ui.perfetto.dev).")
-  in
-  let domains = Arg.(value & opt int 2 & info [ "domains" ] ~docv:"N") in
-  let mailbox =
-    Arg.(
-      value
-      & opt (enum [ ("qoq", `Qoq); ("direct", `Direct) ]) `Qoq
-      & info [ "mailbox" ] ~docv:"MAILBOX")
-  in
-  let batch =
-    Arg.(value & opt int Scoop.Config.default_batch & info [ "batch" ] ~docv:"N")
-  in
-  Cmd.v
-    (Cmd.info "trace"
-       ~doc:
-         "Run a traced example and print the merged per-processor / \
-          per-worker observability summary")
-    Term.(const trace_run $ example $ out $ domains $ mailbox $ batch)
-
 let check_cmd =
+  let module Sc = Qs_scenarios.Scenario in
   let scenario =
     Arg.(
       value
       & pos 0
-          (some (enum (List.map (fun (n, _) -> (n, n)) check_scenarios)))
+          (some (enum (List.map (fun (s : Sc.t) -> (s.Sc.name, s.Sc.name)) Sc.all)))
           None
       & info [] ~docv:"SCENARIO"
           ~doc:
-            "Run only one scenario: $(b,basic), $(b,timeout), $(b,shed) or \
-             $(b,poison).  Default: all of them.")
+            (Printf.sprintf "Run only one scenario: %s.  Default: all of them."
+               (String.concat ", "
+                  (List.map (fun (s : Sc.t) -> "$(b," ^ s.Sc.name ^ ")") Sc.all))))
   in
   let break_flag =
     Arg.(
@@ -1207,13 +594,32 @@ let check_cmd =
              reports it as a violation.")
   in
   let domains = Arg.(value & opt int 2 & info [ "domains" ] ~docv:"N") in
+  let mailbox =
+    Arg.(
+      value
+      & opt (enum [ ("qoq", `Qoq); ("direct", `Direct) ]) `Qoq
+      & info [ "mailbox" ] ~docv:"MAILBOX"
+          ~doc:
+            "Handler communication structure: $(b,qoq) (queue-of-queues, \
+             Fig. 4) or $(b,direct) (lock + single request queue, Fig. 2).")
+  in
+  let out =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "trace-out" ] ~docv:"FILE"
+          ~doc:
+            "Write the scenario's merged event trace as Chrome trace-event \
+             JSON (loadable in chrome://tracing or ui.perfetto.dev).")
+  in
   Cmd.v
     (Cmd.info "check"
        ~doc:
-         "Run traced workloads (including timeout, shed and poison \
-          scenarios) and replay the event rings through the semantics' \
-          conformance automaton; non-zero exit on any violation")
-    Term.(const check_run $ scenario $ break_flag $ domains)
+         "Run the traced scenarios, print each walkthrough with its \
+          counters, histograms and event tracks, and replay the event rings \
+          through the semantics' conformance automaton; non-zero exit on \
+          any violation or dropped event")
+    Term.(const check_run $ scenario $ break_flag $ domains $ mailbox $ out)
 
 let node_cmd =
   let addr =
@@ -1379,9 +785,6 @@ let () =
             explore_cmd;
             syncopt_cmd;
             sim_cmd;
-            demo_cmd;
-            faults_cmd;
-            trace_cmd;
             check_cmd;
             node_cmd;
             remote_cmd;

@@ -38,7 +38,9 @@ type report = {
   violations : violation list;
 }
 
-type error = Unattributed of { proc : int; seq : int; kind : T.kind }
+type error =
+  | Unattributed of { proc : int; seq : int; kind : T.kind }
+  | Truncated of { dropped : int }
 
 let event_of_kind (k : T.kind) ~proc =
   match k with
@@ -129,7 +131,10 @@ let check_events evs =
     in
     Ok { events = !events; skipped = !skipped; streams; violations }
 
-let check_trace tr = check_events (T.events tr)
+let check_trace tr =
+  match Qs_obs.Sink.dropped (T.sink tr) with
+  | 0 -> check_events (T.events tr)
+  | dropped -> Error (Truncated { dropped })
 
 let ok = function
   | Ok r -> r.violations = []
@@ -161,6 +166,10 @@ let pp_error ppf = function
       "unattributed %s event on processor %d (ring seq %d): the stream \
        cannot be partitioned per registration"
       name proc seq
+  | Truncated { dropped } ->
+    Format.fprintf ppf
+      "%d events lost to ring overflow: a truncated trace cannot be checked"
+      dropped
 
 let pp_report ppf r =
   Format.fprintf ppf

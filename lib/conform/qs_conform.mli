@@ -44,6 +44,9 @@ type error =
       (** a checkable client event carried no registration id: the trace
           predates attribution, or was recorded outside a registration —
           checking it would require guessing stream membership *)
+  | Truncated of { dropped : int }
+      (** the sink's rings overwrote [dropped] events: the lost prefix
+          can hide violations or fake them, so the trace has no verdict *)
 
 val event_of_kind : Scoop.Trace.kind -> proc:int -> Qs_semantics.Replay.event option
 (** The replay meaning of one trace event, if it has one:
@@ -65,9 +68,8 @@ val check_events : Scoop.Trace.event list -> (report, error) result
 
 val check_trace : Scoop.Trace.t -> (report, error) result
 (** [check_events] over [Scoop.Trace.events].  Read only in quiescence
-    (after the traced run); under ring overflow the oldest events are
-    gone, which can surface as spurious violations — check
-    [Qs_obs.Sink.dropped] first when in doubt. *)
+    (after the traced run).  [Error (Truncated _)] whenever the trace's
+    sink dropped events to ring overflow ([Qs_obs.Sink.dropped] > 0). *)
 
 val ok : (report, error) result -> bool
 (** A usable gate: the trace was attributable and had no violations. *)

@@ -43,7 +43,6 @@ let is_remote t = t.remotes <> None
 let stats t = t.ctx.Ctx.stats
 let trace t = t.ctx.Ctx.trace
 let obs t = t.ctx.Ctx.sink
-let sched_counters () = Qs_sched.Sched.current_counters ()
 
 let pool_counters () =
   Qs_sched.Sched.(pool_counters_assoc (current_pool_counters ()))

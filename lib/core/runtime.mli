@@ -162,12 +162,6 @@ val obs : t -> Qs_obs.Sink.t option
 (** The shared observability sink behind {!trace}, for whole-stack
     exports ({!Qs_obs.Chrome}) and track summaries. *)
 
-val sched_counters : unit -> Qs_sched.Sched.counters option
-(** Live scheduling counters of the surrounding scheduler (dispatches,
-    handoffs, steals, parks); [None] outside a scheduler.  Mid-run the
-    values are approximate (racy reads), exact once the scheduler has
-    quiesced. *)
-
 val pool_counters : unit -> (string * int) list
 (** Flat per-pool counter view of the surrounding scheduler (aggregates
     [pool_drains] / [pool_migrations] / [pool_idle_shrinks], then

@@ -154,9 +154,6 @@ let find_pool t name =
   in
   go 0
 
-let pool_names t =
-  Array.to_list (Array.map (fun p -> p.pool_name) t.pools)
-
 let wake_idlers t =
   if Atomic.get t.idle_hint > 0 then begin
     Mutex.lock t.idle_mutex;
@@ -281,14 +278,6 @@ let spawn_on_pool t pool body =
    the worker's membership equals the job's home pool (membership only
    changes between jobs), so inheritance is deterministic: children live
    where their parent lives unless spawned through [spawn_in]. *)
-let spawn_on t body =
-  let pool =
-    match get_worker () with
-    | Some (t', w) when t' == t -> w.pool
-    | Some _ | None -> default_pool t
-  in
-  spawn_on_pool t pool body
-
 let spawn body =
   match get_worker () with
   | Some (t, w) -> spawn_on_pool t w.pool body
@@ -999,14 +988,6 @@ let counters_assoc c =
     ("pool_idle_shrinks", c.c_pool_idle_shrinks);
   ]
 
-let pp_counters ppf c =
-  Format.fprintf ppf
-    "@[<v>dispatches: %d@,handoffs:   %d@,steals:     %d@,parks:      \
-     %d@,timer arms: %d@,timer fires:%d@,pool drains:%d@,migrations: \
-     %d@,idle shrinks:%d@]"
-    c.c_executed c.c_handoffs c.c_steals c.c_parks c.c_timer_arms
-    c.c_timer_fires c.c_pool_drains c.c_pool_migrations c.c_pool_idle_shrinks
-
 let run ?(domains = 1) ?(pools = []) ?(on_stall = `Raise) ?on_counters ?obs
     main =
   if get_worker () <> None then
@@ -1055,5 +1036,3 @@ let scheduler () =
   match get_worker () with
   | Some (t, _) -> t
   | None -> invalid_arg "Sched.scheduler: not running inside a scheduler"
-
-let live t = Atomic.get t.live

@@ -100,11 +100,6 @@ val pool_counters_assoc : pool_counters list -> (string * int) list
     [pool_drains] / [pool_migrations] / [pool_idle_shrinks] first, then
     [pool.<name>.<field>] per pool. *)
 
-val pool_names : t -> string list
-(** Pool names in declaration order (["default"] first). *)
-
-val pp_counters : Format.formatter -> counters -> unit
-
 val spawn : (unit -> unit) -> unit
 (** Create a new fiber in the spawner's current pool.  Must be called from
     inside a running scheduler. *)
@@ -184,9 +179,4 @@ val self : unit -> int
 val scheduler : unit -> t
 (** The scheduler executing the current fiber. *)
 
-val spawn_on : t -> (unit -> unit) -> unit
-(** Like {!spawn} but targets an explicit scheduler; usable from outside. *)
-
 val num_workers : t -> int
-val live : t -> int
-(** Number of fibers spawned but not yet completed (racy). *)

@@ -8,8 +8,9 @@
      handler's state) is a member of the trace set the explorer
      enumerates for the corresponding semantics program;
    - merged multi-client streams are checked soundly (the partitioning
-     bugfix), unattributed streams are rejected, and a hand-broken
-     trace is flagged. *)
+     bugfix), unattributed and truncated streams are rejected, and a
+     hand-broken trace is flagged;
+   - every scenario of `qs check` conforms on both mailboxes. *)
 
 module R = Scoop.Runtime
 module Reg = Scoop.Registration
@@ -278,6 +279,9 @@ let test_unattributed_rejected () =
   | Error (Qs_conform.Unattributed { proc; kind; _ }) ->
     check_int "offending processor" 0 proc;
     check_bool "offending kind" true (kind = T.Call_logged)
+  | Error e ->
+    Alcotest.failf "wrong rejection: %s"
+      (Format.asprintf "%a" Qs_conform.pp_error e)
   | Ok _ -> Alcotest.fail "unattributed stream must be rejected"
 
 let test_skipped_kinds_counted () =
@@ -331,6 +335,41 @@ let test_broken_trace_flagged () =
   | Error e ->
     Alcotest.failf "broken trace rejected instead of flagged: %s"
       (Format.asprintf "%a" Qs_conform.pp_error e)
+
+let test_truncated_trace_rejected () =
+  (* 50 call+query blocks overflow an 8-slot ring: the lost prefix could
+     hide a violation (or fake one), so the gate must not pass it. *)
+  let sink = Qs_obs.Sink.create ~capacity:8 () in
+  R.run ~domains:1 ~config:Cfg.all ~obs:sink (fun rt ->
+    let h = R.processor rt in
+    for _ = 1 to 50 do
+      R.separate rt h (fun reg ->
+        Reg.call reg (fun () -> ());
+        ignore (Reg.query reg (fun () -> 0) : int))
+    done);
+  let verdict = Qs_conform.check_trace (T.of_sink sink) in
+  check_bool "a truncated trace is no pass" false (Qs_conform.ok verdict);
+  match verdict with
+  | Error (Qs_conform.Truncated { dropped }) ->
+    check_int "every lost event counted" (Qs_obs.Sink.dropped sink) dropped
+  | _ -> Alcotest.fail "expected a Truncated verdict"
+
+(* -- the scenario table of `qs check` ----------------------------------------- *)
+
+(* Every scenario conforms on both mailboxes, loses no event to ring
+   overflow, and its --break negative control is flagged. *)
+let scenario_conforms (sc : Qs_scenarios.Scenario.t) mailbox () =
+  let module Sc = Qs_scenarios.Scenario in
+  let o = Sc.run ~domains:2 ~mailbox sc in
+  check_int "events dropped" 0 (Qs_obs.Sink.dropped o.Sc.sink);
+  if not (Qs_conform.ok o.Sc.verdict) then
+    Alcotest.failf "%s: %s" sc.Sc.name
+      (match o.Sc.verdict with
+      | Ok rep -> Format.asprintf "%a" Qs_conform.pp_report rep
+      | Error e -> Format.asprintf "%a" Qs_conform.pp_error e);
+  match Sc.phantom o with
+  | Some (Ok broken) when broken.Qs_conform.violations <> [] -> ()
+  | Some _ | None -> Alcotest.fail "phantom execution not flagged"
 
 (* -- random programs conform (property) --------------------------------------- *)
 
@@ -447,6 +486,18 @@ let () =
             test_skipped_kinds_counted;
           Alcotest.test_case "hand-broken trace flagged" `Quick
             test_broken_trace_flagged;
+          Alcotest.test_case "truncated trace rejected" `Quick
+            test_truncated_trace_rejected;
         ] );
+      ( "scenarios",
+        List.concat_map
+          (fun (sc : Qs_scenarios.Scenario.t) ->
+            List.map
+              (fun (mname, m) ->
+                Alcotest.test_case
+                  (sc.Qs_scenarios.Scenario.name ^ " " ^ mname)
+                  `Quick (scenario_conforms sc m))
+              [ ("qoq", `Qoq); ("direct", `Direct) ])
+          Qs_scenarios.Scenario.all );
       ("properties", [ qc prop_random_runs_conform ]);
     ]
