@@ -441,7 +441,7 @@ let timeout_ablation (s : H.scale) =
 
 (* -- scheduler-pool ablation ------------------------------------------------- *)
 
-(* Two questions about the sharded injection path and elastic pools:
+(* Two questions about the sharded injection path and scheduler pools:
 
    1. Injection contention: the same cross-domain push/pop flood through
       the sharded MPMC at one shard (every producer funnels into a single
@@ -449,18 +449,17 @@ let timeout_ablation (s : H.scale) =
       per-worker layout the scheduler runs).  Identical code, only the
       shard count moves, so the row pair isolates the sharding itself.
    2. What does pinning cost?  The same call-heavy handler workload with
-      the handler riding the default pool vs pinned to a dedicated pool
-      that starts empty — the pinned run pays pool migration and the
-      elastic absorb/shrink machinery on every park/unpark cycle.
+      the handler riding the default pool next to its client vs pinned
+      to a dedicated pool, which owns the second worker alone.
 
-   Plus a forced-imbalance probe for the per-pool counters: a pinned
-   handler flooded from default-pool clients.  CI asserts the probe's
-   [pool_migrations] is nonzero — idle workers really do move. *)
+   Plus a forced-imbalance probe for pinning: a pinned handler flooded
+   from default-pool clients counts how many of its calls ran on the
+   hot pool's worker.  CI asserts that all of them did. *)
 let pools_ablation (s : H.scale) =
   let module BT = Qs_benchmarks.Bench_types in
   print_newline ();
   print_endline
-    "pools ablation: sharded injection, pinned handlers, per-pool counters";
+    "pools ablation: sharded injection, pinned handlers, pinning probe";
   print_endline (String.make 72 '-');
   (* Sampled like the Bechamel rows (which collect ~100+ measurements),
      not like the seconds-long macro tables: 3 samples gave the pools
@@ -525,36 +524,35 @@ let pools_ablation (s : H.scale) =
   in
   let rows = [ r1; r2; r3; r4 ] in
   (* Forced imbalance: all the work lives in the pinned handler's pool,
-     all the clients in default — the hot pool has to absorb workers. *)
-  let counters =
+     all the clients in default. *)
+  let probe =
     Scoop.Runtime.run ~domains:2
       ~config:Scoop.Config.(qoq |> with_pools [ "hot" ])
       (fun rt ->
       let h = Scoop.Runtime.processor ~pool:"hot" rt in
-      let cell = Scoop.Shared.create h (ref 0) in
+      let on_hot = Scoop.Shared.create h (ref 0) in
       let clients = 4 and per = max 200 (s.H.m / 4) in
       let latch = Qs_sched.Latch.create clients in
       for _ = 1 to clients do
         Qs_sched.Sched.spawn (fun () ->
           for _ = 1 to per do
             Scoop.Runtime.separate rt h (fun reg ->
-              Scoop.Shared.apply reg cell incr)
+              Scoop.Shared.apply reg on_hot (fun r ->
+                if Qs_sched.Sched.current_pool () = "hot" then incr r))
           done;
           Qs_sched.Latch.count_down latch)
       done;
       Qs_sched.Latch.wait latch;
-      Scoop.Runtime.separate rt h (fun reg ->
-        ignore (Scoop.Shared.get reg cell (fun r -> !r) : int));
-      Scoop.Runtime.pool_counters ())
+      let ran =
+        Scoop.Runtime.separate rt h (fun reg ->
+          Scoop.Shared.get reg on_hot (fun r -> !r))
+      in
+      [ ("pinned_calls", clients * per); ("pinned_calls_on_hot", ran) ])
   in
   Printf.printf "imbalance probe:";
-  List.iter
-    (fun (k, v) ->
-      if String.length k < 5 || String.sub k 0 5 <> "pool." then
-        Printf.printf " %s=%d" k v)
-    counters;
+  List.iter (fun (k, v) -> Printf.printf " %s=%d" k v) probe;
   print_newline ();
-  (rows, counters)
+  (rows, probe)
 
 (* -- remote-endpoint ablation ------------------------------------------------ *)
 
@@ -980,7 +978,7 @@ let write_json path (s : H.scale) micro_rows batching_rows pipeline_rows
   let pools_json =
     match pools_info with
     | None -> []
-    | Some (_, pool_counters) -> [ ("pools", json_ints pool_counters) ]
+    | Some (_, probe) -> [ ("pools", json_ints probe) ]
   in
   let alloc_json =
     match alloc_info with

@@ -55,7 +55,8 @@ type t = {
           admit and shed the oldest pending request ([`Shed_oldest]) *)
   pools : string list;
       (** extra named scheduler pools created by [Runtime.run] beyond the
-          always-present ["default"] ([[]] in every preset) *)
+          always-present ["default"], each owning one worker, so fewer
+          than [domains] ([[]] in every preset) *)
   endpoint : endpoint;
       (** where processors live ({!In_process} in every preset) *)
   trace : bool;

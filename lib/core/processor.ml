@@ -486,7 +486,7 @@ let create ?sink ?pool ~id ~config ~stats () =
     | Remote _ -> assert false (* [create] never builds a Remote comm *)
   in
   (* Pinning: a pooled handler fiber is spawned into its scheduler pool,
-     so only that pool's member workers ever drain its requests. *)
+     so only that pool's own workers ever drain its requests. *)
   let spawn_handler =
     match pool with
     | Some name -> Qs_sched.Sched.spawn_in name

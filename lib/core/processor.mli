@@ -58,8 +58,8 @@ val create :
     scheduler.  With [sink], the handler records one ["core"]/["batch"]
     complete span per drained batch (track = processor id, arg = batch
     size).  With [pool], the handler fiber is pinned to that scheduler
-    pool ([Qs_sched.Sched.spawn_in]): only the pool's member workers
-    drain its requests.
+    pool ([Qs_sched.Sched.spawn_in]): only the pool's own workers drain
+    its requests.
     @raise Invalid_argument on an unknown pool name. *)
 
 val create_remote :

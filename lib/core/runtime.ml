@@ -44,9 +44,6 @@ let stats t = t.ctx.Ctx.stats
 let trace t = t.ctx.Ctx.trace
 let obs t = t.ctx.Ctx.sink
 
-let pool_counters () =
-  Qs_sched.Sched.(pool_counters_assoc (current_pool_counters ()))
-
 (* [?pool] pins the new processor's handler fiber to a scheduler pool;
    without it the handler runs in the spawner's pool. *)
 let processor ?pool t =

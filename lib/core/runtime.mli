@@ -46,25 +46,28 @@ val run :
     (see paper §2.5).
 
     [config.pools] names extra scheduler pools for this run (see
-    [Qs_sched.Sched.run]); {!processor}'s [?pool] pins a handler to one
-    of them.  The shutdown on return drains every pool: stream closes
-    propagate to pinned handlers wherever they run, and their exit
-    latches are awaited like any other ([grace] is passed to
+    [Qs_sched.Sched.run]): each owns one worker of its own, so it needs
+    [List.length config.pools < domains]; {!processor}'s [?pool] pins a
+    handler to one of them.  The shutdown on return drains every pool:
+    stream closes propagate to pinned handlers wherever they run, and
+    their exit latches are awaited like any other ([grace] is passed to
     {!shutdown}).
 
     With [config.trace] (or an explicit [~obs] sink) the whole stack is
     instrumented into one shared sink: scheduler workers record
     dispatch/park spans and steal/handoff instants (["sched"]), handlers
     record per-batch spans (["core"]), client operations record
-    reserve/call/sync/query events (["client"]/["core"]), and pool
-    membership changes land as ["pool"]-category lanes — see
-    {!Qs_obs.Chrome} for exporting it. *)
+    reserve/call/sync/query events (["client"]/["core"]) — see
+    {!Qs_obs.Chrome} for exporting it.
+    @raise Invalid_argument when [config.pools] has [domains] or more
+    pools. *)
 
 val processor : ?pool:string -> t -> Processor.t
 (** Spawn a new processor (handler fiber).  [pool] pins its handler fiber
-    to the named scheduler pool (default: the spawner's pool).  On a
-    runtime with a [Connect] endpoint, the processor is instead a remote
-    proxy: its handler runs on the node the static shard map routes this
+    to the named scheduler pool (default: the spawner's pool), so only
+    that pool's workers run the requests it serves.  On a runtime with a
+    [Connect] endpoint, the processor is instead a remote proxy: its
+    handler runs on the node the static shard map routes this
     processor id to (id mod connection count), and [pool] is ignored.
     @raise Invalid_argument on an unknown pool name. *)
 
@@ -161,8 +164,3 @@ val trace : t -> Trace.t option
 val obs : t -> Qs_obs.Sink.t option
 (** The shared observability sink behind {!trace}, for whole-stack
     exports ({!Qs_obs.Chrome}) and track summaries. *)
-
-val pool_counters : unit -> (string * int) list
-(** Flat per-pool counter view of the surrounding scheduler (aggregates
-    [pool_drains] / [pool_migrations] / [pool_idle_shrinks], then
-    [pool.<name>.<field>] per pool); [[]] outside a scheduler. *)

@@ -193,33 +193,21 @@ let faults rt =
     (Qs_obs.Counter.get (R.stats rt).Scoop.Stats.aborted_requests)
 
 (* A handler pinned to a dedicated "hot" pool, flooded from
-   default-pool clients: idle workers migrate into the hot pool while it
-   has pending injections and shrink away once it drains. *)
+   default-pool clients: the hot pool's own worker runs every call. *)
 let pools rt =
   let h = R.processor ~pool:"hot" rt in
-  let cell = Sh.create h (ref 0) in
+  let on_hot = Sh.create h (ref 0) in
+  let per = 500 in
   clients 4 (fun () ->
-    for _ = 1 to 500 do
-      R.separate rt h (fun reg -> Sh.apply reg cell incr)
+    for _ = 1 to per do
+      R.separate rt h (fun reg ->
+        Sh.apply reg on_hot (fun r -> if S.current_pool () = "hot" then incr r))
     done);
+  let ran = get rt h on_hot and made = 4 * per in
   Printf.printf
-    "pools: handler pinned to \"hot\" served %d calls from 4 default-pool \
-     clients\n"
-    (get rt h cell);
-  let kv = R.pool_counters () in
-  let v k = Option.value ~default:0 (List.assoc_opt k kv) in
-  Printf.printf
-    "pools: pool_drains = %d, pool_migrations = %d, pool_idle_shrinks = %d\n"
-    (v "pool_drains") (v "pool_migrations") (v "pool_idle_shrinks");
-  List.iter
-    (fun name ->
-      let f field = v (Printf.sprintf "pool.%s.%s" name field) in
-      Printf.printf
-        "pools: %-8s workers=%d pending=%d drains=%d migrations=%d \
-         idle_shrinks=%d\n"
-        name (f "workers") (f "pending") (f "drains") (f "migrations")
-        (f "idle_shrinks"))
-    [ "default"; "hot" ]
+    "pools: %d of %d pinned-handler calls ran on the \"hot\" worker\n" ran
+    made;
+  if ran <> made then failwith "pools: pinned calls ran off the hot worker"
 
 let all =
   let open Scoop.Config in

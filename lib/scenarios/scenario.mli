@@ -31,7 +31,9 @@ val run : ?domains:int -> ?mailbox:[ `Qoq | `Direct ] -> t -> outcome
 (** Run the scenario traced ([domains] defaults to 2; [mailbox]
     overrides the scenario's own) and check the recorded trace.  The
     sink holds 65,536 events per domain, enough that no scenario
-    overwrites one on either mailbox at 1 or 2 domains. *)
+    overwrites one on either mailbox at 1 or 2 domains.
+    @raise Invalid_argument when [domains] is not above the number of
+    the scenario's extra pools ([pools] needs 2). *)
 
 val phantom : outcome -> (Qs_conform.report, Qs_conform.error) result option
 (** Negative control: append an execution that the client never logged

@@ -13,21 +13,22 @@
      the handler to the client, ... avoiding the global scheduler").
    - a Chase–Lev deque for local work (LIFO for the owner, stolen FIFO).
    - a *sharded* injection queue per pool (see below) used by [yield]
-     (round-robin fairness) and by overflow/remote scheduling.  The old
-     single Michael–Scott MPMC here was the hottest contention point in the
-     runtime (see the qoq-mpmc ablation); [Sharded_mpmc] splits that
-     traffic per worker.
+     (round-robin fairness) and by cross-pool/remote scheduling.  Each
+     worker drains it from its own shard first, so concurrent injectors
+     and drainers fan out instead of convoying on one queue (see the
+     qoq-mpmc and pools:inject ablations).
 
-   Pools: a scheduler owns one or more named pools, each with its own
-   injection queue and an (elastic) set of member workers.  Every fiber
-   belongs to the pool it was spawned in; scheduling a fiber from a worker
-   of another pool routes it to its home pool's injection queue instead of
-   the local deque, and steals are pool-local (a stolen job that turns out
-   to belong elsewhere is sent home, never run).  Workers re-evaluate pool
-   membership every [reeval_period] dispatches and whenever they run dry:
-   hot pools absorb idle workers, idle pools shrink to zero members.  Pool
-   0 is always ["default"] and is where [run]'s main fiber and unpinned
-   work live, so a single-pool scheduler behaves exactly as before.
+   Pools: a scheduler owns ["default"] plus any extra named pools, each
+   with its own injection queue and a set of workers fixed in [make]:
+   with [n] workers and [k] extra pools, extra pool [i] (1-based) owns
+   worker [n - i] alone and ["default"] keeps workers [0 .. n-k-1], so
+   [run]'s main fiber (worker 0) stays in ["default"].  Every fiber
+   belongs to the pool it was spawned in.  A worker's hot slot and deque
+   only ever hold work of its own pool: scheduling a fiber from a worker
+   of another pool goes through the home pool's injection queue, and
+   steals are pool-local.  Idle workers wait only for their own pool's
+   work.  A scheduler without extra pools is the plain work-stealing
+   scheduler.
 
    Idle workers spin briefly, steal, then sleep on a condition variable.
    The last worker to go idle while live fibers remain has found a global
@@ -43,30 +44,19 @@ type resumer = unit -> unit
 
 type task = unit -> unit
 
-(* A pool: a named injection queue plus load/membership accounting.  The
-   jobs it carries know their pool, so any worker can prove where a piece
-   of work belongs no matter which queue it surfaced from. *)
+(* A pool: a named injection queue and the workers that drain it. *)
 type pool = {
-  pool_id : int;
   pool_name : string;
-  inject : job Qs_queues.Sharded_mpmc.t;
-  pending : int Atomic.t; (* jobs in [inject], for migration scoring *)
-  assigned : int Atomic.t; (* member workers (parked workers leave) *)
-  pn_drains : int Atomic.t; (* jobs taken out of [inject] *)
-  pn_migrations : int Atomic.t; (* workers that joined from another pool *)
-  pn_idle_shrinks : int Atomic.t; (* times the pool emptied of workers *)
-}
-
-and job = {
-  run : task;
-  jpool : pool; (* home pool; fibers never change pools *)
+  inject : task Qs_queues.Sharded_mpmc.t;
+  lo : int; (* the pool owns workers [lo, hi) *)
+  hi : int;
 }
 
 type worker = {
   wid : int;
-  deque : job Qs_queues.Ws_deque.t;
-  mutable hot : job option;
-  mutable pool : pool; (* current membership; only [wid] writes it *)
+  pool : pool;
+  deque : task Qs_queues.Ws_deque.t;
+  mutable hot : task option;
   mutable tick : int;
   mutable steal_seed : int;
   (* per-worker plain counters, aggregated after the run *)
@@ -79,8 +69,7 @@ type worker = {
 (* Scheduling counters — the "SCOOP-specific instrumentation" of paper §7
    at the scheduler layer.  [handoffs] counts hot-slot direct transfers
    (the §3.2 optimization), [parks] counts worker sleeps: together they
-   quantify the context-switch claims of §4.3.  The pool trio aggregates
-   the per-pool cells (see {!pool_counters} for the breakdown). *)
+   quantify the context-switch claims of §4.3. *)
 type counters = {
   c_executed : int; (* fiber dispatches *)
   c_handoffs : int; (* direct handoffs through the hot slot *)
@@ -88,18 +77,6 @@ type counters = {
   c_parks : int; (* worker park episodes *)
   c_timer_arms : int; (* timers armed *)
   c_timer_fires : int; (* timers that expired and ran their action *)
-  c_pool_drains : int; (* jobs taken from pool injection queues *)
-  c_pool_migrations : int; (* workers switching pools *)
-  c_pool_idle_shrinks : int; (* pools emptied of member workers *)
-}
-
-type pool_counters = {
-  p_name : string;
-  p_workers : int; (* current member workers (racy) *)
-  p_pending : int; (* jobs waiting in the injection queue (racy) *)
-  p_drains : int;
-  p_migrations : int;
-  p_idle_shrinks : int;
 }
 
 type t = {
@@ -122,14 +99,9 @@ type t = {
 
 (* Worker events land in the shared observability sink under the "sched"
    category, one track per worker: dispatch spans, park spans, steal and
-   handoff instants.  Pool membership events get their own lanes (category
-   "pool", track 1000 + pool id) so a Chrome trace shows each pool's
-   worker arrivals and shrink-to-zero moments as a separate row.
-   Everything is behind [t.obs = Some _], so an untraced run pays one
-   branch. *)
+   handoff instants.  Everything is behind [t.obs = Some _], so an
+   untraced run pays one branch. *)
 let obs_cat = "sched"
-
-let pool_track p = 1000 + p.pool_id
 
 type _ Effect.t +=
   | Suspend : (resumer -> unit) -> unit Effect.t
@@ -161,25 +133,18 @@ let wake_idlers t =
     Mutex.unlock t.idle_mutex
   end
 
-(* Send a job to its home pool's injection queue.  [pending] is bumped
-   before the push so a migrating worker never observes the queue fuller
-   than the score says — the transient is a phantom pending unit, which at
-   worst wakes a worker early. *)
-let push_job t job =
-  Atomic.incr job.jpool.pending;
-  Qs_queues.Sharded_mpmc.push job.jpool.inject job;
+let push_job t pool job =
+  Qs_queues.Sharded_mpmc.push pool.inject job;
   wake_idlers t
 
-let push_pool t pool run = push_job t { run; jpool = pool }
-
-(* Schedule [job] for execution: hot slot if the caller is a worker of [t]
-   *member of the job's pool* and the slot is free, else the caller's
+(* Schedule [job], a piece of [pool]'s work: hot slot if the caller is a
+   worker of [t] *in [pool]* and the slot is free, else the caller's
    deque, else the pool's injection queue.  The pool guard is what makes
    pinning sound: work for pool P only ever sits in queues drained by P's
    workers. *)
-let schedule t job =
+let schedule t pool job =
   match get_worker () with
-  | Some (t', w) when t' == t && w.pool == job.jpool ->
+  | Some (t', w) when t' == t && w.pool == pool ->
     if w.hot = None then begin
       w.n_handoffs <- w.n_handoffs + 1;
       (match t.obs with
@@ -192,16 +157,16 @@ let schedule t job =
       Qs_queues.Ws_deque.push w.deque job;
       wake_idlers t
     end
-  | Some _ | None -> push_job t job
+  | Some _ | None -> push_job t pool job
 
 (* Like [schedule] but never uses the hot slot: used by [spawn] so a parent
    that spawns many fibers does not serialize behind each child. *)
-let schedule_cold t job =
+let schedule_cold t pool job =
   match get_worker () with
-  | Some (t', w) when t' == t && w.pool == job.jpool ->
+  | Some (t', w) when t' == t && w.pool == pool ->
     Qs_queues.Ws_deque.push w.deque job;
     wake_idlers t
-  | Some _ | None -> push_job t job
+  | Some _ | None -> push_job t pool job
 
 (* Arm a one-shot timer on [t]'s timer queue.  The armed→fired interval is
    recorded as a "timer" span when tracing; parked workers are nudged so a
@@ -261,23 +226,22 @@ let exec t pool (body : unit -> unit) =
                 let resumed = Atomic.make false in
                 let resume () =
                   if Atomic.compare_and_set resumed false true then
-                    schedule t { run = (fun () -> continue k ()); jpool = pool }
+                    schedule t pool (fun () -> continue k ())
                 in
                 register resume)
           | Yield ->
             Some (fun (k : (a, unit) continuation) ->
-              push_pool t pool (fun () -> continue k ()))
+              push_job t pool (fun () -> continue k ()))
           | _ -> None);
     }
 
 let spawn_on_pool t pool body =
   Atomic.incr t.live;
-  schedule_cold t { run = (fun () -> exec t pool body); jpool = pool }
+  schedule_cold t pool (fun () -> exec t pool body)
 
-(* Fibers inherit the spawner's *current* pool.  During a job's execution
-   the worker's membership equals the job's home pool (membership only
-   changes between jobs), so inheritance is deterministic: children live
-   where their parent lives unless spawned through [spawn_in]. *)
+(* Fibers inherit the spawner's pool: a worker only runs its own pool's
+   fibers, so children live where their parent lives unless spawned
+   through [spawn_in]. *)
 let spawn body =
   match get_worker () with
   | Some (t, w) -> spawn_on_pool t w.pool body
@@ -369,110 +333,6 @@ let suspend_timeout register delay =
         end));
     if Atomic.get state = 2 then `Timed_out else `Resumed
 
-(* -- Pool membership ------------------------------------------------------ *)
-
-(* Workers re-evaluate which pool to drain every [reeval_period] dispatches
-   (the elastic-pool cadence): often enough that a flooded pool absorbs
-   idle capacity within microseconds, rare enough that the scoring loads
-   are invisible next to the dispatches themselves. *)
-let reeval_period = 32
-
-(* Load score: queued jobs per member worker.  The +1 keeps empty pools
-   comparable and models the candidate worker itself joining. *)
-let pool_score p =
-  float_of_int (Atomic.get p.pending) /. float_of_int (1 + max 0 (Atomic.get p.assigned))
-
-let leave_pool t w =
-  let p = w.pool in
-  Atomic.decr p.assigned;
-  if Atomic.get p.assigned <= 0 && Atomic.get p.pending = 0 then begin
-    Atomic.incr p.pn_idle_shrinks;
-    match t.obs with
-    | Some sink ->
-      Qs_obs.Sink.instant sink ~cat:"pool" ~name:"shrink" ~track:(pool_track p)
-        ~arg:w.wid ()
-    | None -> ()
-  end
-
-let join_pool t w p ~migrated =
-  w.pool <- p;
-  Atomic.incr p.assigned;
-  if migrated then begin
-    Atomic.incr p.pn_migrations;
-    match t.obs with
-    | Some sink ->
-      Qs_obs.Sink.instant sink ~cat:"pool" ~name:"migrate" ~track:(pool_track p)
-        ~arg:w.wid ()
-    | None -> ()
-  end
-
-(* Best migration target other than [cur]: highest score among pools with
-   queued work. *)
-let best_other_pool t cur =
-  let best = ref None in
-  let best_score = ref 0.0 in
-  Array.iter
-    (fun p ->
-      if p != cur && Atomic.get p.pending > 0 then begin
-        let s = pool_score p in
-        if s > !best_score then begin
-          best := Some p;
-          best_score := s
-        end
-      end)
-    t.pools;
-  (!best, !best_score)
-
-(* Periodic re-evaluation, between jobs only (hot slot and deque must be
-   empty so no already-claimed work crosses pools with the worker). *)
-let maybe_reeval t w =
-  if
-    Array.length t.pools > 1
-    && w.n_executed mod reeval_period = 0
-    && w.hot = None
-    && Qs_queues.Ws_deque.size w.deque = 0
-  then begin
-    let cur = w.pool in
-    match best_other_pool t cur with
-    | Some p, s
-      when Atomic.get cur.pending = 0 || s > 2.0 *. pool_score cur ->
-      leave_pool t w;
-      join_pool t w p ~migrated:true
-    | _ -> ()
-  end
-
-let migrate_to t w p =
-  leave_pool t w;
-  join_pool t w p ~migrated:true
-
-(* A worker that found no work at all: before spinning or parking, move to
-   any pool with queued jobs.  This is the absorb side of autoscaling and
-   also what prevents livelock — without it, work injected into a pool
-   whose membership shrank to zero would only be picked up via the park
-   path.  With no injection backlog anywhere, a pool whose members hold
-   stealable deque work is the fallback target (steals are pool-local, so
-   helping requires joining first). *)
-let idle_migrate t w =
-  if Array.length t.pools <= 1 then false
-  else
-    match best_other_pool t w.pool with
-    | Some p, _ ->
-      migrate_to t w p;
-      true
-    | None, _ ->
-      let n = Array.length t.workers in
-      let rec find i =
-        if i = n then false
-        else
-          let v = t.workers.(i) in
-          if v.pool != w.pool && Qs_queues.Ws_deque.size v.deque > 0 then begin
-            migrate_to t w v.pool;
-            true
-          end
-          else find (i + 1)
-      in
-      find 0
-
 (* -- Worker loop ---------------------------------------------------------- *)
 
 let take_hot w =
@@ -482,13 +342,11 @@ let take_hot w =
     job
   | None -> None
 
-(* Pool-local stealing: only workers of the same pool are victims, so a
-   pinned pool's work stays on its members.  Membership reads race with
-   migration, so a stolen job is re-checked against its [jpool] tag: a
-   mismatch (the victim migrated after pushing it) sends the job home via
-   its pool's injection queue instead of running it here. *)
+(* Pool-local stealing: only the worker's pool-mates are victims, so a
+   pinned pool's work stays on its own workers. *)
 let try_steal t w =
-  let n = Array.length t.workers in
+  let p = w.pool in
+  let n = p.hi - p.lo in
   if n <= 1 then None
   else begin
     (* xorshift for victim selection; any distribution works, we only need
@@ -502,13 +360,10 @@ let try_steal t w =
     let rec loop i =
       if i = n then None
       else
-        let v = t.workers.((start + i) mod n) in
-        if v.wid = w.wid || v.pool != w.pool then loop (i + 1)
+        let v = t.workers.(p.lo + ((start + i) mod n)) in
+        if v.wid = w.wid then loop (i + 1)
         else
           match Qs_queues.Ws_deque.steal v.deque with
-          | Some job when job.jpool != w.pool ->
-            push_job t job;
-            loop (i + 1)
           | Some _ as job ->
             w.n_steals <- w.n_steals + 1;
             (match t.obs with
@@ -546,16 +401,9 @@ let fire_due_timers t =
 
 let next_task t w =
   w.tick <- w.tick + 1;
-  let from_inject () =
-    (* Start the shard sweep at the worker's own shard so concurrent
-       drainers fan out instead of convoying. *)
-    match Qs_queues.Sharded_mpmc.pop_from w.pool.inject w.wid with
-    | Some job as r ->
-      Atomic.decr job.jpool.pending;
-      Atomic.incr job.jpool.pn_drains;
-      r
-    | None -> None
-  in
+  (* Start the shard sweep at the worker's own shard so concurrent
+     drainers fan out instead of convoying. *)
+  let from_inject () = Qs_queues.Sharded_mpmc.pop_from w.pool.inject w.wid in
   let local () = Qs_queues.Ws_deque.pop w.deque in
   fire_due_timers t;
   let periodic = w.tick mod global_check_period = 0 in
@@ -586,17 +434,25 @@ let next_task t w =
         | Some _ as job -> job
         | None -> try_steal t w))
 
-(* Any runnable work anywhere?  Consulted on every park decision, so both
-   levels short-circuit: the pool scan stops at the first pool whose
-   sharded queue admits non-emptiness, and [Sharded_mpmc.is_empty] itself
-   stops at the first non-empty shard. *)
-let any_work t =
-  Array.exists
-    (fun p -> not (Qs_queues.Sharded_mpmc.is_empty p.inject))
-    t.pools
-  || Array.exists
-       (fun w -> w.hot <> None || Qs_queues.Ws_deque.size w.deque > 0)
-       t.workers
+(* Runnable work for [p]'s workers: its injection queue, or a pool-mate's
+   hot slot or deque.  Every "is there work for me" test of an idle
+   worker uses this, so no worker spins, dozes or wakes on a backlog it
+   may not run.  Consulted on every park decision, so it short-circuits:
+   [Sharded_mpmc.is_empty] stops at the first non-empty shard. *)
+let pool_work t p =
+  let rec busy i =
+    i < p.hi
+    &&
+    let w = t.workers.(i) in
+    w.hot <> None || Qs_queues.Ws_deque.size w.deque > 0 || busy (i + 1)
+  in
+  (not (Qs_queues.Sharded_mpmc.is_empty p.inject)) || busy p.lo
+
+(* Runnable work in any pool: the stall verdict's test.  A per-pool test
+   there would let the last idler declare a false stall while a worker
+   woken for another pool's job is still on its way out of
+   [Condition.wait]. *)
+let any_work t = Array.exists (pool_work t) t.pools
 
 (* Maximum sleep slice for the parked timekeeper: bounds the latency with
    which an off-condvar sleeper notices [stop], work pushed from outside the
@@ -612,10 +468,14 @@ let timekeeper_slice_ns = 1_000_000
 let timekeeper_spin_ns = 20_000
 
 (* Spin until [deadline] (or an earlier newly armed one) is due, returning
-   early when work or [stop] shows up.  Runs without the idle mutex. *)
-let spin_until_due t deadline =
+   early when work for [w] or [stop] shows up.  Runs without the idle
+   mutex. *)
+let spin_until_due t w deadline =
   let rec go deadline =
-    if (not t.stop) && (not (any_work t)) && Qs_obs.Clock.now_ns () < deadline
+    if
+      (not t.stop)
+      && (not (pool_work t w.pool))
+      && Qs_obs.Clock.now_ns () < deadline
     then begin
       Domain.cpu_relax ();
       go (Int.min deadline (Timer.next_deadline t.timers))
@@ -623,8 +483,8 @@ let spin_until_due t deadline =
   in
   go deadline
 
-(* Sleep until work arrives, a timer is due, [stop] is set, or a stall is
-   detected.  Returns [false] iff the worker should exit.
+(* Sleep until work for [w]'s pool arrives, a timer is due, [stop] is set,
+   or a stall is detected.  Returns [false] iff the worker should exit.
 
    Pending timers make parking time-aware: a sleeping fiber is *not* a
    deadlock, so the stall branch additionally requires [Timer.pending] to be
@@ -636,7 +496,7 @@ let spin_until_due t deadline =
    [worker_loop]), so a slice ends when it was asked to.  The timekeeper
    hands the clock to another parked worker (broadcast) whenever it leaves
    the role with timers still pending. *)
-let park t =
+let park t w =
   Mutex.lock t.idle_mutex;
   if t.stop then begin
     Mutex.unlock t.idle_mutex;
@@ -653,7 +513,7 @@ let park t =
     in
     let rec wait_for_work () =
       if t.stop then leave false
-      else if any_work t then leave true
+      else if pool_work t w.pool then leave true
       else if Timer.pending t.timers || Poller.has_waiters t.poller then
         if t.has_timekeeper then begin
           (* Someone else is watching the clock. *)
@@ -661,7 +521,11 @@ let park t =
           wait_for_work ()
         end
         else timekeep ()
-      else if t.idlers = Array.length t.workers && Atomic.get t.live > 0 then begin
+      else if
+        t.idlers = Array.length t.workers
+        && Atomic.get t.live > 0
+        && not (any_work t)
+      then begin
         (* Global stall: every runnable source is empty, all workers idle,
            no timer can fire, yet fibers remain suspended.  No external
            event can wake them. *)
@@ -677,7 +541,7 @@ let park t =
     and timekeep () =
       t.has_timekeeper <- true;
       let rec doze () =
-        if t.stop || any_work t then relinquish ()
+        if t.stop || pool_work t w.pool then relinquish ()
         else begin
           let deadline = Timer.next_deadline t.timers in
           if deadline = Timer.never && not (Poller.has_waiters t.poller) then
@@ -709,7 +573,7 @@ let park t =
                  last [timekeeper_spin_ns] before a deadline are spun. *)
               let left = deadline - now in
               Mutex.unlock t.idle_mutex;
-              if left <= timekeeper_spin_ns then spin_until_due t deadline
+              if left <= timekeeper_spin_ns then spin_until_due t w deadline
               else begin
                 let slice =
                   Qs_obs.Clock.s_of_ns
@@ -732,35 +596,10 @@ let park t =
       in
       doze ()
     in
-    (* Re-check after advertising idleness: a concurrent [push_global] that
+    (* Re-check after advertising idleness: a concurrent [push_job] that
        missed our hint must be visible to us now. *)
     wait_for_work ()
   end
-
-(* After a park, rejoin the most loaded pool (a parked worker belongs to no
-   pool, which is how idle pools shrink to zero members); with nothing
-   pending anywhere, resume the previous membership. *)
-let rejoin_pool t w =
-  let old = w.pool in
-  let target =
-    if Array.length t.pools = 1 then old
-    else begin
-      let best = ref old in
-      let best_score = ref (pool_score old) in
-      Array.iter
-        (fun p ->
-          if Atomic.get p.pending > 0 then begin
-            let s = pool_score p in
-            if s > !best_score then begin
-              best := p;
-              best_score := s
-            end
-          end)
-        t.pools;
-      !best
-    end
-  in
-  join_pool t w target ~migrated:(target != old)
 
 (* Set the calling thread's kernel timer slack in ns; returns the previous
    value, or -1 where there is none to set (see qs_sched_stubs.c). *)
@@ -780,49 +619,39 @@ let worker_loop t w =
         spins := 0;
         w.n_executed <- w.n_executed + 1;
         (match t.obs with
-        | None -> job.run ()
+        | None -> job ()
         | Some sink ->
           (* Dispatch span: one fiber slice on this worker. *)
           let t0 = Qs_obs.Sink.now sink in
-          job.run ();
+          job ();
           Qs_obs.Sink.complete sink ~cat:obs_cat ~name:"dispatch" ~track:w.wid
             ~ts:t0
             ~dur:(Qs_obs.Sink.now sink -. t0)
             ());
-        maybe_reeval t w;
         loop ()
       | None ->
-        if idle_migrate t w then loop ()
+        incr spins;
+        if !spins < 64 then begin
+          Domain.cpu_relax ();
+          loop ()
+        end
         else begin
-          incr spins;
-          if !spins < 64 then begin
-            Domain.cpu_relax ();
-            loop ()
-          end
-          else begin
-            spins := 0;
-            w.n_parks <- w.n_parks + 1;
-            (* Membership is released for the duration of the sleep: a
-               parked worker counts toward no pool. *)
-            leave_pool t w;
-            let continue_ =
-              match t.obs with
-              | None -> park t
-              | Some sink ->
-                (* Park span: the worker is asleep (or deciding to). *)
-                let t0 = Qs_obs.Sink.now sink in
-                let continue_ = park t in
-                Qs_obs.Sink.complete sink ~cat:obs_cat ~name:"park" ~track:w.wid
-                  ~ts:t0
-                  ~dur:(Qs_obs.Sink.now sink -. t0)
-                  ();
-                continue_
-            in
-            if continue_ then begin
-              rejoin_pool t w;
-              loop ()
-            end
-          end
+          spins := 0;
+          w.n_parks <- w.n_parks + 1;
+          let continue_ =
+            match t.obs with
+            | None -> park t w
+            | Some sink ->
+              (* Park span: the worker is asleep (or deciding to). *)
+              let t0 = Qs_obs.Sink.now sink in
+              let continue_ = park t w in
+              Qs_obs.Sink.complete sink ~cat:obs_cat ~name:"park" ~track:w.wid
+                ~ts:t0
+                ~dur:(Qs_obs.Sink.now sink -. t0)
+                ();
+              continue_
+          in
+          if continue_ then loop ()
         end
   in
   loop ();
@@ -831,7 +660,8 @@ let worker_loop t w =
   Domain.DLS.set current None
 
 let make ?(domains = 1) ?(pools = []) ?obs ~on_stall () =
-  let domains = max 1 domains in
+  let n = max 1 domains in
+  let k = List.length pools in
   let names = "default" :: pools in
   let () =
     let seen = Hashtbl.create 8 in
@@ -843,23 +673,23 @@ let make ?(domains = 1) ?(pools = []) ?obs ~on_stall () =
         Hashtbl.add seen name ())
       names
   in
+  if k >= n then
+    invalid_arg
+      (Printf.sprintf
+         "Sched.make: %d extra pool(s) need at least %d workers, got %d" k
+         (k + 1) n);
   let pools =
     Array.of_list
       (List.mapi
-         (fun pool_id pool_name ->
+         (fun i pool_name ->
+           let lo, hi = if i = 0 then (0, n - k) else (n - i, n - i + 1) in
            {
-             pool_id;
              pool_name;
              (* One shard per worker: injection traffic splits across
                 domains instead of convoying on one queue. *)
-             inject = Qs_queues.Sharded_mpmc.create_sharded ~shards:domains ();
-             pending = Atomic.make 0;
-             (* Every worker starts in the default pool; the others fill
-                elastically. *)
-             assigned = Atomic.make (if pool_id = 0 then domains else 0);
-             pn_drains = Atomic.make 0;
-             pn_migrations = Atomic.make 0;
-             pn_idle_shrinks = Atomic.make 0;
+             inject = Qs_queues.Sharded_mpmc.create_sharded ~shards:n ();
+             lo;
+             hi;
            })
          names)
   in
@@ -867,12 +697,12 @@ let make ?(domains = 1) ?(pools = []) ?obs ~on_stall () =
     obs;
     pools;
     workers =
-      Array.init domains (fun wid ->
+      Array.init n (fun wid ->
         {
           wid;
+          pool = (if wid < n - k then pools.(0) else pools.(n - wid));
           deque = Qs_queues.Ws_deque.create ();
           hot = None;
-          pool = pools.(0);
           tick = 0;
           steal_seed = (wid * 0x9E3779B9) + 0x5DEECE66D;
           n_executed = 0;
@@ -900,13 +730,6 @@ let make ?(domains = 1) ?(pools = []) ?obs ~on_stall () =
    quiescence (end of run) it is exact. *)
 let counters t =
   let tc = Timer.counters t.timers in
-  let pd = ref 0 and pm = ref 0 and ps = ref 0 in
-  Array.iter
-    (fun p ->
-      pd := !pd + Atomic.get p.pn_drains;
-      pm := !pm + Atomic.get p.pn_migrations;
-      ps := !ps + Atomic.get p.pn_idle_shrinks)
-    t.pools;
   Array.fold_left
     (fun acc w ->
       {
@@ -923,52 +746,8 @@ let counters t =
       c_parks = 0;
       c_timer_arms = tc.Timer.t_armed;
       c_timer_fires = tc.Timer.t_fired;
-      c_pool_drains = !pd;
-      c_pool_migrations = !pm;
-      c_pool_idle_shrinks = !ps;
     }
     t.workers
-
-let pool_counters t =
-  Array.to_list
-    (Array.map
-       (fun p ->
-         {
-           p_name = p.pool_name;
-           p_workers = max 0 (Atomic.get p.assigned);
-           p_pending = max 0 (Atomic.get p.pending);
-           p_drains = Atomic.get p.pn_drains;
-           p_migrations = Atomic.get p.pn_migrations;
-           p_idle_shrinks = Atomic.get p.pn_idle_shrinks;
-         })
-       t.pools)
-
-let current_pool_counters () =
-  match get_worker () with
-  | Some (t, _) -> pool_counters t
-  | None -> []
-
-(* Flat name→value view: the three aggregates first (stable keys for the
-   bench JSON / CI assertions), then a per-pool breakdown under
-   [pool.<name>.<field>]. *)
-let pool_counters_assoc per =
-  let agg name field =
-    (name, List.fold_left (fun acc p -> acc + field p) 0 per)
-  in
-  agg "pool_drains" (fun p -> p.p_drains)
-  :: agg "pool_migrations" (fun p -> p.p_migrations)
-  :: agg "pool_idle_shrinks" (fun p -> p.p_idle_shrinks)
-  :: List.concat_map
-       (fun p ->
-         let key f = Printf.sprintf "pool.%s.%s" p.p_name f in
-         [
-           (key "workers", p.p_workers);
-           (key "pending", p.p_pending);
-           (key "drains", p.p_drains);
-           (key "migrations", p.p_migrations);
-           (key "idle_shrinks", p.p_idle_shrinks);
-         ])
-       per
 
 let current_counters () =
   match get_worker () with
@@ -983,9 +762,6 @@ let counters_assoc c =
     ("sched_parks", c.c_parks);
     ("sched_timer_arms", c.c_timer_arms);
     ("sched_timer_fires", c.c_timer_fires);
-    ("pool_drains", c.c_pool_drains);
-    ("pool_migrations", c.c_pool_migrations);
-    ("pool_idle_shrinks", c.c_pool_idle_shrinks);
   ]
 
 let run ?(domains = 1) ?(pools = []) ?(on_stall = `Raise) ?on_counters ?obs
@@ -995,7 +771,7 @@ let run ?(domains = 1) ?(pools = []) ?(on_stall = `Raise) ?on_counters ?obs
   let t = make ~domains ~pools ?obs ~on_stall () in
   let result = ref None in
   Atomic.incr t.live;
-  push_pool t (default_pool t) (fun () ->
+  push_job t (default_pool t) (fun () ->
     exec t (default_pool t) (fun () -> result := Some (main ())));
   let others =
     Array.init

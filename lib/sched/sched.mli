@@ -29,25 +29,11 @@ type counters = {
   c_parks : int; (** worker park (sleep) episodes *)
   c_timer_arms : int; (** timers armed ({!sleep}, {!suspend_timeout}, …) *)
   c_timer_fires : int; (** timers that expired and ran their action *)
-  c_pool_drains : int; (** jobs taken from pool injection queues *)
-  c_pool_migrations : int; (** workers switching pools *)
-  c_pool_idle_shrinks : int; (** pools emptied of member workers *)
 }
 (** Scheduling counters aggregated over all workers — the context-switch
     instrumentation the paper's §4.3 discussion calls for.  Readable live
-    mid-run ({!counters}, {!current_counters}) and delivered exactly at
-    the end of a run ([?on_counters]).  The pool trio sums the per-pool
-    cells; {!pool_counters} has the per-pool breakdown. *)
-
-type pool_counters = {
-  p_name : string;
-  p_workers : int; (** current member workers (racy) *)
-  p_pending : int; (** jobs waiting in the injection queue (racy) *)
-  p_drains : int;
-  p_migrations : int;
-  p_idle_shrinks : int;
-}
-(** Per-pool load and elasticity counters. *)
+    mid-run ({!current_counters}) and delivered exactly at the end of a
+    run ([?on_counters]). *)
 
 val run :
   ?domains:int ->
@@ -63,42 +49,30 @@ val run :
     after termination.  [on_counters] receives the aggregated scheduling
     counters just before [run] returns.  [obs] attaches an observability
     sink: every worker then records dispatch and park spans plus steal and
-    handoff instants under the ["sched"] category (track = worker id), and
-    pool membership events (["pool"] category, track 1000 + pool id).
+    handoff instants under the ["sched"] category (track = worker id).
     Nested [run]s on the same domain are not allowed.
 
     [pools] names extra scheduler pools beyond the always-present
     ["default"] (duplicates and [""] are rejected).  Each pool has its own
-    sharded injection queue and an elastic set of member workers: fibers
-    spawned with {!spawn_in} are pinned to their pool (only its member
-    workers run them, across every suspension and resumption), and workers
-    re-distribute themselves over pools by load — a flooded pool absorbs
-    idle workers, an idle pool shrinks to zero members.  The main fiber and
-    plain {!spawn}s run in the spawner's pool (["default"] at the root). *)
-
-val counters : t -> counters
-(** Live aggregate of the per-worker scheduling counters.  Mid-run the
-    sum is approximate (workers update their fields without
-    synchronization); once {!run} has returned it is exact. *)
+    sharded injection queue and a fixed set of workers: with [n] workers
+    and [k] extra pools, extra pool [i] (1-based, in [pools] order) owns
+    worker [n - i] alone, and ["default"] keeps workers [0 .. n-k-1].
+    Fibers spawned with {!spawn_in} are pinned to their pool (only its
+    workers run them, across every suspension and resumption).  The main
+    fiber and plain {!spawn}s run in the spawner's pool (["default"] at
+    the root).
+    @raise Invalid_argument when [k >= domains]: every pool needs a worker
+    of its own. *)
 
 val current_counters : unit -> counters option
-(** {!counters} of the scheduler running the current fiber; [None]
-    outside any scheduler. *)
+(** Live aggregate of the per-worker scheduling counters of the scheduler
+    running the current fiber; [None] outside any scheduler.  Mid-run the
+    sum is approximate (workers update their fields without
+    synchronization); the [?on_counters] delivery at the end of {!run} is
+    exact. *)
 
 val counters_assoc : counters -> (string * int) list
 (** Name→value view of {!counters} (for machine-readable output). *)
-
-val pool_counters : t -> pool_counters list
-(** Per-pool counters, in pool declaration order (["default"] first). *)
-
-val current_pool_counters : unit -> pool_counters list
-(** {!pool_counters} of the scheduler running the current fiber; [[]]
-    outside any scheduler. *)
-
-val pool_counters_assoc : pool_counters list -> (string * int) list
-(** Flat name→value view of a {!pool_counters} list: the aggregates
-    [pool_drains] / [pool_migrations] / [pool_idle_shrinks] first, then
-    [pool.<name>.<field>] per pool. *)
 
 val spawn : (unit -> unit) -> unit
 (** Create a new fiber in the spawner's current pool.  Must be called from
@@ -106,14 +80,14 @@ val spawn : (unit -> unit) -> unit
 
 val spawn_in : string -> (unit -> unit) -> unit
 (** [spawn_in pool body] creates a fiber pinned to [pool]: only that
-    pool's member workers ever run it, across every suspension point.
+    pool's workers ever run it, across every suspension point.
     @raise Invalid_argument on an unknown pool name or outside a
     scheduler. *)
 
 val current_pool : unit -> string
 (** Name of the pool whose worker is executing the current fiber.  Inside
-    a fiber this is the fiber's home pool (membership only changes between
-    jobs). *)
+    a fiber this is the fiber's home pool (a worker only runs its own
+    pool's fibers). *)
 
 val suspend : (resumer -> unit) -> unit
 (** [suspend register] blocks the current fiber and calls [register resume]

@@ -39,10 +39,9 @@ and t = {
   mutable next_seq : int;
   earliest : int Atomic.t; (* <= every live deadline; max_int if none *)
   live : int Atomic.t; (* armed and not yet fired/cancelled *)
-  (* counters (atomic: [cancel] runs without the lock) *)
+  (* counters (atomic: [counters] reads them without the lock) *)
   armed : int Atomic.t;
   fired : int Atomic.t;
-  cancelled : int Atomic.t;
 }
 
 let now () = Qs_obs.Clock.s_of_ns (Qs_obs.Clock.now_ns ())
@@ -59,7 +58,6 @@ let create () =
     live = Atomic.make 0;
     armed = Atomic.make 0;
     fired = Atomic.make 0;
-    cancelled = Atomic.make 0;
   }
 
 (* -- heap primitives (call with [t.lock] held) ---------------------------- *)
@@ -151,7 +149,6 @@ let arm t ~deadline action =
 let cancel e =
   if Atomic.compare_and_set e.claimed false true then begin
     Atomic.decr e.owner.live;
-    Atomic.incr e.owner.cancelled;
     true
   end
   else false
@@ -197,11 +194,6 @@ let fire_due t ~now =
     !n_due
   end
 
-type counters = { t_armed : int; t_fired : int; t_cancelled : int }
+type counters = { t_armed : int; t_fired : int }
 
-let counters t =
-  {
-    t_armed = Atomic.get t.armed;
-    t_fired = Atomic.get t.fired;
-    t_cancelled = Atomic.get t.cancelled;
-  }
+let counters t = { t_armed = Atomic.get t.armed; t_fired = Atomic.get t.fired }

@@ -59,6 +59,6 @@ val pending : t -> bool
 (** [true] iff at least one armed timer has neither fired nor been
     cancelled.  Lock-free. *)
 
-type counters = { t_armed : int; t_fired : int; t_cancelled : int }
+type counters = { t_armed : int; t_fired : int }
 
 val counters : t -> counters

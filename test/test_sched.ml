@@ -1171,49 +1171,50 @@ let test_pool_pinning () =
   check_bool "pinned fibers ran only in their pool" true (Atomic.get ok_hot);
   check_bool "main fiber stayed in default" true (Atomic.get ok_def)
 
-let test_pool_absorbs_and_shrinks () =
-  (* Autoscaling, observed deterministically with one worker: the worker
-     starts in "default", migrates into "hot" when work floods it, and
-     when "hot" runs dry it leaves for the waiting default work —
-     shrinking the idle pool to zero members. *)
-  let final = ref None in
-  let observed = ref [] in
-  S.run ~pools:[ "hot" ] ~on_counters:(fun c -> final := Some c) (fun () ->
-    let latch = Latch.create 50 in
-    for _ = 1 to 50 do
-      S.spawn_in "hot" (fun () ->
-        S.yield ();
-        Latch.count_down latch)
-    done;
-    Latch.wait latch;
-    (* The latch resumption brought the worker back to this (default)
-       fiber, so "hot" has already lost its last member. *)
-    observed := S.current_pool_counters ());
-  let hot =
-    match List.find_opt (fun p -> p.S.p_name = "hot") !observed with
-    | Some p -> p
-    | None -> Alcotest.fail "hot pool missing from pool_counters"
+let test_pool_needs_own_worker () =
+  (* Every extra pool owns a worker of its own, next to at least one
+     "default" worker. *)
+  let rejected ~domains pools =
+    try
+      S.run ~domains ~pools (fun () -> ());
+      false
+    with Invalid_argument _ -> true
   in
-  check_int "hot pool shrank to zero workers" 0 hot.S.p_workers;
-  check_bool "hot pool recorded idle shrinks" true (hot.S.p_idle_shrinks >= 1);
-  check_bool "hot pool drained its injections" true (hot.S.p_drains >= 50);
+  check_bool "one worker, one extra pool" true (rejected ~domains:1 [ "hot" ]);
+  check_bool "two workers, two extra pools" true
+    (rejected ~domains:2 [ "a"; "b" ])
+
+let test_pool_idle_worker_sleeps () =
+  (* A backlog in "hot" is no work for the "default" worker: while the
+     hot worker busy-computes with a second hot fiber queued behind it,
+     the idle default worker must sleep instead of spinning through
+     park/unpark cycles on work it may not run. *)
+  let final = ref None in
+  S.run ~domains:2 ~pools:[ "hot" ] ~on_counters:(fun c -> final := Some c)
+    (fun () ->
+    let latch = Latch.create 2 in
+    S.spawn_in "hot" (fun () ->
+      let until = Unix.gettimeofday () +. 0.02 in
+      while Unix.gettimeofday () < until do
+        ()
+      done;
+      Latch.count_down latch);
+    S.spawn_in "hot" (fun () -> Latch.count_down latch);
+    Latch.wait latch);
   match !final with
   | Some c ->
-    check_bool "aggregate migrations counted" true (c.S.c_pool_migrations >= 2);
-    check_bool "aggregate drains include hot" true
-      (c.S.c_pool_drains >= hot.S.p_drains)
+    check_bool
+      (Printf.sprintf "few parks (%d) while hot is busy" c.S.c_parks)
+      true (c.S.c_parks < 50)
   | None -> Alcotest.fail "final counters missing"
 
 let test_pool_multi_domain_flood () =
-  (* Cross-domain pools under load: all fibers complete, pinning holds,
-     and idle workers migrate into the flooded pool. *)
+  (* Cross-domain pools under load: all fibers complete and pinning
+     holds. *)
   let n = 2_000 in
   let hits = Atomic.make 0 in
   let ok = Atomic.make true in
-  let final = ref None in
-  S.run ~domains:4 ~pools:[ "hot"; "cold" ]
-    ~on_counters:(fun c -> final := Some c)
-    (fun () ->
+  S.run ~domains:4 ~pools:[ "hot"; "cold" ] (fun () ->
       let latch = Latch.create n in
       for i = 1 to n do
         let pool = if i mod 4 = 0 then "cold" else "hot" in
@@ -1226,26 +1227,7 @@ let test_pool_multi_domain_flood () =
       done;
       Latch.wait latch);
   check_int "all pooled fibers ran" n (Atomic.get hits);
-  check_bool "pinning held under load" true (Atomic.get ok);
-  match !final with
-  | Some c -> check_bool "workers migrated" true (c.S.c_pool_migrations > 0)
-  | None -> Alcotest.fail "final counters missing"
-
-let test_pool_counters_assoc_shape () =
-  (* The flat view carries the aggregate keys (CI asserts on them) and a
-     per-pool breakdown for every declared pool. *)
-  let assoc = ref [] in
-  S.run ~pools:[ "hot" ] (fun () ->
-    S.spawn_in "hot" (fun () -> S.yield ());
-    S.yield ();
-    assoc := S.pool_counters_assoc (S.current_pool_counters ()));
-  let has k = List.mem_assoc k !assoc in
-  check_bool "pool_drains" true (has "pool_drains");
-  check_bool "pool_migrations" true (has "pool_migrations");
-  check_bool "pool_idle_shrinks" true (has "pool_idle_shrinks");
-  check_bool "per-pool default" true (has "pool.default.drains");
-  check_bool "per-pool hot" true (has "pool.hot.workers");
-  check_bool "empty outside a scheduler" true (S.current_pool_counters () = [])
+  check_bool "pinning held under load" true (Atomic.get ok)
 
 (* -- poller: fd readiness as a wake source ------------------------------- *)
 
@@ -1381,12 +1363,12 @@ let () =
             test_pool_unknown_rejected;
           Alcotest.test_case "pinning across suspensions" `Quick
             test_pool_pinning;
-          Alcotest.test_case "absorb and shrink to zero" `Quick
-            test_pool_absorbs_and_shrinks;
+          Alcotest.test_case "each pool needs its own worker" `Quick
+            test_pool_needs_own_worker;
+          Alcotest.test_case "idle worker sleeps on another pool's backlog"
+            `Quick test_pool_idle_worker_sleeps;
           Alcotest.test_case "multi-domain flood" `Quick
             test_pool_multi_domain_flood;
-          Alcotest.test_case "counters assoc shape" `Quick
-            test_pool_counters_assoc_shape;
         ] );
       ( "timer",
         [
