@@ -224,7 +224,10 @@ let execute t ~last ~quiet req =
 let wake_waiters t =
   match Atomic.get t.waiters with
   | [] -> ()
-  | _ -> List.iter (fun resume -> resume ()) (Atomic.exchange t.waiters [])
+  | _ ->
+    List.iter
+      (fun resume -> ignore (resume () : bool))
+      (Atomic.exchange t.waiters [])
 
 (* A registration that may have changed this handler's state has ended:
    bump the count first, then wake.  A waiter subscribes first, then
@@ -251,7 +254,7 @@ let serve t ~last ~quiet req =
        scheduler's hot slot turns this into a direct handoff, and the
        client was suspended when it logged this request, so nothing can
        follow it in the already-drained batch. *)
-    resume ()
+    ignore (resume () : bool)
   | Request.End changed ->
     (* End of one registration.  Counting it keeps the drain invariant
        observable in both modes: every registration that closes is
@@ -269,7 +272,7 @@ let discard t req =
   | Request.Call _ | Request.Query _ | Request.Pipelined _ ->
     Qs_obs.Counter.incr t.stats.Stats.aborted_requests;
     fail t req (Aborted t.id) (Printexc.get_callstack 0)
-  | Request.Sync resume -> resume ()
+  | Request.Sync resume -> ignore (resume () : bool)
   | Request.End _ -> Qs_obs.Counter.incr t.stats.Stats.ends_drained
 
 (* Backpressure: requests that count against the admission bound.  Sync
@@ -569,15 +572,10 @@ let enqueue_private_queue t pq =
 
 let wrong_mode fn = invalid_arg ("Scoop.Processor." ^ fn ^ ": processor is in qoq mode")
 
-let lock_handler t =
+let lock_handler ?timeout t =
   match t.comm with
-  | Direct { lock; _ } -> Qs_sched.Fiber_mutex.lock lock
+  | Direct { lock; _ } -> Qs_sched.Fiber_mutex.lock ?timeout lock
   | Qoq _ | Remote _ -> wrong_mode "lock_handler"
-
-let lock_handler_timeout t dt =
-  match t.comm with
-  | Direct { lock; _ } -> Qs_sched.Fiber_mutex.lock_timeout lock dt
-  | Qoq _ | Remote _ -> wrong_mode "lock_handler_timeout"
 
 let unlock_handler t =
   match t.comm with
@@ -603,7 +601,7 @@ let subscribe t resume ~seen =
   in
   push ();
   if Atomic.get t.changes <> seen || Atomic.get t.state <> Running then
-    resume ()
+    ignore (resume () : bool)
 
 let rec unsubscribe t resume =
   let ws = Atomic.get t.waiters in
@@ -634,13 +632,6 @@ let abort t =
   Atomic.set t.aborted true;
   shutdown t
 
-let await_stopped t = Qs_sched.Ivar.read t.exited
-
-(* Timed wait on the exit latch, for [Runtime.shutdown ?grace]: [false]
-   means the handler is still running at the deadline. *)
-let try_await_stopped t ~timeout =
-  match Qs_sched.Ivar.result_timeout t.exited timeout with
-  | Some _ -> true
-  | None -> false
+let await_stopped ?timeout t = Qs_sched.Ivar.read ?timeout t.exited
 
 let compare_by_id a b = Int.compare a.id b.id

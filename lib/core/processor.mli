@@ -114,12 +114,10 @@ val enqueue_private_queue : t -> pq -> unit
 
     These raise [Invalid_argument] on a [`Qoq]-mode processor. *)
 
-val lock_handler : t -> unit
-(** Acquire the handler lock (blocks the client fiber). *)
-
-val lock_handler_timeout : t -> float -> bool
-(** {!lock_handler} bounded by that many seconds; [false] means the lock
-    was not acquired (and is not held). *)
+val lock_handler : ?timeout:float -> t -> unit
+(** Acquire the handler lock (blocks the client fiber).  With [?timeout],
+    raise [Timer.Timeout] after that many seconds without the lock (it is
+    then not held). *)
 
 val unlock_handler : t -> unit
 
@@ -167,13 +165,10 @@ val abort : t -> unit
     [Stats.aborted_requests]), pending syncs are still resumed so no
     client is left suspended, and [End] markers still accounted. *)
 
-val await_stopped : t -> unit
+val await_stopped : ?timeout:float -> t -> unit
 (** Block the calling fiber until the handler fiber has exited (the
-    completion latch filled at handler-loop exit). *)
-
-val try_await_stopped : t -> timeout:float -> bool
-(** Like {!await_stopped} bounded by [timeout] seconds; [false] means
-    the handler was still running at the deadline (the
-    [Runtime.shutdown ?grace] escalation signal). *)
+    completion latch filled at handler-loop exit).  With [?timeout],
+    raise [Timer.Timeout] if the handler is still running after that
+    many seconds (the [Runtime.shutdown ?grace] escalation signal). *)
 
 val compare_by_id : t -> t -> int

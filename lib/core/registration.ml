@@ -128,12 +128,19 @@ let touch t =
   | Some eve -> Eve.lookup eve (Processor.id t.proc)
   | None -> ()
 
-(* Effective deadline of a blocking operation: the explicit [?timeout]
-   if given, else the configuration's [default_deadline]. *)
-let effective_timeout t explicit =
-  match explicit with
-  | Some _ -> explicit
-  | None -> t.ctx.Ctx.config.Config.default_deadline
+(* The bound a blocking request-path wait passes to the scheduler: the
+   explicit [?timeout] if given, else the configuration's
+   [default_deadline].  A bounded wait arms a deadline timer, counted
+   here. *)
+let armed_timeout t explicit =
+  let timeout =
+    match explicit with
+    | Some _ -> explicit
+    | None -> t.ctx.Ctx.config.Config.default_deadline
+  in
+  if Option.is_some timeout then
+    Qs_obs.Counter.incr t.ctx.Ctx.stats.Stats.timer_arms;
+  timeout
 
 (* A request-path deadline expired before fulfilment.  Deliberately no
    poisoning: a timeout is a client-side decision to stop waiting, not a
@@ -175,22 +182,17 @@ let call t f =
 let force_sync ?timeout t =
   Qs_obs.Counter.incr t.ctx.Ctx.stats.Stats.syncs_sent;
   let round_trip () =
-    match effective_timeout t timeout with
-    | None ->
-      Qs_sched.Sched.suspend (fun resume -> t.enqueue (Request.Sync resume))
-    | Some dt -> (
-      Qs_obs.Counter.incr t.ctx.Ctx.stats.Stats.timer_arms;
-      match
-        Qs_sched.Sched.suspend_timeout
-          (fun resume -> t.enqueue (Request.Sync resume))
-          dt
-      with
-      | `Resumed -> ()
-      | `Timed_out ->
-        (* The Sync request stays logged; when the handler reaches it the
-           resumer is a no-op (its claim was lost to the timer).  The
-           synced status is *not* established. *)
-        timed_out t)
+    let timeout = armed_timeout t timeout in
+    match
+      Qs_sched.Sched.suspend ?timeout (fun resume ->
+        t.enqueue (Request.Sync resume))
+    with
+    | `Resumed -> ()
+    | `Timed_out ->
+      (* The Sync request stays logged; when the handler reaches it the
+         resumer is a no-op (its claim was lost to the timer).  The
+         synced status is *not* established. *)
+      timed_out t
   in
   (match t.ctx.Ctx.trace with
   | None -> round_trip ()
@@ -244,19 +246,12 @@ let finish_round_trip t ~t0 outcome =
 
 (* Blocking wait on a packaged query's heap ivar. *)
 let await_ivar ?timeout t result ~t0 =
-  let outcome =
-    match effective_timeout t timeout with
-    | None -> Qs_sched.Ivar.result result
-    | Some dt -> (
-      Qs_obs.Counter.incr t.ctx.Ctx.stats.Stats.timer_arms;
-      match Qs_sched.Ivar.result_timeout result dt with
-      | Some outcome -> outcome
-      | None ->
-        (* The packaged call stays logged and will still run; only the
-           rendezvous is abandoned.  No poisoning, no synced status. *)
-        timed_out t)
-  in
-  finish_round_trip t ~t0 outcome
+  match Qs_sched.Ivar.result ?timeout:(armed_timeout t timeout) result with
+  | outcome -> finish_round_trip t ~t0 outcome
+  | exception Qs_sched.Timer.Timeout ->
+    (* The packaged call stays logged and will still run; only the
+       rendezvous is abandoned.  No poisoning, no synced status. *)
+    timed_out t
 
 let query ?timeout t f =
   touch t;

@@ -72,7 +72,7 @@ let reject ?bt e = function
   | Blocked (iv, _) -> ignore (Qs_sched.Ivar.try_fill_error ?bt iv e : bool)
   | Promised (p, _) ->
     ignore (Qs_sched.Promise.try_fulfill_error ?bt p e : bool)
-  | Syncing (resume, _) -> resume ()
+  | Syncing (resume, _) -> ignore (resume () : bool)
 
 (* Tear the connection down: mark it lost and poison every open
    registration under the lock, then fail the pending rendezvous outside
@@ -164,7 +164,7 @@ let handle conn = function
     Option.iter (reject (Remote_proto.Remote_error msg)) (arrived conn qid)
   | Rsynced { sid } -> (
     match arrived conn sid with
-    | Some (Syncing (resume, _)) -> resume ()
+    | Some (Syncing (resume, _)) -> ignore (resume () : bool)
     | Some (Blocked _ | Promised _) | None -> ())
   | Rpoisoned { reg; msg } -> (
     (* The node-side handler failed a call this registration logged: the

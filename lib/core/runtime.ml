@@ -113,21 +113,20 @@ let shutdown ?grace t =
      returns, but it does bound the *backlog*, which is the common way a
      drain overruns. *)
   let procs = drain_procs t Processor.shutdown in
-  (match grace with
-  | None -> List.iter Processor.await_stopped procs
-  | Some g ->
-    let deadline = Qs_sched.Timer.now () +. Float.max 0.0 g in
-    let laggards =
-      List.filter
-        (fun proc ->
-          let remaining = deadline -. Qs_sched.Timer.now () in
-          not
-            (remaining > 0.0
-            && Processor.try_await_stopped proc ~timeout:remaining))
-        procs
-    in
-    List.iter Processor.abort laggards;
-    List.iter Processor.await_stopped laggards);
+  let deadline =
+    Option.map (fun g -> Qs_sched.Timer.now () +. Float.max 0.0 g) grace
+  in
+  let stopped proc =
+    match Option.map (fun d -> d -. Qs_sched.Timer.now ()) deadline with
+    | Some remaining when remaining <= 0.0 -> false
+    | timeout -> (
+      match Processor.await_stopped ?timeout proc with
+      | () -> true
+      | exception Qs_sched.Timer.Timeout -> false)
+  in
+  let laggards = List.filter (fun proc -> not (stopped proc)) procs in
+  List.iter Processor.abort laggards;
+  List.iter Processor.await_stopped laggards;
   close_remotes t
 
 let abort t =

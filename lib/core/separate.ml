@@ -34,12 +34,11 @@ let reservation_timed_out ctx =
 (* Acquire one handler lock within the time remaining to an absolute
    deadline ([None] = wait forever). *)
 let lock_within ctx proc deadline =
-  match deadline with
-  | None -> Processor.lock_handler proc
-  | Some d ->
-    let remaining = d -. Qs_sched.Timer.now () in
-    if remaining <= 0.0 || not (Processor.lock_handler_timeout proc remaining)
-    then reservation_timed_out ctx
+  match Option.map (fun d -> d -. Qs_sched.Timer.now ()) deadline with
+  | Some remaining when remaining <= 0.0 -> reservation_timed_out ctx
+  | timeout -> (
+    try Processor.lock_handler ?timeout proc
+    with Qs_sched.Timer.Timeout -> reservation_timed_out ctx)
 
 let deadline_of_timeout = function
   | None -> None
@@ -290,18 +289,12 @@ let two ?timeout ctx p1 p2 body =
    only handler took the resumer out of its list; in every other case it
    may still sit in some list, so it is dropped there. *)
 let park ctx procs seen remaining =
-  let parked = ref ignore in
+  let parked = ref (fun () -> false) in
   let register resume =
     parked := resume;
     List.iter2 (fun p seen -> Processor.subscribe p resume ~seen) procs seen
   in
-  let outcome =
-    match remaining with
-    | None ->
-      Qs_sched.Sched.suspend register;
-      `Resumed
-    | Some dt -> Qs_sched.Sched.suspend_timeout register dt
-  in
+  let outcome = Qs_sched.Sched.suspend ?timeout:remaining register in
   (match (procs, outcome) with
   | [ _ ], `Resumed -> ()
   | _ -> List.iter (fun p -> Processor.unsubscribe p !parked) procs);

@@ -26,16 +26,17 @@ module Waiter = struct
 
   let wake w =
     match Atomic.exchange w None with
-    | Some resume -> resume ()
+    | Some resume -> ignore (resume () : bool)
     | None -> ()
 
   (* Park the (single) consumer until woken.  [ready] re-checks the queue
      after the resumer is published, closing the race with a producer that
      pushed before seeing the waiter. *)
   let park w ~ready =
-    Sched.suspend (fun resume ->
-      Atomic.set w (Some resume);
-      if ready () then wake w)
+    ignore
+      (Sched.suspend (fun resume ->
+         Atomic.set w (Some resume);
+         if ready () then wake w))
 end
 
 module Make (Q : Qs_queues.Mailbox.S) = struct

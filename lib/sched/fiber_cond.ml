@@ -11,9 +11,10 @@ type t = { mutable waiters : Sched.resumer list (* newest first *) }
 let create () = { waiters = [] }
 
 let wait t mutex =
-  Sched.suspend (fun resume ->
-    t.waiters <- resume :: t.waiters;
-    Fiber_mutex.unlock mutex);
+  ignore
+    (Sched.suspend (fun resume ->
+       t.waiters <- resume :: t.waiters;
+       Fiber_mutex.unlock mutex));
   Fiber_mutex.lock mutex
 
 let signal t =
@@ -21,9 +22,9 @@ let signal t =
   | [] -> ()
   | oldest :: rest ->
     t.waiters <- List.rev rest;
-    oldest ()
+    ignore (oldest () : bool)
 
 let broadcast t =
   let waiters = List.rev t.waiters in
   t.waiters <- [];
-  List.iter (fun resume -> resume ()) waiters
+  List.iter (fun resume -> ignore (resume () : bool)) waiters

@@ -6,43 +6,21 @@
 
    Ownership hand-off: [unlock] transfers the lock directly to the oldest
    waiter, so a stream of contenders is served FIFO and cannot starve.
-   Each waiter carries a claim word so a timed waiter ([lock_timeout]) and
-   the hand-off race on a single CAS: ownership is transferred exactly when
-   the claim succeeds, and an abandoned (timed-out) waiter is skipped
-   instead of being handed a lock it will never release. *)
-
-type waiter = {
-  (* 0 = waiting, 1 = granted the lock, 2 = abandoned (timed out) *)
-  w_state : int Atomic.t;
-  w_resume : Sched.resumer;
-}
+   The waiters are plain resumers.  A timed waiter's resumer and its
+   deadline race on the scheduler's claim ([Sched.suspend ?timeout]):
+   ownership is transferred exactly when the resumer returns [true], and
+   an abandoned (timed-out) waiter is skipped instead of being handed a
+   lock it will never release. *)
 
 type state =
   | Unlocked
-  | Locked of waiter list (* newest first *)
+  | Locked of Sched.resumer list (* newest first *)
 
 type t = { state : state Atomic.t }
 
 let create () = { state = Atomic.make Unlocked }
 
 let try_lock t = Atomic.compare_and_set t.state Unlocked (Locked [])
-
-let lock t =
-  if not (try_lock t) then
-    Sched.suspend (fun resume ->
-      let w = { w_state = Atomic.make 0; w_resume = resume } in
-      let rec subscribe () =
-        match Atomic.get t.state with
-        | Unlocked ->
-          (* Freed while we were suspending: acquire and wake ourselves. *)
-          if Atomic.compare_and_set t.state Unlocked (Locked []) then
-            resume ()
-          else subscribe ()
-        | Locked waiters as old ->
-          if not (Atomic.compare_and_set t.state old (Locked (w :: waiters)))
-          then subscribe ()
-      in
-      subscribe ())
 
 (* Remove the oldest waiter (the list is newest-first). *)
 let split_oldest waiters =
@@ -59,53 +37,36 @@ let unlock t =
     | Locked waiters as old ->
       let oldest, rest = split_oldest waiters in
       if Atomic.compare_and_set t.state old (Locked rest) then begin
-        if Atomic.compare_and_set oldest.w_state 0 1 then
-          (* Ownership passes to [oldest]; the state stays [Locked]. *)
-          oldest.w_resume ()
-        else
-          (* Timed out and gone: keep unlocking towards the next waiter. *)
-          loop ()
+        (* Ownership passes to [oldest] (the state stays [Locked]) unless
+           it timed out and is gone: then unlock towards the next one. *)
+        if not (oldest ()) then loop ()
       end
       else loop ()
   in
   loop ()
 
-let lock_timeout t dt =
-  if try_lock t then true
-  else begin
-    (* The waiter's claim word is the synchronization point between three
-       parties: the timer (0→2), a hand-off from [unlock] (0→1), and the
-       freed-while-suspending self-acquisition below (0→1).  Exactly one
-       wins, so the fiber is resumed once and the verdict is unambiguous. *)
-    let w_state = Atomic.make 0 in
-    Sched.suspend (fun resume ->
-      let handle =
-        Sched.arm_timer ~delay:dt (fun () ->
-          if Atomic.compare_and_set w_state 0 2 then resume ())
-      in
-      let granted () =
-        ignore (Timer.cancel handle : bool);
-        resume ()
-      in
-      let w = { w_state; w_resume = granted } in
-      let rec subscribe () =
-        match Atomic.get t.state with
-        | Unlocked ->
-          if Atomic.compare_and_set t.state Unlocked (Locked []) then begin
-            if Atomic.compare_and_set w_state 0 1 then granted ()
-            else
-              (* The timer won while we were acquiring: hand the lock
-                 straight back; the timer already resumed the fiber. *)
-              unlock t
-          end
-          else subscribe ()
-        | Locked waiters as old ->
-          if not (Atomic.compare_and_set t.state old (Locked (w :: waiters)))
-          then subscribe ()
-      in
-      subscribe ());
-    Atomic.get w_state = 1
-  end
+let lock ?timeout t =
+  if not (try_lock t) then
+    match
+      Sched.suspend ?timeout (fun resume ->
+        let rec subscribe () =
+          match Atomic.get t.state with
+          | Unlocked ->
+            (* Freed while we were suspending: acquire and wake ourselves.
+               If the deadline won meanwhile, the fiber has already been
+               resumed without the lock: hand the lock straight back. *)
+            if Atomic.compare_and_set t.state Unlocked (Locked []) then begin
+              if not (resume ()) then unlock t
+            end
+            else subscribe ()
+          | Locked waiters as old ->
+            let next = Locked (resume :: waiters) in
+            if not (Atomic.compare_and_set t.state old next) then subscribe ()
+        in
+        subscribe ())
+    with
+    | `Resumed -> ()
+    | `Timed_out -> raise Timer.Timeout
 
 let with_lock t f =
   lock t;

@@ -7,17 +7,15 @@ type t
 
 val create : unit -> t
 
-val lock : t -> unit
-(** Acquire, parking the current fiber while contended. *)
+val lock : ?timeout:float -> t -> unit
+(** Acquire, parking the current fiber while contended.  With [?timeout],
+    give up after that many seconds and raise {!Timer.Timeout}; the
+    caller then does not hold the lock.  A timed-out waiter is skipped by
+    the FIFO hand-off (never handed a lock it cannot release).  One that
+    found the lock free only after its deadline won hands it back, which
+    may land a moment after the [Timeout]. *)
 
 val try_lock : t -> bool
-
-val lock_timeout : t -> float -> bool
-(** [lock_timeout t dt] is {!lock} bounded by [dt] seconds; returns
-    [true] iff the lock was acquired.  A timed-out waiter is skipped by
-    the FIFO hand-off (never handed a lock it cannot release), and the
-    grant/timeout race is decided by a single CAS, so the verdict is
-    exact: [false] guarantees the caller does not hold the lock. *)
 
 val unlock : t -> unit
 (** Release or hand off.

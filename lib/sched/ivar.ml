@@ -32,7 +32,7 @@ let try_resolve t outcome =
     | Empty waiters as old ->
       if Atomic.compare_and_set t old (Resolved outcome) then begin
         (* FIFO wake-up: waiters accumulated head-first. *)
-        List.iter (fun resume -> resume ()) (List.rev waiters);
+        List.iter (fun resume -> ignore (resume () : bool)) (List.rev waiters);
         true
       end
       else loop ()
@@ -83,7 +83,9 @@ let on_resolve t f =
     | Empty waiters as old ->
       let cb () =
         match Atomic.get t with
-        | Resolved outcome -> f outcome
+        | Resolved outcome ->
+          f outcome;
+          true
         | Empty _ -> assert false
       in
       if not (Atomic.compare_and_set t old (Empty (cb :: waiters))) then
@@ -94,60 +96,34 @@ let on_resolve t f =
 let on_fill t f =
   on_resolve t (function Ok v -> f v | Error _ -> ())
 
-let result t =
+(* A timed-out reader's resumer stays in the waiter list as dead weight
+   until the cell resolves: resolution invokes it, and the scheduler's
+   claim makes that a no-op.  Write-once cells resolve at most once, so
+   the leak is one closure per timed-out reader, reclaimed with the
+   cell. *)
+let result ?timeout t =
   match Atomic.get t with
   | Resolved outcome -> outcome
-  | Empty _ ->
-    Sched.suspend (fun resume ->
-      let rec subscribe () =
-        match Atomic.get t with
-        | Resolved _ ->
-          (* Resolved between our first check and suspension. *)
-          resume ()
-        | Empty waiters as old ->
-          if
-            not
-              (Atomic.compare_and_set t old (Empty (resume :: waiters)))
-          then subscribe ()
-      in
-      subscribe ());
-    (match Atomic.get t with
-    | Resolved outcome -> outcome
-    | Empty _ -> assert false)
-
-(* Timed read.  On [`Timed_out] the subscribed resumer stays in the waiter
-   list as dead weight until the cell resolves — resolution invokes it and
-   the one-shot CAS in [suspend_timeout] makes that a no-op.  Write-once
-   cells resolve at most once, so the leak is one closure per timed-out
-   reader, reclaimed with the cell. *)
-let result_timeout t dt =
-  match Atomic.get t with
-  | Resolved outcome -> Some outcome
   | Empty _ -> (
     let verdict =
-      Sched.suspend_timeout
-        (fun resume ->
-          let rec subscribe () =
-            match Atomic.get t with
-            | Resolved _ -> resume ()
-            | Empty waiters as old ->
-              if
-                not
-                  (Atomic.compare_and_set t old
-                     (Empty (resume :: waiters)))
-              then subscribe ()
-          in
-          subscribe ())
-        dt
+      Sched.suspend ?timeout (fun resume ->
+        let rec subscribe () =
+          match Atomic.get t with
+          | Resolved _ ->
+            (* Resolved between our first check and suspension. *)
+            ignore (resume () : bool)
+          | Empty waiters as old ->
+            if not (Atomic.compare_and_set t old (Empty (resume :: waiters)))
+            then subscribe ()
+        in
+        subscribe ())
     in
-    match verdict with
-    | `Timed_out -> None
-    | `Resumed -> (
-      match Atomic.get t with
-      | Resolved outcome -> Some outcome
-      | Empty _ -> assert false))
+    match (verdict, Atomic.get t) with
+    | `Resumed, Resolved outcome -> outcome
+    | `Timed_out, _ -> raise Timer.Timeout
+    | `Resumed, Empty _ -> assert false)
 
-let read t =
-  match result t with
+let read ?timeout t =
+  match result ?timeout t with
   | Ok v -> v
   | Error (e, bt) -> Printexc.raise_with_backtrace e bt

@@ -28,19 +28,17 @@ val fill_error : ?bt:Printexc.raw_backtrace -> 'a t -> exn -> unit
 val try_fill_error : ?bt:Printexc.raw_backtrace -> 'a t -> exn -> bool
 (** Like {!fill_error} but returns [false] instead of raising. *)
 
-val read : 'a t -> 'a
+val read : ?timeout:float -> 'a t -> 'a
 (** Return the value, blocking the current fiber until resolved.
-    Re-raises (with its captured backtrace) if the cell was rejected. *)
+    Re-raises (with its captured backtrace) if the cell was rejected.
+    [?timeout] bounds the wait as in {!result}. *)
 
-val result : 'a t -> 'a outcome
-(** Like {!read} but returns the outcome instead of re-raising. *)
-
-val result_timeout : 'a t -> float -> 'a outcome option
-(** [result_timeout t dt] is {!result} bounded by [dt] seconds: [None] if
-    the cell is still unresolved at the deadline.  The fiber is resumed
-    exactly once either way ({!Sched.suspend_timeout}); a timed-out
-    reader's subscription stays in the cell as a dead no-op waiter until
-    resolution. *)
+val result : ?timeout:float -> 'a t -> 'a outcome
+(** Like {!read} but returns the outcome instead of re-raising.  With
+    [?timeout], raise {!Timer.Timeout} if the cell is still unresolved
+    after that many seconds.  The fiber is resumed exactly once either
+    way ({!Sched.suspend}); a timed-out reader's subscription stays in
+    the cell as a dead no-op waiter until resolution. *)
 
 val peek : 'a t -> 'a option
 (** The value if already present; never blocks.  Re-raises if the cell

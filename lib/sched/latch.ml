@@ -1,47 +1,30 @@
 (* Countdown latch: fork/join barrier for fibers.
 
    [Parfor] and the benchmark drivers use it to wait for a batch of worker
-   fibers.  Same CAS-over-immutable-state pattern as [Ivar]. *)
+   fibers.  A count plus an [Ivar] that the last [count_down] fills: the
+   waiting is the ivar's. *)
 
-type state = {
-  remaining : int;
-  waiters : Sched.resumer list;
+type t = {
+  remaining : int Atomic.t;
+  zero : unit Ivar.t;
 }
-
-type t = { state : state Atomic.t }
 
 let create n =
   if n < 0 then invalid_arg "Latch.create: negative count";
-  { state = Atomic.make { remaining = n; waiters = [] } }
-
-let count t = (Atomic.get t.state).remaining
+  {
+    remaining = Atomic.make n;
+    zero = (if n = 0 then Ivar.create_full () else Ivar.create ());
+  }
 
 let count_down t =
   let rec loop () =
-    let old = Atomic.get t.state in
-    if old.remaining <= 0 then invalid_arg "Latch.count_down: already at zero"
-    else begin
-      let next = { old with remaining = old.remaining - 1 } in
-      if Atomic.compare_and_set t.state old next then begin
-        if next.remaining = 0 then
-          List.iter (fun resume -> resume ()) (List.rev old.waiters)
-      end
-      else loop ()
+    let n = Atomic.get t.remaining in
+    if n <= 0 then invalid_arg "Latch.count_down: already at zero"
+    else if Atomic.compare_and_set t.remaining n (n - 1) then begin
+      if n = 1 then Ivar.fill t.zero ()
     end
+    else loop ()
   in
   loop ()
 
-let wait t =
-  if (Atomic.get t.state).remaining > 0 then begin
-    Sched.suspend (fun resume ->
-      let rec subscribe () =
-        let old = Atomic.get t.state in
-        if old.remaining = 0 then resume ()
-        else if
-          not
-            (Atomic.compare_and_set t.state old
-               { old with waiters = resume :: old.waiters })
-        then subscribe ()
-      in
-      subscribe ())
-  end
+let wait t = Ivar.read t.zero

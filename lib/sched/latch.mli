@@ -15,6 +15,3 @@ val count_down : t -> unit
 val wait : t -> unit
 (** Block the current fiber until the count reaches zero.  Returns
     immediately if it already has. *)
-
-val count : t -> int
-(** Current count (racy). *)

@@ -27,7 +27,7 @@
 
 type dir = Read | Write
 
-type waiter = { fd : Unix.file_descr; dir : dir; resume : unit -> unit }
+type waiter = { fd : Unix.file_descr; dir : dir; resume : unit -> bool }
 
 type t = {
   lock : Mutex.t; (* guards [waiters] *)
@@ -114,7 +114,7 @@ let poll t ~timeout =
           if rs = [] && ws = [] then [] else take_ready t rs ws
         in
         Mutex.unlock t.poll_lock;
-        List.iter (fun w -> w.resume ()) ready;
+        List.iter (fun w -> ignore (w.resume () : bool)) ready;
         List.length ready
       | exception Unix.Unix_error (Unix.EINTR, _, _) ->
         Mutex.unlock t.poll_lock;
@@ -122,7 +122,7 @@ let poll t ~timeout =
       | exception Unix.Unix_error (Unix.EBADF, _, _) ->
         let all = take_all t in
         Mutex.unlock t.poll_lock;
-        List.iter (fun w -> w.resume ()) all;
+        List.iter (fun w -> ignore (w.resume () : bool)) all;
         List.length all
     end
   end

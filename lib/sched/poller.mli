@@ -17,11 +17,11 @@ type t
 
 val create : unit -> t
 
-val register : t -> Unix.file_descr -> dir -> (unit -> unit) -> unit
+val register : t -> Unix.file_descr -> dir -> (unit -> bool) -> unit
 (** Enqueue a one-shot waiter.  The resumer runs from whichever worker
     performs the {!poll} that observes readiness (or an error sweep);
     it must be safe to invoke more than once (the scheduler's resumers
-    are). *)
+    are), and its result is ignored. *)
 
 val has_waiters : t -> bool
 

@@ -74,20 +74,11 @@ let fire_force t ~was_ready =
 
 let await ?timeout t =
   let was_ready = Ivar.is_filled t.ivar in
-  let outcome =
-    match timeout with
-    | None -> Ivar.result t.ivar
-    | Some dt -> (
-      match Ivar.result_timeout t.ivar dt with
-      | Some outcome -> outcome
-      | None ->
-        (* Deadline expired with the rendezvous still pending: no value was
-           observed, so the force hook does NOT fire — the promise stays
-           forceable and a later [await] can still complete the rendezvous
-           (and re-establish registration synced bookkeeping). *)
-        raise Timer.Timeout)
-  in
-  match outcome with
+  (* An expired deadline raises [Timer.Timeout] before any value was
+     observed, so the force hook does NOT fire: the promise stays
+     forceable and a later [await] can still complete the rendezvous (and
+     re-establish registration synced bookkeeping). *)
+  match Ivar.result ?timeout t.ivar with
   | Ok v ->
     fire_force t ~was_ready;
     v

@@ -40,7 +40,7 @@ exception Stalled of int
 (** Raised out of {!run} when all workers are idle but fibers remain
     suspended; the payload is the number of stuck fibers. *)
 
-type resumer = unit -> unit
+type resumer = unit -> bool
 
 type task = unit -> unit
 
@@ -103,8 +103,13 @@ type t = {
    untraced run pays one branch. *)
 let obs_cat = "sched"
 
+type verdict = [ `Resumed | `Timed_out ]
+
+(* An untimed suspension carries only its registration closure; a timed
+   one also carries its absolute deadline. *)
 type _ Effect.t +=
-  | Suspend : (resumer -> unit) -> unit Effect.t
+  | Suspend : (resumer -> unit) -> verdict Effect.t
+  | Suspend_until : int * (resumer -> unit) -> verdict Effect.t
   | Yield : unit Effect.t
 
 (* The scheduler owning the current domain, if any. *)
@@ -168,6 +173,10 @@ let schedule_cold t pool job =
     wake_idlers t
   | Some _ | None -> push_job t pool job
 
+(* The registration of a wait that nothing but its deadline ends
+   ([sleep]): [exec] arms the timer alone, with no claim to contest. *)
+let no_register : resumer -> unit = fun _ -> ()
+
 (* Arm a one-shot timer on [t]'s timer queue.  The armed→fired interval is
    recorded as a "timer" span when tracing; parked workers are nudged so a
    timekeeper picks up the (possibly earlier) deadline. *)
@@ -207,7 +216,12 @@ let fiber_done t =
    later re-enter this handler automatically.  [pool] is the fiber's home
    pool, captured once at spawn: every later resumption and yield routes
    through it, so a fiber pinned to a pool stays pinned across suspension
-   points. *)
+   points.
+
+   Each suspension allocates the fiber's single claim word.  Its resumer
+   and, for a timed suspension, its timer race on that word with one CAS,
+   so the fiber is continued exactly once and knows which party won; a
+   winning resumer cancels the timer. *)
 let exec t pool (body : unit -> unit) =
   let open Effect.Deep in
   match_with body ()
@@ -223,12 +237,37 @@ let exec t pool (body : unit -> unit) =
           | Suspend register ->
             Some
               (fun (k : (a, unit) continuation) ->
-                let resumed = Atomic.make false in
-                let resume () =
-                  if Atomic.compare_and_set resumed false true then
-                    schedule t pool (fun () -> continue k ())
-                in
-                register resume)
+                let claim = Atomic.make false in
+                register (fun () ->
+                  Atomic.compare_and_set claim false true
+                  && begin
+                    schedule t pool (fun () -> continue k `Resumed);
+                    true
+                  end))
+          | Suspend_until (deadline, register) ->
+            Some
+              (fun (k : (a, unit) continuation) ->
+                if register == no_register then
+                  ignore
+                    (arm_timer_on t ~deadline (fun () ->
+                       schedule t pool (fun () -> continue k `Timed_out))
+                      : Timer.handle)
+                else begin
+                  (* 0 = waiting, 1 = resumed, 2 = timed out *)
+                  let claim = Atomic.make 0 in
+                  let timer =
+                    arm_timer_on t ~deadline (fun () ->
+                      if Atomic.compare_and_set claim 0 2 then
+                        schedule t pool (fun () -> continue k `Timed_out))
+                  in
+                  register (fun () ->
+                    Atomic.compare_and_set claim 0 1
+                    && begin
+                      ignore (Timer.cancel timer : bool);
+                      schedule t pool (fun () -> continue k `Resumed);
+                      true
+                    end)
+                end)
           | Yield ->
             Some (fun (k : (a, unit) continuation) ->
               push_job t pool (fun () -> continue k ()))
@@ -260,28 +299,7 @@ let current_pool () =
   | Some (_, w) -> w.pool.pool_name
   | None -> invalid_arg "Sched.current_pool: not running inside a scheduler"
 
-let suspend register = Effect.perform (Suspend register)
-
 let yield () = Effect.perform Yield
-
-(* Fd-readiness waits: park this fiber until [fd] is ready (or a closed
-   fd triggers the poller's error sweep — the caller's retried syscall
-   then surfaces the error in its own context).  The registration is
-   one-shot; callers loop: try the syscall, on EAGAIN await and retry. *)
-let await_fd name dir fd =
-  match get_worker () with
-  | Some (t, _) ->
-    suspend (fun resume ->
-      Poller.register t.poller fd dir resume;
-      (* A parked worker must notice the new wake source and claim the
-         timekeeper/poller role: the count is visible before this
-         broadcast, and parked workers re-check under the idle mutex. *)
-      wake_idlers t)
-  | None -> invalid_arg (name ^ ": not running inside a scheduler")
-
-let await_readable fd = await_fd "Sched.await_readable" Poller.Read fd
-
-let await_writable fd = await_fd "Sched.await_writable" Poller.Write fd
 
 (* The monotonic deadline [dt] seconds from now.  Delays are capped at
    [max_delay] (~31 years; NaN and infinity included) so the sum cannot
@@ -292,46 +310,38 @@ let deadline_after dt =
   let dt = if dt < max_delay then Float.max 0.0 dt else max_delay in
   Qs_obs.Clock.now_ns () + Qs_obs.Clock.ns_of_s dt
 
-let arm_timer ~delay action =
-  match get_worker () with
-  | Some (t, _) -> arm_timer_on t ~deadline:(deadline_after delay) action
-  | None -> invalid_arg "Sched.arm_timer: not running inside a scheduler"
+let suspend ?timeout register =
+  match timeout with
+  | None -> Effect.perform (Suspend register)
+  | Some dt -> Effect.perform (Suspend_until (deadline_after dt, register))
 
 let sleep dt =
   match get_worker () with
   | None -> invalid_arg "Sched.sleep: not running inside a scheduler"
-  | Some (t, _) ->
+  | Some _ ->
     if dt <= 0.0 then yield ()
     else
-      suspend (fun resume ->
-        ignore
-          (arm_timer_on t ~deadline:(deadline_after dt) resume : Timer.handle))
+      ignore (Effect.perform (Suspend_until (deadline_after dt, no_register)))
 
-(* Timed variant of [suspend].  The timer action and the registered resumer
-   race on [state]; the CAS makes the outcomes mutually exclusive, so the
-   continuation is resumed exactly once and the caller can trust the
-   verdict: [`Timed_out] guarantees the timer won and any later invocation
-   of the registered resumer is a no-op (the one-shot [resumed] CAS in
-   [exec] is not enough by itself — it cannot tell the caller {e which}
-   path resumed it). *)
-let suspend_timeout register delay =
+(* Fd-readiness waits: park this fiber until [fd] is ready (or a closed
+   fd triggers the poller's error sweep — the caller's retried syscall
+   then surfaces the error in its own context).  The registration is
+   one-shot; callers loop: try the syscall, on EAGAIN await and retry. *)
+let await_fd name dir fd =
   match get_worker () with
-  | None -> invalid_arg "Sched.suspend_timeout: not running inside a scheduler"
   | Some (t, _) ->
-    (* 0 = waiting, 1 = resumed by the registered event, 2 = timed out *)
-    let state = Atomic.make 0 in
-    suspend (fun resume ->
-      let handle =
-        arm_timer_on t
-          ~deadline:(deadline_after delay)
-          (fun () -> if Atomic.compare_and_set state 0 2 then resume ())
-      in
-      register (fun () ->
-        if Atomic.compare_and_set state 0 1 then begin
-          ignore (Timer.cancel handle : bool);
-          resume ()
-        end));
-    if Atomic.get state = 2 then `Timed_out else `Resumed
+    ignore
+      (suspend (fun resume ->
+         Poller.register t.poller fd dir resume;
+         (* A parked worker must notice the new wake source and claim the
+            timekeeper/poller role: the count is visible before this
+            broadcast, and parked workers re-check under the idle mutex. *)
+         wake_idlers t))
+  | None -> invalid_arg (name ^ ": not running inside a scheduler")
+
+let await_readable fd = await_fd "Sched.await_readable" Poller.Read fd
+
+let await_writable fd = await_fd "Sched.await_writable" Poller.Write fd
 
 (* -- Worker loop ---------------------------------------------------------- *)
 

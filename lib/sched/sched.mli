@@ -17,9 +17,11 @@ exception Stalled of int
 type t
 (** A scheduler instance. *)
 
-type resumer = unit -> unit
-(** One-shot wake-up token for a suspended fiber.  Invoking it more than
-    once is harmless (subsequent calls are ignored); invoking it from any
+type resumer = unit -> bool
+(** One-shot wake-up token for a suspended fiber: [true] iff this call
+    resumed it.  Later calls, and calls after a timed suspension's
+    deadline won, return [false] and do nothing — so a wait list can skip
+    an abandoned waiter by trying the next one.  Invoking it from any
     fiber or domain is allowed. *)
 
 type counters = {
@@ -27,7 +29,7 @@ type counters = {
   c_handoffs : int; (** direct handoffs through the hot slot (paper §3.2) *)
   c_steals : int; (** successful work steals *)
   c_parks : int; (** worker park (sleep) episodes *)
-  c_timer_arms : int; (** timers armed ({!sleep}, {!suspend_timeout}, …) *)
+  c_timer_arms : int; (** timers armed ({!sleep}, {!suspend} [?timeout], …) *)
   c_timer_fires : int; (** timers that expired and ran their action *)
 }
 (** Scheduling counters aggregated over all workers — the context-switch
@@ -89,11 +91,20 @@ val current_pool : unit -> string
     a fiber this is the fiber's home pool (a worker only runs its own
     pool's fibers). *)
 
-val suspend : (resumer -> unit) -> unit
+val suspend :
+  ?timeout:float -> (resumer -> unit) -> [ `Resumed | `Timed_out ]
 (** [suspend register] blocks the current fiber and calls [register resume]
     from the scheduler context; the fiber continues when [resume] is
-    invoked.  [register] runs after the fiber is fully suspended, so a
-    resume that races with suspension is never lost. *)
+    invoked ([`Resumed]).  [register] runs after the fiber is fully
+    suspended, so a resume that races with suspension is never lost.
+    This is the runtime's only way to block a fiber.
+
+    With [?timeout], the fiber also continues once that many seconds
+    elapse first ([`Timed_out]).  The resumer and the deadline race on
+    one claim word, so the verdict is exact: after [`Timed_out] every
+    call of [resume] returns [false]; after [`Resumed] the timer is
+    cancelled.  The resumer may still sit in whatever [register]
+    subscribed it to, so registrations must tolerate stale waiters. *)
 
 val yield : unit -> unit
 (** Reschedule the current fiber at the back of the global run queue,
@@ -105,17 +116,6 @@ val sleep : float -> unit
     parked workers wake at the earliest armed deadline, and stall detection
     treats pending timers as a wake source, so a run whose only activity is
     a sleeping fiber terminates normally instead of raising {!Stalled}. *)
-
-val suspend_timeout :
-  (resumer -> unit) -> float -> [ `Resumed | `Timed_out ]
-(** [suspend_timeout register dt] is {!suspend} with a deadline: the fiber
-    continues either when the registered resumer is invoked ([`Resumed]) or
-    when [dt] seconds elapse first ([`Timed_out]).  The two paths race on an
-    internal CAS, so the outcomes are mutually exclusive, the fiber is
-    resumed exactly once, and on [`Resumed] the timer is cancelled.  After
-    [`Timed_out] a late invocation of the registered resumer is a no-op —
-    but the resumer may still be held by whatever [register] subscribed it
-    to, so registrations must tolerate stale waiters. *)
 
 val await_readable : Unix.file_descr -> unit
 (** Suspend the current fiber until [fd] is readable (per [select]).
@@ -130,14 +130,6 @@ val await_readable : Unix.file_descr -> unit
 
 val await_writable : Unix.file_descr -> unit
 (** Like {!await_readable}, for writability. *)
-
-val arm_timer : delay:float -> (unit -> unit) -> Timer.handle
-(** [arm_timer ~delay action] arms a one-shot timer on the current fiber's
-    scheduler, firing [action] after [delay] seconds (see {!Timer.arm} for
-    the constraints on [action]); cancel with {!Timer.cancel}.  Building
-    block for timed synchronization primitives
-    ({!Fiber_mutex.lock_timeout}); most code wants {!sleep} or
-    {!suspend_timeout} instead. *)
 
 val dispatch_stamp : unit -> int
 (** Identity of the current dispatch (one fiber slice on one worker):

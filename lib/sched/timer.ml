@@ -20,9 +20,9 @@
      mutex. *)
 
 exception Timeout
-(* Raised by deadline-bounded waits throughout the runtime (promise await,
-   fiber-mutex timed lock, and — re-exported as [Scoop.Timeout] — the whole
-   scoop request path). *)
+(* Raised by deadline-bounded waits throughout the runtime (ivar and
+   promise reads, fiber-mutex lock, and — re-exported as [Scoop.Timeout] —
+   the whole scoop request path). *)
 
 type handle = {
   deadline : int; (* monotonic ns *)

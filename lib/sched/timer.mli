@@ -1,6 +1,6 @@
 (** Per-scheduler timer queue (min-heap with lazy cancellation).
 
-    Backs {!Sched.sleep} and {!Sched.suspend_timeout} and, through them,
+    Backs {!Sched.sleep} and {!Sched.suspend} [?timeout] and, through them,
     every deadline in the runtime: query timeouts, promise [await ?timeout],
     reservation timeouts and [Runtime.shutdown ?grace].  A scheduler owns
     exactly one timer queue; busy workers fire due timers on their
@@ -13,9 +13,9 @@
     the earliest deadline nor comparing it with the clock allocates. *)
 
 exception Timeout
-(** Raised by deadline-bounded waits ({!Promise.await},
-    {!Fiber_mutex.lock_timeout}, and the whole scoop request path, where it
-    is re-exported as [Scoop.Timeout]). *)
+(** Raised by every deadline-bounded wait above {!Sched} ({!Ivar.result},
+    {!Promise.await}, {!Fiber_mutex.lock}, and the whole scoop request
+    path, where it is re-exported as [Scoop.Timeout]). *)
 
 type t
 (** A timer queue. *)

@@ -147,11 +147,12 @@ let atomically f =
     | exception Retry_request ->
       if tx.reads = [] then
         raise (Stm_failure "retry with an empty read set would block forever");
-      Qs_sched.Sched.suspend (fun resume ->
-        List.iter (fun (Rentry (v, _)) -> Tvar.subscribe v resume) tx.reads;
-        (* Close the race with a commit that happened before we
-           subscribed. *)
-        if read_set_changed tx then resume ());
+      ignore
+        (Qs_sched.Sched.suspend (fun resume ->
+           List.iter (fun (Rentry (v, _)) -> Tvar.subscribe v resume) tx.reads;
+           (* Close the race with a commit that happened before we
+              subscribed. *)
+           if read_set_changed tx then ignore (resume () : bool)));
       Qs_queues.Backoff.reset backoff;
       attempt ()
   in

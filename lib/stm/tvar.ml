@@ -50,4 +50,4 @@ let subscribe t resume =
 let wake_all t =
   match Atomic.exchange t.waiters [] with
   | [] -> ()
-  | waiters -> List.iter (fun resume -> resume ()) waiters
+  | waiters -> List.iter (fun resume -> ignore (resume () : bool)) waiters

@@ -629,7 +629,7 @@ let raw_query_async reg run =
   reg (Req.Pipelined { run; promise; reg = 0; birth; admit = birth });
   promise
 
-let raw_sync reg = S.suspend (fun resume -> reg (Req.Sync resume))
+let raw_sync reg = ignore (S.suspend (fun resume -> reg (Req.Sync resume)))
 
 let sent conn name = Qs_obs.Counter.value (Sq.counters conn.RC.send_q) name
 

@@ -118,36 +118,36 @@ let test_suspend_resume () =
   let result = ref 0 in
   S.run (fun () ->
     S.spawn (fun () ->
-      S.suspend (fun resume -> resumer := Some resume);
+      ignore (S.suspend (fun resume -> resumer := Some resume));
       result := 1);
     S.spawn (fun () ->
       while !resumer = None do
         S.yield ()
       done;
-      (Option.get !resumer) ()));
+      ignore ((Option.get !resumer) () : bool)));
   check_int "resumed" 1 !result
 
 let test_resume_idempotent () =
   S.run (fun () ->
     let r = ref None in
-    S.spawn (fun () -> S.suspend (fun resume -> r := Some resume));
+    S.spawn (fun () -> ignore (S.suspend (fun resume -> r := Some resume)));
     S.spawn (fun () ->
       while !r = None do
         S.yield ()
       done;
       let resume = Option.get !r in
-      resume ();
-      resume ();
-      resume ()))
+      ignore (resume () : bool);
+      ignore (resume () : bool);
+      ignore (resume () : bool)))
 
 let test_stall_detection () =
   Alcotest.check_raises "deadlock raises" (S.Stalled 1) (fun () ->
-    S.run (fun () -> S.suspend (fun _ -> ())))
+    S.run (fun () -> ignore (S.suspend (fun _ -> ()))))
 
 let test_stall_counts_fibers () =
   (try S.run (fun () ->
-     S.spawn (fun () -> S.suspend (fun _ -> ()));
-     S.spawn (fun () -> S.suspend (fun _ -> ())))
+     S.spawn (fun () -> ignore (S.suspend (fun _ -> ())));
+     S.spawn (fun () -> ignore (S.suspend (fun _ -> ()))))
    with S.Stalled n -> check_int "two stuck" 2 n)
 
 let test_exception_propagates () =
@@ -243,7 +243,10 @@ let test_ivar_error () =
 let test_ivar_timeout_late_fill () =
   S.run (fun () ->
     let iv : int Ivar.t = Ivar.create () in
-    check_bool "times out unfilled" true (Ivar.result_timeout iv 0.02 = None);
+    check_bool "times out unfilled" true
+      (match Ivar.result ~timeout:0.02 iv with
+      | _ -> false
+      | exception Qs_sched.Timer.Timeout -> true);
     check_bool "late fill lands" true (Ivar.try_fill iv 9);
     check_int "later read" 9 (Ivar.read iv))
 
@@ -276,9 +279,9 @@ let test_ivar_racing_fills () =
         agree (Ivar.result iv);
         Latch.count_down latch);
       S.spawn (fun () ->
-        (match Ivar.result_timeout iv 5.0 with
-        | Some outcome -> agree outcome
-        | None -> Atomic.incr wrong);
+        (match Ivar.result ~timeout:5.0 iv with
+        | outcome -> agree outcome
+        | exception Qs_sched.Timer.Timeout -> Atomic.incr wrong);
         Latch.count_down latch);
       S.spawn (fun () ->
         if Ivar.try_fill iv g then Atomic.incr wins;
@@ -560,6 +563,61 @@ let test_with_lock_releases_on_exn () =
     (try Mutex.with_lock m (fun () -> failwith "x") with Failure _ -> ());
     check_bool "released" true (Mutex.try_lock m);
     Mutex.unlock m)
+
+(* The timed lock's three-way race: the holder's unlock against the
+   waiter's deadline and, in three rounds of four, a lock freed while the
+   waiter is still subscribing.  Each round ends with exactly one verdict,
+   the waiter never holds the lock alongside the holder, and a final
+   [try_lock] succeeds: the lock is never lost to an abandoned waiter. *)
+let test_mutex_timed_lock_race () =
+  let rounds = 2000 in
+  let acquired = Atomic.make 0 and timed_out = Atomic.make 0 in
+  let overlaps = Atomic.make 0 and lost = Atomic.make 0 in
+  S.run ~domains:2 (fun () ->
+    for round = 1 to rounds do
+      let m = Mutex.create () in
+      let holders = Atomic.make 1 in
+      Mutex.lock m;
+      let started = Atomic.make false in
+      let done_ = Latch.create 1 in
+      (* Subscribing rounds: an already-due deadline, and an unlock a few
+         hundred nanoseconds after the waiter starts, so the lock frees
+         (and a worker fires the timer) while the waiter subscribes. *)
+      let subscribing = round mod 4 <> 0 in
+      let dt = if subscribing then 0.0 else 1e-3 in
+      S.spawn (fun () ->
+        Atomic.set started true;
+        (match Mutex.lock ~timeout:dt m with
+        | () ->
+          if Atomic.fetch_and_add holders 1 <> 0 then Atomic.incr overlaps;
+          Atomic.incr acquired;
+          Atomic.decr holders;
+          Mutex.unlock m
+        | exception Qs_sched.Timer.Timeout -> Atomic.incr timed_out);
+        Latch.count_down done_);
+      if subscribing then begin
+        while not (Atomic.get started) do
+          Domain.cpu_relax ()
+        done;
+        for _ = 1 to round mod 64 do
+          Domain.cpu_relax ()
+        done
+      end
+      else S.sleep dt;
+      Atomic.decr holders;
+      Mutex.unlock m;
+      Latch.wait done_;
+      (* A waiter whose deadline won after it took the free lock hands it
+         back from the scheduler, possibly a moment after its verdict. *)
+      let rec free n =
+        Mutex.try_lock m || (n > 0 && (S.yield (); free (n - 1)))
+      in
+      if free 1000 then Mutex.unlock m else Atomic.incr lost
+    done);
+  check_int "one verdict per round" rounds
+    (Atomic.get acquired + Atomic.get timed_out);
+  check_int "never held twice" 0 (Atomic.get overlaps);
+  check_int "never lost" 0 (Atomic.get lost)
 
 let test_cond_parity () =
   let final =
@@ -869,16 +927,18 @@ let test_sleep_keeps_dependents_alive () =
 
 let test_unexpired_timer_no_false_stall () =
   (* A timer armed far in the future must neither stall nor delay an
-     otherwise-finished run. *)
+     otherwise-finished run.  Resumed at once, the wait cancels it, and
+     the cancelled entry lingers in the heap until pruned. *)
   let t0 = Unix.gettimeofday () in
-  S.run (fun () -> ignore (S.arm_timer ~delay:60.0 (fun () -> ()) : Qs_sched.Timer.handle));
+  S.run (fun () ->
+    ignore (S.suspend ~timeout:60.0 (fun resume -> ignore (resume () : bool))));
   check_bool "returned immediately" true (Unix.gettimeofday () -. t0 < 1.0)
 
 let test_stall_still_detected_after_timer () =
   (* Once the last timer has fired, a genuine deadlock must still raise. *)
   match
     S.run (fun () ->
-      S.spawn (fun () -> S.suspend (fun _ -> ()));
+      S.spawn (fun () -> ignore (S.suspend (fun _ -> ())));
       S.sleep 0.02)
   with
   | exception S.Stalled n -> check_int "one stuck fiber" 1 n
@@ -1038,31 +1098,64 @@ let test_block_admission_keeps_domain_running () =
     if switches > yields / 10 then
       Alcotest.failf "domain slept %d times during %d sibling yields" switches yields
 
-let test_suspend_timeout_resumed () =
-  (* Resumed before the deadline: `Resumed, and the timer is cancelled
-     (never fires). *)
-  let final = ref None in
-  let outcome = ref None in
-  S.run ~on_counters:(fun c -> final := Some c) (fun () ->
+let test_timed_suspend_resumed () =
+  (* Resumed before the deadline: the wait returns normally, and its
+     timer is cancelled (never fires).  Each input is a timed wait on
+     [S.suspend ?timeout] and a wake-up that returns [false] while there
+     is nothing yet to wake. *)
+  let suspend () =
     let cell = ref None in
-    S.spawn (fun () ->
-      let rec kick n =
+    ( (fun () ->
+        check_bool "resumed" true
+          (S.suspend ~timeout:5.0 (fun resume -> cell := Some resume)
+          = `Resumed)),
+      fun () ->
         match !cell with
         | Some r -> r ()
-        | None -> if n > 0 then (S.yield (); kick (n - 1))
-      in
-      kick 10_000);
-    outcome := Some (S.suspend_timeout (fun resume -> cell := Some resume) 5.0));
-  check_bool "resumed" true (!outcome = Some `Resumed);
-  match !final with
-  | Some c ->
-    check_int "timer armed" 1 c.S.c_timer_arms;
-    check_int "timer cancelled, not fired" 0 c.S.c_timer_fires
-  | None -> Alcotest.fail "no counters"
+        | None -> false )
+  in
+  let ivar () =
+    let iv = Ivar.create () in
+    ( (fun () -> check_bool "filled" true (Ivar.result ~timeout:5.0 iv = Ok 7)),
+      fun () ->
+        Ivar.fill iv 7;
+        true )
+  in
+  let lock () =
+    let m = Mutex.create () in
+    Mutex.lock m;
+    ( (fun () ->
+        Mutex.lock ~timeout:5.0 m;
+        Mutex.unlock m),
+      fun () ->
+        Mutex.unlock m;
+        true )
+  in
+  List.iter
+    (fun (name, timed_wait) ->
+      let final = ref None in
+      S.run ~on_counters:(fun c -> final := Some c) (fun () ->
+        let wait, wake = timed_wait () in
+        S.spawn (fun () ->
+          let rec kick n =
+            if (not (wake ())) && n > 0 then (S.yield (); kick (n - 1))
+          in
+          kick 10_000);
+        wait ());
+      match !final with
+      | Some c ->
+        check_int (name ^ ": timer armed") 1 c.S.c_timer_arms;
+        check_int (name ^ ": timer cancelled, not fired") 0 c.S.c_timer_fires
+      | None -> Alcotest.fail "no counters")
+    [
+      ("Sched.suspend", suspend);
+      ("Ivar.result", ivar);
+      ("Fiber_mutex.lock", lock);
+    ]
 
-let test_suspend_timeout_times_out () =
+let test_timed_suspend_times_out () =
   let t0 = Unix.gettimeofday () in
-  let v = S.run (fun () -> S.suspend_timeout (fun _ -> ()) 0.05) in
+  let v = S.run (fun () -> S.suspend ~timeout:0.05 (fun _ -> ())) in
   let dt = Unix.gettimeofday () -. t0 in
   check_bool "timed out" true (v = `Timed_out);
   check_bool "after the deadline" true (dt >= 0.05);
@@ -1079,8 +1172,8 @@ let test_timeout_race_exactly_once () =
         let cell = ref None in
         S.spawn (fun () ->
           S.sleep 0.005;
-          match !cell with Some r -> r () | None -> ());
-        match S.suspend_timeout (fun resume -> cell := Some resume) 0.005 with
+          match !cell with Some r -> ignore (r () : bool) | None -> ());
+        match S.suspend ~timeout:0.005 (fun resume -> cell := Some resume) with
         | `Resumed -> Atomic.incr resumed
         | `Timed_out -> Atomic.incr timed_out)
     done);
@@ -1101,22 +1194,24 @@ let test_hot_slot_fairness () =
       match !slot with
       | Some r ->
         slot := None;
-        r ()
+        ignore (r () : bool)
       | None -> ()
     in
     S.spawn (fun () ->
       while (not !done_) && !rounds < cap do
         incr rounds;
-        S.suspend (fun resume ->
-          slot_a := Some resume;
-          kick slot_b)
+        ignore
+          (S.suspend (fun resume ->
+             slot_a := Some resume;
+             kick slot_b))
       done;
       kick slot_b);
     S.spawn (fun () ->
       while (not !done_) && !rounds < cap do
-        S.suspend (fun resume ->
-          slot_b := Some resume;
-          kick slot_a)
+        ignore
+          (S.suspend (fun resume ->
+             slot_b := Some resume;
+             kick slot_a))
       done;
       kick slot_a);
     for _ = 1 to 3 do
@@ -1383,9 +1478,9 @@ let () =
           Alcotest.test_case "stall still detected after timer" `Quick
             test_stall_still_detected_after_timer;
           Alcotest.test_case "suspend_timeout resumed" `Quick
-            test_suspend_timeout_resumed;
+            test_timed_suspend_resumed;
           Alcotest.test_case "suspend_timeout times out" `Quick
-            test_suspend_timeout_times_out;
+            test_timed_suspend_times_out;
           Alcotest.test_case "timeout races fulfilment exactly once" `Quick
             test_timeout_race_exactly_once;
           Alcotest.test_case "hot-slot fairness regression" `Quick
@@ -1459,6 +1554,8 @@ let () =
             test_with_lock_releases_on_exn;
           Alcotest.test_case "condition parity" `Quick test_cond_parity;
           Alcotest.test_case "signal wakes one" `Quick test_cond_signal_wakes_one;
+          Alcotest.test_case "timed lock three-way race" `Quick
+            test_mutex_timed_lock_race;
         ] );
       ("blocking queues", Bq_spsc_cases.tests @ Bq_mpsc_cases.tests);
       ( "parfor",
