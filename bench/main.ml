@@ -990,7 +990,8 @@ let write_json path (s : H.scale) micro_rows batching_rows pipeline_rows
   let alloc_json =
     match alloc_info with
     | None -> []
-    | Some ((minor, promoted, ns), (timed_minor, _, _), requests) ->
+    | Some ((minor, promoted, ns), (timed_minor, timed_promoted, _), requests)
+      ->
       [
         ( "allocation",
           Obj
@@ -1001,6 +1002,7 @@ let write_json path (s : H.scale) micro_rows batching_rows pipeline_rows
               ("promoted_words_per_request", Float promoted);
               ("ns_per_request", Float ns);
               ("timed_minor_words_per_request", Float timed_minor);
+              ("timed_promoted_words_per_request", Float timed_promoted);
             ] );
       ]
   in

@@ -8,7 +8,7 @@
    connections cost fibers, not threads.
 
    A serve fiber replays the client's wire stream onto ordinary runtime
-   operations: [Open] enters a separate block ([Separate.enter_one]) on
+   operations: [Open] enters a separate block ([Separate.enter]) on
    the processor the message names, [Rcall]/[Rquery]/[Rsync] ride that
    registration's stream, [Rclose] exits the block.  Queries and syncs
    are wrapped as *asynchronous calls* whose body runs on the handler
@@ -74,7 +74,7 @@ let serve_msg st = function
   | Remote_proto.Hello _ -> () (* re-checked at accept; ignore *)
   | Open { reg; proc } ->
     let p = proc_of st proc in
-    let r = Separate.enter_one (Runtime.ctx st.rt) p in
+    let r = Separate.enter (Runtime.ctx st.rt) p in
     Hashtbl.replace st.regs reg r
   | Rcall { reg; f } -> (
     match Hashtbl.find_opt st.regs reg with
@@ -125,7 +125,7 @@ let serve_msg st = function
     | None -> ()
     | Some r ->
       Hashtbl.remove st.regs reg;
-      (try Separate.exit_one (Runtime.ctx st.rt) r with _ -> ());
+      (try Separate.exit r with _ -> ());
       (* Best-effort exit check, like the in-process block's: a failure
          already observed is reported; one the handler has not reached
          yet is not (it would surface at the client's next sync point —
@@ -140,7 +140,7 @@ let serve_msg st = function
    at-most-once effects for calls already received. *)
 let cleanup st =
   Hashtbl.iter
-    (fun _ r -> try Separate.exit_one (Runtime.ctx st.rt) r with _ -> ())
+    (fun _ r -> try Separate.exit r with _ -> ())
     st.regs;
   Hashtbl.reset st.regs;
   Hashtbl.iter (fun _ p -> Processor.shutdown p) st.procs;

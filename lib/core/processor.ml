@@ -44,7 +44,7 @@
    shadow-stack update, modelling the GC discipline that EiffelStudio
    imposes on the retrofitted runtime. *)
 
-type pq = Request.t Qs_sched.Bqueue.Spsc.t
+type pq = Request.t Qs_sched.Bqueue.Spsc.t (* a registration's private queue *)
 
 type lifecycle = Running | Draining | Stopped | Failed
 
@@ -90,7 +90,7 @@ type t = {
   stats : Stats.t;
   trace : Trace.t option; (* the runtime's shared event sink, if any *)
   comm : comm;
-  reserve : Qs_queues.Spinlock.t; (* multi-reservation spinlock (§3.3) *)
+  spinlock : Qs_queues.Spinlock.t; (* multi-reservation spinlock (§3.3) *)
   shadow : int array; (* EVE shadow stack simulation *)
   mutable shadow_top : int;
   state : lifecycle Atomic.t;
@@ -444,49 +444,45 @@ let direct_mailbox q =
     quiet = (fun () -> Qs_sched.Bqueue.Mpsc.is_empty q);
   }
 
-let create ?sink ?pool ~id ~config ~stats () =
+(* The one record behind both constructors.  A remote processor has no
+   handler fiber to await, so its exit latch comes pre-filled. *)
+let make ?sink ~id ~config ~stats comm =
   Qs_obs.Counter.incr stats.Stats.processors;
-  let comm =
-    if Config.uses_qoq config then
-      Qoq
-        {
-          qoq = Qs_sched.Bqueue.Mpsc.create ();
-          cache = Qs_queues.Treiber_stack.create ();
-        }
-    else
-      Direct
-        {
-          q = Qs_sched.Bqueue.Mpsc.create ();
-          lock = Qs_sched.Fiber_mutex.create ();
-        }
-  in
-  let t =
-    {
-      id;
-      config;
-      stats;
-      trace = Option.map Trace.of_sink sink;
-      comm;
-      reserve = Qs_queues.Spinlock.create ();
-      shadow = (if config.Config.eve then Array.make 256 0 else [||]);
-      shadow_top = 0;
-      state = Atomic.make Running;
-      aborted = Atomic.make false;
-      failed = Atomic.make false;
-      stream_closed = Atomic.make false;
-      exited = Qs_sched.Ivar.create ();
-      pending = Atomic.make 0;
-      shed_debt = Atomic.make 0;
-      changes = Atomic.make 0;
-      waiters = Atomic.make [];
-      h_now = 0;
-    }
-  in
-  let mailbox =
-    match comm with
-    | Qoq { qoq; cache } -> qoq_mailbox qoq cache
-    | Direct { q; _ } -> direct_mailbox q
-    | Remote _ -> assert false (* [create] never builds a Remote comm *)
+  let local = match comm with Remote _ -> false | Qoq _ | Direct _ -> true in
+  {
+    id;
+    config;
+    stats;
+    trace = Option.map Trace.of_sink sink;
+    comm;
+    spinlock = Qs_queues.Spinlock.create ();
+    shadow = (if local && config.Config.eve then Array.make 256 0 else [||]);
+    shadow_top = 0;
+    state = Atomic.make Running;
+    aborted = Atomic.make false;
+    failed = Atomic.make false;
+    stream_closed = Atomic.make false;
+    exited = Qs_sched.Ivar.(if local then create () else create_full ());
+    pending = Atomic.make 0;
+    shed_debt = Atomic.make 0;
+    changes = Atomic.make 0;
+    waiters = Atomic.make [];
+    h_now = 0;
+  }
+
+let create ?sink ?pool ~id ~config ~stats () =
+  let t, mailbox =
+    if Config.uses_qoq config then begin
+      let qoq = Qs_sched.Bqueue.Mpsc.create ()
+      and cache = Qs_queues.Treiber_stack.create () in
+      let t = make ?sink ~id ~config ~stats (Qoq { qoq; cache }) in
+      (t, qoq_mailbox qoq cache)
+    end
+    else begin
+      let q = Qs_sched.Bqueue.Mpsc.create () in
+      let lock = Qs_sched.Fiber_mutex.create () in
+      (make ?sink ~id ~config ~stats (Direct { q; lock }), direct_mailbox q)
+    end
   in
   (* Pinning: a pooled handler fiber is spawned into its scheduler pool,
      so only that pool's own workers ever drain its requests. *)
@@ -507,33 +503,11 @@ let create ?sink ?pool ~id ~config ~stats () =
   t
 
 (* A remote processor: same [t], no handler fiber — the handler runs on
-   the node.  The exit latch is pre-filled (there is nothing to await
-   locally; teardown of the connection is the runtime's job). *)
+   the node, and teardown of the connection is the runtime's job. *)
 let create_remote ?sink ~id ~config ~stats ~ops () =
-  Qs_obs.Counter.incr stats.Stats.processors;
-  {
-    id;
-    config;
-    stats;
-    trace = Option.map Trace.of_sink sink;
-    comm = Remote ops;
-    reserve = Qs_queues.Spinlock.create ();
-    shadow = [||];
-    shadow_top = 0;
-    state = Atomic.make Running;
-    aborted = Atomic.make false;
-    failed = Atomic.make false;
-    stream_closed = Atomic.make false;
-    exited = Qs_sched.Ivar.create_full ();
-    pending = Atomic.make 0;
-    shed_debt = Atomic.make 0;
-    changes = Atomic.make 0;
-    waiters = Atomic.make [];
-    h_now = 0;
-  }
+  make ?sink ~id ~config ~stats (Remote ops)
 
 let id t = t.id
-let reserve t = t.reserve
 
 let is_remote t = match t.comm with Remote _ -> true | Qoq _ | Direct _ -> false
 
@@ -542,50 +516,75 @@ let remote_node t =
   | Remote ops -> Some ops.rem_node
   | Qoq _ | Direct _ -> None
 
-(* Open a registration on the remote node and return its enqueue.  Only
-   valid on remote processors. *)
-let remote_open t ~poison =
+let compare_by_id a b = Int.compare a.id b.id
+
+(* -- the separate rule -------------------------------------------------------- *)
+
+(* Reserve one handler and return the new registration's log.
+   Queue-of-queues mode appends a private queue — recycled from the cache
+   when there is one (§3.2) — to the queue-of-queues: one asynchronous
+   enqueue that never waits (Fig. 8).  Lock mode takes the handler lock
+   and logs into the single request queue.  A remote handler opens the
+   registration on its node: the wire-level Open plays the private-queue
+   append, and the node enters a real separate block on its side. *)
+let reserve ?timeout t ~poison =
   match t.comm with
+  | Qoq { qoq; cache } ->
+    let pq =
+      match Qs_queues.Treiber_stack.pop cache with
+      | Some pq -> pq
+      | None -> Qs_sched.Bqueue.Spsc.create ()
+    in
+    Qs_sched.Bqueue.Mpsc.enqueue qoq pq;
+    Qs_sched.Bqueue.Spsc.enqueue pq
+  | Direct { q; lock } ->
+    (* A spent budget fails at once, without trying the lock. *)
+    (match timeout with
+    | Some dt when dt <= 0.0 -> raise Qs_sched.Timer.Timeout
+    | _ -> Qs_sched.Fiber_mutex.lock ?timeout lock);
+    Qs_sched.Bqueue.Mpsc.enqueue q
   | Remote ops -> ops.rem_open ~poison
-  | Qoq _ | Direct _ ->
-    invalid_arg "Scoop.Processor.remote_open: processor is local"
 
-(* -- queue-of-queues client operations -------------------------------------- *)
-
-let take_private_queue t =
-  match t.comm with
-  | Qoq { cache; _ } -> (
-    match Qs_queues.Treiber_stack.pop cache with
-    | Some pq -> pq
-    | None -> Qs_sched.Bqueue.Spsc.create ())
-  | Direct _ | Remote _ ->
-    invalid_arg "Scoop.Processor.take_private_queue: processor is in lock mode"
-
-let enqueue_private_queue t pq =
-  match t.comm with
-  | Qoq { qoq; _ } -> Qs_sched.Bqueue.Mpsc.enqueue qoq pq
-  | Direct _ | Remote _ ->
-    invalid_arg
-      "Scoop.Processor.enqueue_private_queue: processor is in lock mode"
-
-(* -- lock-based client operations ------------------------------------------- *)
-
-let wrong_mode fn = invalid_arg ("Scoop.Processor." ^ fn ^ ": processor is in qoq mode")
-
-let lock_handler ?timeout t =
-  match t.comm with
-  | Direct { lock; _ } -> Qs_sched.Fiber_mutex.lock ?timeout lock
-  | Qoq _ | Remote _ -> wrong_mode "lock_handler"
-
-let unlock_handler t =
+let release t =
   match t.comm with
   | Direct { lock; _ } -> Qs_sched.Fiber_mutex.unlock lock
-  | Qoq _ | Remote _ -> wrong_mode "unlock_handler"
+  | Qoq _ | Remote _ -> ()
 
-let enqueue_direct t req =
-  match t.comm with
-  | Direct { q; _ } -> Qs_sched.Bqueue.Mpsc.enqueue q req
-  | Qoq _ | Remote _ -> wrong_mode "enqueue_direct"
+(* Multi-reservation, the generalized separate rule (§2.4, Fig. 11): the
+   reservations of all handlers must be one atomic event, or two clients'
+   insertions could interleave and a later observer see the Fig. 5
+   inconsistency.  Handlers are taken in id order, so reservers cannot
+   deadlock each other.  Queue-of-queues reservation never waits, so the
+   appends run under every handler's reservation spinlock (§3.3).  Lock
+   mode takes the handler locks within one deadline; a late lock releases
+   every lock already held, so a timed-out reservation leaves no handler
+   reserved. *)
+let reserve_many ?timeout handlers =
+  let sorted = List.sort (fun (a, _) (b, _) -> compare_by_id a b) handlers in
+  let direct (t, _) =
+    match t.comm with Direct _ -> true | Qoq _ | Remote _ -> false
+  in
+  if List.exists direct handlers then begin
+    let deadline = Option.map (fun dt -> Qs_sched.Timer.now () +. dt) timeout in
+    let rec take held = function
+      | [] -> held
+      | (t, poison) :: rest -> (
+        let left = Option.map (fun d -> d -. Qs_sched.Timer.now ()) deadline in
+        match reserve ?timeout:left t ~poison with
+        | log -> take ((t, log) :: held) rest
+        | exception e ->
+          List.iter (fun (t, _) -> release t) held;
+          raise e)
+    in
+    let logs = take [] sorted in
+    List.map (fun (t, _) -> List.assq t logs) handlers
+  end
+  else begin
+    List.iter (fun (t, _) -> Qs_queues.Spinlock.acquire t.spinlock) sorted;
+    let logs = List.map (fun (t, poison) -> reserve t ~poison) handlers in
+    List.iter (fun (t, _) -> Qs_queues.Spinlock.release t.spinlock) sorted;
+    logs
+  end
 
 (* -- wait conditions ---------------------------------------------------------- *)
 
@@ -633,5 +632,3 @@ let abort t =
   shutdown t
 
 let await_stopped ?timeout t = Qs_sched.Ivar.read ?timeout t.exited
-
-let compare_by_id a b = Int.compare a.id b.id

@@ -8,11 +8,9 @@
     ([`Direct]).  Each wakeup drains up to [Config.batch] requests.
 
     Create processors through {!Runtime.processor}; client-side access goes
-    through {!Separate} blocks and {!Registration} operations, which use the
-    mode-specific operations below. *)
-
-type pq = Request.t Qs_sched.Bqueue.Spsc.t
-(** A private queue of requests. *)
+    through {!Separate} blocks and {!Registration} operations, which
+    reserve and release handlers through {!reserve}, {!reserve_many} and
+    {!release} whatever the mailbox. *)
 
 type lifecycle =
   | Running  (** serving requests *)
@@ -78,19 +76,10 @@ val create_remote :
 
 val id : t -> int
 
-val reserve : t -> Qs_queues.Spinlock.t
-(** The multi-reservation spinlock (§3.3). *)
-
 val is_remote : t -> bool
 
 val remote_node : t -> string option
 (** The node address label of a remote processor, [None] if local. *)
-
-val remote_open :
-  t -> poison:(exn -> Printexc.raw_backtrace -> unit) -> Request.t -> unit
-(** [remote_open t ~poison] opens a registration on the remote node (the
-    remote half of the separate rule) and returns its enqueue; see
-    {!remote_ops}.  @raise Invalid_argument on a local processor. *)
 
 val admit : t -> unit
 (** Admission control for a Call or Query about to be logged.  A no-op
@@ -100,29 +89,40 @@ val admit : t -> unit
     pending request for shedding.  Sync and End are never admitted
     through this (they are control flow, not work). *)
 
-(** {1 Queue-of-queues mode ([`Qoq])}
+(** {1 The separate rule}
 
-    These raise [Invalid_argument] on a [`Direct]-mode processor. *)
+    How a client reserves and releases a handler, whatever the mailbox.
+    A reservation returns the new registration's {e log}, which appends
+    one request to what the handler serves for it. *)
 
-val take_private_queue : t -> pq
-(** A fresh or recycled private queue for a new registration. *)
+val reserve :
+  ?timeout:float ->
+  t ->
+  poison:(exn -> Printexc.raw_backtrace -> unit) ->
+  Request.t ->
+  unit
+(** [reserve t ~poison] reserves one handler (Fig. 8) and returns the
+    log: in queue-of-queues mode a cached or new private queue, appended
+    to the queue-of-queues without waiting; in lock mode the handler
+    lock, awaited up to [?timeout] seconds (a non-positive one fails at
+    once), then the single request queue; on a remote processor a
+    registration opened on the node ({!remote_ops}), which keeps
+    [poison], the registration's poison completion.
+    @raise Qs_sched.Timer.Timeout without the lock. *)
 
-val enqueue_private_queue : t -> pq -> unit
-(** Append a private queue to the queue-of-queues (the separate rule). *)
+val reserve_many :
+  ?timeout:float ->
+  (t * (exn -> Printexc.raw_backtrace -> unit)) list ->
+  (Request.t -> unit) list
+(** {!reserve} for several distinct local handlers as one atomic event
+    (§2.4, Fig. 11), taken in id order; logs in argument order.  In
+    queue-of-queues mode the appends run under every handler's
+    reservation spinlock (§3.3).  In lock mode [?timeout] bounds the
+    whole reservation, and a late lock releases those already held. *)
 
-(** {1 Lock mode ([`Direct])}
-
-    These raise [Invalid_argument] on a [`Qoq]-mode processor. *)
-
-val lock_handler : ?timeout:float -> t -> unit
-(** Acquire the handler lock (blocks the client fiber).  With [?timeout],
-    raise [Timer.Timeout] after that many seconds without the lock (it is
-    then not held). *)
-
-val unlock_handler : t -> unit
-
-val enqueue_direct : t -> Request.t -> unit
-(** Log a request into the handler's single request queue. *)
+val release : t -> unit
+(** End a reservation once its [End] is logged: releases the handler
+    lock in lock mode, a no-op otherwise. *)
 
 (** {1 Wait conditions}
 

@@ -43,8 +43,9 @@ type t = {
   proc : Processor.t;
   ctx : Ctx.t;
   mutable enqueue : Request.t -> unit;
-      (* the private queue's push, the handler's request queue, or the
-         node connection; knotted by [make_remote] *)
+      (* the registration's log ([Processor.reserve]): the private
+         queue's push, the handler's request queue, or the node
+         connection *)
   mutable synced : bool;
   mutable closed : bool;
   mutable changed : bool;
@@ -85,13 +86,15 @@ let poison t e bt =
     | None -> ()
   end
 
-let make ~proc ~ctx ~enqueue () =
+(* A registration not yet reserved: [enqueue] and [fail_to] are knotted
+   by [make] and [make_many]. *)
+let unreserved ~proc ~ctx =
   let t =
     {
       rid = Atomic.fetch_and_add next_rid 1;
       proc;
       ctx;
-      enqueue;
+      enqueue = ignore;
       synced = false;
       closed = false;
       changed = true;
@@ -103,15 +106,24 @@ let make ~proc ~ctx ~enqueue () =
   t.fail_to <- poison t;
   t
 
-(* Remote registration: the same record, logging into the node
-   connection.  The connection takes this registration's poison
-   completion, so a handler failure the node reports on this stream, or
-   a lost connection, poisons it like a failed local call: the
-   dirty-processor rule crosses the connection unchanged. *)
-let make_remote ~proc ~ctx () =
-  let t = make ~proc ~ctx ~enqueue:ignore () in
-  t.enqueue <- Processor.remote_open proc ~poison:t.fail_to;
+(* The reservation takes this registration's poison completion: a remote
+   handler's connection keeps it, so a handler failure the node reports
+   on this stream, or a lost connection, poisons the registration like a
+   failed local call — the dirty-processor rule crosses the connection
+   unchanged. *)
+let make ?timeout ~proc ~ctx () =
+  let t = unreserved ~proc ~ctx in
+  t.enqueue <- Processor.reserve ?timeout proc ~poison:t.fail_to;
   t
+
+let make_many ?timeout ~procs ~ctx () =
+  let ts = List.map (fun proc -> unreserved ~proc ~ctx) procs in
+  let handlers = List.map (fun t -> (t.proc, t.fail_to)) ts in
+  List.iter2
+    (fun t log -> t.enqueue <- log)
+    ts
+    (Processor.reserve_many ?timeout handlers);
+  ts
 
 (* Lifecycle stamps.  [birth] is read once at operation entry; the
    second clock read for [admit] is only paid when admission can
@@ -380,10 +392,10 @@ let mark_unchanged t = t.changed <- false
 (* Block exit: append the END marker in both modes (the end rule),
    announcing whether the block may have changed the handler's state.  In
    queue-of-queues mode it makes the handler recycle the private queue and
-   move on to the next one; in lock mode the caller (Separate) additionally
-   releases the handler lock, and the marker keeps registration boundaries
-   visible to the handler loop (and counted in [Stats.ends_drained])
-   instead of being silently dropped.  Deliberately no poison check here:
+   move on to the next one; in lock mode the caller (Separate) then
+   releases the handler lock ([Processor.release]), and the marker keeps
+   registration boundaries visible to the handler loop (and counted in
+   [Stats.ends_drained]) instead of being silently dropped.  Deliberately no poison check here:
    [close] runs in the block's [finally], and Separate re-surfaces the
    poison *after* the block has fully exited. *)
 let close t =

@@ -111,17 +111,15 @@ val check_poison : t -> unit
 
 (**/**)
 
-val make :
-  proc:Processor.t -> ctx:Ctx.t -> enqueue:(Request.t -> unit) -> unit -> t
+val make : ?timeout:float -> proc:Processor.t -> ctx:Ctx.t -> unit -> t
+(** Reserve [proc] through {!Processor.reserve}.  A remote processor's
+    connection holds the registration's poison completion, so a failed
+    call on the node, or a lost connection, poisons it; its queries are
+    always packaged ([client_query] does not apply). *)
 
-val make_remote : proc:Processor.t -> ctx:Ctx.t -> unit -> t
-(** Registration on a remote processor: an ordinary registration whose
-    enqueue is the node connection ({!Processor.remote_open}), so every
-    operation logs the same requests as on a local handler.  Queries are
-    always packaged ([client_query] does not apply).  The connection
-    holds this registration's poison completion, so the dirty-processor
-    rule crosses it: a failed call on the node, or a lost connection,
-    poisons the registration. *)
+val make_many :
+  ?timeout:float -> procs:Processor.t list -> ctx:Ctx.t -> unit -> t list
+(** {!make} through {!Processor.reserve_many}, in argument order. *)
 
 val mark_unchanged : t -> unit
 (** The block only evaluated a failing wait condition: {!close} logs an

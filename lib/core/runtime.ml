@@ -142,7 +142,11 @@ let quench t =
   close_remotes t
 
 let separate ?timeout t proc body = Separate.one ?timeout t.ctx proc body
-let separate2 ?timeout t p1 p2 body = Separate.two ?timeout t.ctx p1 p2 body
+
+let separate2 ?timeout t p1 p2 body =
+  Separate.many ?timeout t.ctx [ p1; p2 ] (function
+    | [ r1; r2 ] -> body r1 r2
+    | _ -> assert false)
 
 let separate_list ?timeout t procs body =
   Separate.many ?timeout t.ctx procs body

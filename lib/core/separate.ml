@@ -1,16 +1,11 @@
 (* Separate blocks: reservation and release of handlers.
 
-   Single reservation (Fig. 8) is the optimized common case: in
-   queue-of-queues mode it is one enqueue of a (possibly recycled) private
-   queue — completely asynchronous, the separate rule of the semantics; in
-   lock-based mode it acquires the handler's lock as the original SCOOP
-   runtime did.
-
-   Multiple reservation (Fig. 11, §3.3) must insert the client's private
-   queues into all handlers atomically, otherwise two clients' insertions
-   could interleave and later observers could see the Fig. 5 inconsistency.
-   Per the paper, a spinlock per handler guards insertion; locks are taken
-   in handler-id order so that reservers cannot deadlock each other.
+   How a handler is reserved depends on its mailbox and is
+   [Processor]'s business: [Processor.reserve] is the separate rule for
+   one handler (Fig. 8), [Processor.reserve_many] the atomic
+   multi-reservation of Fig. 11 and §3.3, and [Processor.release] the
+   matching exit.  This module scopes them around a body, counts and
+   traces them, and turns a reservation deadline into [Timeout].
 
    Block exit re-surfaces poison (SCOOP's dirty-processor rule): after
    the body has completed normally and the registrations are closed, a
@@ -31,15 +26,6 @@ let reservation_timed_out ctx =
   Qs_obs.Counter.incr ctx.Ctx.stats.Stats.deadline_exceeded;
   raise Qs_sched.Timer.Timeout
 
-(* Acquire one handler lock within the time remaining to an absolute
-   deadline ([None] = wait forever). *)
-let lock_within ctx proc deadline =
-  match Option.map (fun d -> d -. Qs_sched.Timer.now ()) deadline with
-  | Some remaining when remaining <= 0.0 -> reservation_timed_out ctx
-  | timeout -> (
-    try Processor.lock_handler ?timeout proc
-    with Qs_sched.Timer.Timeout -> reservation_timed_out ctx)
-
 let deadline_of_timeout = function
   | None -> None
   | Some dt -> Some (Qs_sched.Timer.now () +. Float.max 0.0 dt)
@@ -58,39 +44,22 @@ let trace_reserved ctx reg =
       ~client:(Registration.rid reg) Trace.Reserved
   | None -> ()
 
-let enter_one ?deadline ctx proc =
+let enter ?timeout ctx proc =
   Qs_obs.Counter.incr ctx.Ctx.stats.Stats.reservations;
   let reg =
-    if Processor.is_remote proc then
-      (* Remote separate rule: the wire-level Open plays the
-         private-queue enqueue — asynchronous, like qoq reservation.
-         The node enters a real separate block on its side and serves
-         this registration's stream in order. *)
-      Registration.make_remote ~proc ~ctx ()
-    else if Config.uses_qoq ctx.Ctx.config then begin
-      let pq = Processor.take_private_queue proc in
-      Processor.enqueue_private_queue proc pq;
-      Registration.make ~proc ~ctx
-        ~enqueue:(Qs_sched.Bqueue.Spsc.enqueue pq) ()
-    end
-    else begin
-      lock_within ctx proc deadline;
-      Registration.make ~proc ~ctx
-        ~enqueue:(Processor.enqueue_direct proc) ()
-    end
+    try Registration.make ?timeout ~proc ~ctx ()
+    with Qs_sched.Timer.Timeout -> reservation_timed_out ctx
   in
   trace_reserved ctx reg;
   reg
 
-let exit_one ctx reg =
+let exit reg =
   Registration.close reg;
-  let proc = Registration.processor reg in
-  if (not (Config.uses_qoq ctx.Ctx.config)) && not (Processor.is_remote proc)
-  then Processor.unlock_handler proc
+  Processor.release (Registration.processor reg)
 
 let one ?timeout ctx proc body =
-  let reg = enter_one ?deadline:(deadline_of_timeout timeout) ctx proc in
-  let v = Fun.protect ~finally:(fun () -> exit_one ctx reg) (fun () -> body reg) in
+  let reg = enter ?timeout ctx proc in
+  let v = Fun.protect ~finally:(fun () -> exit reg) (fun () -> body reg) in
   Registration.check_poison reg;
   v
 
@@ -123,139 +92,29 @@ let check_local procs =
             "atomic multi-reservation requires local processors; remote: %s"
             (String.concat ", " (List.map name remotes))))
 
-let enter_many ?deadline ctx procs =
-  (* Remote refusal first: proxy ids are numbered per runtime, so a
-     remote proxy can collide with a local id without being the same
-     processor — the topology error is the real diagnosis. *)
-  check_local procs;
-  check_distinct procs;
-  Qs_obs.Counter.incr ctx.Ctx.stats.Stats.reservations;
-  Qs_obs.Counter.incr ctx.Ctx.stats.Stats.multi_reservations;
-  let sorted = List.sort Processor.compare_by_id procs in
-  if Config.uses_qoq ctx.Ctx.config then begin
-    (* Prepare all private queues first, then insert them while holding
-       every handler's reservation spinlock: the insertions become one
-       atomic event, the generalized separate rule of §2.4. *)
-    let pqs = List.map (fun p -> (p, Processor.take_private_queue p)) procs in
-    List.iter (fun p -> Qs_queues.Spinlock.acquire (Processor.reserve p)) sorted;
-    List.iter (fun (p, pq) -> Processor.enqueue_private_queue p pq) pqs;
-    List.iter (fun p -> Qs_queues.Spinlock.release (Processor.reserve p))
-      (List.rev sorted);
-    let regs =
-      List.map
-        (fun (p, pq) ->
-          Registration.make ~proc:p ~ctx
-            ~enqueue:(Qs_sched.Bqueue.Spsc.enqueue pq) ())
-        pqs
-    in
-    List.iter (trace_reserved ctx) regs;
-    regs
-  end
-  else begin
-    (* Lock mode: take the handler locks in id order (atomic w.r.t. other
-       multi-reservers and single reservers alike).  Under a deadline,
-       a late lock releases everything already held — a timed-out
-       reservation must leave no handler reserved. *)
-    let rec take held = function
-      | [] -> ()
-      | p :: rest -> (
-        (try lock_within ctx p deadline
-         with e ->
-           List.iter Processor.unlock_handler held;
-           raise e);
-        take (p :: held) rest)
-    in
-    take [] sorted;
-    let regs =
-      List.map
-        (fun p ->
-          Registration.make ~proc:p ~ctx
-            ~enqueue:(Processor.enqueue_direct p) ())
-        procs
-    in
-    List.iter (trace_reserved ctx) regs;
-    regs
-  end
-
-let exit_many ctx regs =
-  (* endMany: signal END to every reserved handler (§2.4). *)
-  List.iter (fun reg -> exit_one ctx reg) regs
-
 let many ?timeout ctx procs body =
   match procs with
   | [] -> body []
   | [ p ] -> one ?timeout ctx p (fun reg -> body [ reg ])
   | _ ->
-    let regs = enter_many ?deadline:(deadline_of_timeout timeout) ctx procs in
+    (* Remote refusal first: proxy ids are numbered per runtime, so a
+       remote proxy can collide with a local id without being the same
+       processor — the topology error is the real diagnosis. *)
+    check_local procs;
+    check_distinct procs;
+    Qs_obs.Counter.incr ctx.Ctx.stats.Stats.reservations;
+    Qs_obs.Counter.incr ctx.Ctx.stats.Stats.multi_reservations;
+    let regs =
+      try Registration.make_many ?timeout ~procs ~ctx ()
+      with Qs_sched.Timer.Timeout -> reservation_timed_out ctx
+    in
+    List.iter (trace_reserved ctx) regs;
+    (* endMany: signal END to every reserved handler (§2.4). *)
     let v =
-      Fun.protect ~finally:(fun () -> exit_many ctx regs) (fun () -> body regs)
+      Fun.protect ~finally:(fun () -> List.iter exit regs) (fun () -> body regs)
     in
     List.iter Registration.check_poison regs;
     v
-
-(* Pairwise reservation, the common multi-handler shape, with a dedicated
-   entry so the registrations come back as a typed pair: same spinlock
-   protocol as [enter_many] (acquire in id order, release in reverse)
-   specialized to two handlers, no intermediate lists to destructure. *)
-let enter_two ?deadline ctx p1 p2 =
-  check_local [ p1; p2 ];
-  if Processor.id p1 = Processor.id p2 then
-    invalid_arg "Scoop.Separate: the same processor reserved twice";
-  Qs_obs.Counter.incr ctx.Ctx.stats.Stats.reservations;
-  Qs_obs.Counter.incr ctx.Ctx.stats.Stats.multi_reservations;
-  let lo, hi =
-    if Processor.id p1 < Processor.id p2 then (p1, p2) else (p2, p1)
-  in
-  if Config.uses_qoq ctx.Ctx.config then begin
-    let pq1 = Processor.take_private_queue p1 in
-    let pq2 = Processor.take_private_queue p2 in
-    Qs_queues.Spinlock.acquire (Processor.reserve lo);
-    Qs_queues.Spinlock.acquire (Processor.reserve hi);
-    Processor.enqueue_private_queue p1 pq1;
-    Processor.enqueue_private_queue p2 pq2;
-    Qs_queues.Spinlock.release (Processor.reserve hi);
-    Qs_queues.Spinlock.release (Processor.reserve lo);
-    let r1 =
-      Registration.make ~proc:p1 ~ctx
-        ~enqueue:(Qs_sched.Bqueue.Spsc.enqueue pq1) ()
-    and r2 =
-      Registration.make ~proc:p2 ~ctx
-        ~enqueue:(Qs_sched.Bqueue.Spsc.enqueue pq2) ()
-    in
-    trace_reserved ctx r1;
-    trace_reserved ctx r2;
-    (r1, r2)
-  end
-  else begin
-    lock_within ctx lo deadline;
-    (try lock_within ctx hi deadline
-     with e ->
-       Processor.unlock_handler lo;
-       raise e);
-    let r1 =
-      Registration.make ~proc:p1 ~ctx
-        ~enqueue:(Processor.enqueue_direct p1) ()
-    and r2 =
-      Registration.make ~proc:p2 ~ctx
-        ~enqueue:(Processor.enqueue_direct p2) ()
-    in
-    trace_reserved ctx r1;
-    trace_reserved ctx r2;
-    (r1, r2)
-  end
-
-let two ?timeout ctx p1 p2 body =
-  let r1, r2 = enter_two ?deadline:(deadline_of_timeout timeout) ctx p1 p2 in
-  let v =
-    Fun.protect
-      ~finally:(fun () ->
-        exit_one ctx r1;
-        exit_one ctx r2)
-      (fun () -> body r1 r2)
-  in
-  Registration.check_poison r1;
-  Registration.check_poison r2;
-  v
 
 (* Wait conditions: SCOOP preconditions on separate objects do not fail,
    they wait (Nienaltowski's contract semantics, which the paper's SCOOP

@@ -2,8 +2,10 @@
     release (paper §2.1, §2.4, §3.2–3.3).
 
     These functions are the internals behind {!Runtime.separate} and
-    friends, which supply the context.  Named by arity: {!one}, {!two},
+    friends, which supply the context.  Named by arity: {!one} and
     {!many}, plus the wait-condition variants {!when_} and {!many_when}.
+    Reservation itself is {!Processor.reserve} and
+    {!Processor.reserve_many}, whatever the mailbox.
 
     Every block re-surfaces poison at exit (SCOOP's dirty-processor
     rule): if a registration was dirtied by a failed asynchronous call,
@@ -22,16 +24,6 @@
 
 val one : ?timeout:float -> Ctx.t -> Processor.t -> (Registration.t -> 'a) -> 'a
 (** Single-handler separate block (the optimized case of Fig. 8). *)
-
-val two :
-  ?timeout:float -> Ctx.t -> Processor.t -> Processor.t ->
-  (Registration.t -> Registration.t -> 'a) -> 'a
-(** Two-handler atomic reservation (Fig. 11), with a dedicated pairwise
-    entry path — the registrations are passed as two typed arguments, not
-    destructured from a list.
-    @raise Invalid_argument if both arguments are the same processor.
-    @raise Remote_proto.Remote_error if either processor is a remote
-    proxy (checked first: multi-reservation is a local protocol). *)
 
 val many :
   ?timeout:float -> Ctx.t -> Processor.t list -> (Registration.t list -> 'a) -> 'a
@@ -72,13 +64,13 @@ val many_when :
 
 (**/**)
 
-val enter_one : ?deadline:float -> Ctx.t -> Processor.t -> Registration.t
+val enter : ?timeout:float -> Ctx.t -> Processor.t -> Registration.t
 (** Reserve one handler without a scoped body — internal; the node's
     serve loop holds registrations open across many incoming wire
     messages, so its block structure cannot be a single OCaml scope.
-    Pair with {!exit_one}. *)
+    Pair with {!exit}. *)
 
-val exit_one : Ctx.t -> Registration.t -> unit
-(** Close a registration obtained from {!enter_one} (logs End, releases
-    the handler lock in lock mode).  Does not re-surface poison — callers
-    check {!Registration.poisoned} themselves. *)
+val exit : Registration.t -> unit
+(** Close a registration obtained from {!enter} (logs End, then
+    {!Processor.release}).  Does not re-surface poison — callers check
+    {!Registration.poisoned} themselves. *)

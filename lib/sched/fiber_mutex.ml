@@ -53,11 +53,10 @@ let lock ?timeout t =
           match Atomic.get t.state with
           | Unlocked ->
             (* Freed while we were suspending: acquire and wake ourselves.
-               If the deadline won meanwhile, the fiber has already been
-               resumed without the lock: hand the lock straight back. *)
-            if Atomic.compare_and_set t.state Unlocked (Locked []) then begin
-              if not (resume ()) then unlock t
-            end
+               The deadline is armed only after this registration returns,
+               so the wake always wins and the lock is ours. *)
+            if Atomic.compare_and_set t.state Unlocked (Locked []) then
+              ignore (resume () : bool)
             else subscribe ()
           | Locked waiters as old ->
             let next = Locked (resume :: waiters) in

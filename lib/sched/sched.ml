@@ -173,14 +173,9 @@ let schedule_cold t pool job =
     wake_idlers t
   | Some _ | None -> push_job t pool job
 
-(* The registration of a wait that nothing but its deadline ends
-   ([sleep]): [exec] arms the timer alone, with no claim to contest. *)
-let no_register : resumer -> unit = fun _ -> ()
-
-(* Arm a one-shot timer on [t]'s timer queue.  The armed→fired interval is
-   recorded as a "timer" span when tracing; parked workers are nudged so a
-   timekeeper picks up the (possibly earlier) deadline. *)
-let arm_timer_on t ~deadline action =
+(* A one-shot timer on [t]'s timer queue, not yet armed.  The
+   armed→fired interval is recorded as a "timer" span when tracing. *)
+let timer_on t ~deadline action =
   let action =
     match t.obs with
     | None -> action
@@ -193,9 +188,7 @@ let arm_timer_on t ~deadline action =
           ();
         action ()
   in
-  let handle = Timer.arm t.timers ~deadline action in
-  wake_idlers t;
-  handle
+  Timer.make t.timers ~deadline action
 
 let record_exn t e =
   ignore (Atomic.compare_and_set t.first_exn None (Some e) : bool);
@@ -218,10 +211,15 @@ let fiber_done t =
    through it, so a fiber pinned to a pool stays pinned across suspension
    points.
 
-   Each suspension allocates the fiber's single claim word.  Its resumer
-   and, for a timed suspension, its timer race on that word with one CAS,
-   so the fiber is continued exactly once and knows which party won; a
-   winning resumer cancels the timer. *)
+   Each suspension has a single claim word; its resumer and, for a timed
+   suspension, its deadline race on it with one CAS, so the fiber is
+   continued exactly once and knows which party won.  An untimed
+   suspension allocates the word.  A timed one uses its timer's own: the
+   resumer wins by cancelling the timer, the deadline by firing it.  The
+   timer is armed only once [register] has returned (and not at all if
+   the resumer already won), so the deadline never wins while [register]
+   still runs: a registration that resumes the fiber itself — a lock or
+   a value it found free — keeps what it took. *)
 let exec t pool (body : unit -> unit) =
   let open Effect.Deep in
   match_with body ()
@@ -247,27 +245,20 @@ let exec t pool (body : unit -> unit) =
           | Suspend_until (deadline, register) ->
             Some
               (fun (k : (a, unit) continuation) ->
-                if register == no_register then
-                  ignore
-                    (arm_timer_on t ~deadline (fun () ->
-                       schedule t pool (fun () -> continue k `Timed_out))
-                      : Timer.handle)
-                else begin
-                  (* 0 = waiting, 1 = resumed, 2 = timed out *)
-                  let claim = Atomic.make 0 in
-                  let timer =
-                    arm_timer_on t ~deadline (fun () ->
-                      if Atomic.compare_and_set claim 0 2 then
-                        schedule t pool (fun () -> continue k `Timed_out))
-                  in
-                  register (fun () ->
-                    Atomic.compare_and_set claim 0 1
-                    && begin
-                      ignore (Timer.cancel timer : bool);
-                      schedule t pool (fun () -> continue k `Resumed);
-                      true
-                    end)
-                end)
+                let timer =
+                  timer_on t ~deadline (fun () ->
+                    schedule t pool (fun () -> continue k `Timed_out))
+                in
+                register (fun () ->
+                  Timer.cancel timer
+                  && begin
+                    schedule t pool (fun () -> continue k `Resumed);
+                    true
+                  end);
+                (* Parked workers are nudged so a timekeeper picks up the
+                   (possibly earlier) deadline. *)
+                Timer.arm timer;
+                wake_idlers t)
           | Yield ->
             Some (fun (k : (a, unit) continuation) ->
               push_job t pool (fun () -> continue k ()))
@@ -321,7 +312,7 @@ let sleep dt =
   | Some _ ->
     if dt <= 0.0 then yield ()
     else
-      ignore (Effect.perform (Suspend_until (deadline_after dt, no_register)))
+      ignore (Effect.perform (Suspend_until (deadline_after dt, ignore)))
 
 (* Fd-readiness waits: park this fiber until [fd] is ready (or a closed
    fd triggers the poller's error sweep — the caller's retried syscall

@@ -103,8 +103,12 @@ val suspend :
     elapse first ([`Timed_out]).  The resumer and the deadline race on
     one claim word, so the verdict is exact: after [`Timed_out] every
     call of [resume] returns [false]; after [`Resumed] the timer is
-    cancelled.  The resumer may still sit in whatever [register]
-    subscribed it to, so registrations must tolerate stale waiters. *)
+    cancelled.  The deadline is armed only after [register] returns, so
+    it cannot win while [register] runs: a [resume] called from inside
+    [register] always returns [true], and a registration that took a
+    resource for the fiber (a free lock, say) never has to hand it back.
+    The resumer may still sit in whatever [register] subscribed it to,
+    so registrations must tolerate stale waiters. *)
 
 val yield : unit -> unit
 (** Reschedule the current fiber at the back of the global run queue,

@@ -26,9 +26,9 @@ exception Timeout
 
 type handle = {
   deadline : int; (* monotonic ns *)
-  seq : int; (* FIFO tie-break among equal deadlines *)
-  action : unit -> unit;
-  claimed : bool Atomic.t; (* armed=false; fired-or-cancelled=true *)
+  mutable seq : int; (* FIFO tie-break among equal deadlines, set by [arm] *)
+  mutable action : unit -> unit; (* [ignore] once cancelled *)
+  claimed : bool Atomic.t; (* live=false; fired-or-cancelled=true *)
   owner : t;
 }
 
@@ -129,25 +129,36 @@ let refresh_earliest t =
 
 (* -- public operations ---------------------------------------------------- *)
 
-let arm t ~deadline action =
-  Mutex.lock t.lock;
-  let e =
-    { deadline; seq = t.next_seq; action; claimed = Atomic.make false; owner = t }
-  in
-  t.next_seq <- t.next_seq + 1;
-  if t.size >= 64 && Atomic.get t.live < t.size / 2 then begin
-    compact t;
-    refresh_earliest t
-  end;
-  push t e;
+(* A handle counts as live from [make]: [cancel] may claim it before
+   [arm] queues it. *)
+let make t ~deadline action =
   Atomic.incr t.live;
-  Atomic.incr t.armed;
-  if deadline < Atomic.get t.earliest then Atomic.set t.earliest deadline;
-  Mutex.unlock t.lock;
-  e
+  { deadline; seq = 0; action; claimed = Atomic.make false; owner = t }
 
+let arm e =
+  let t = e.owner in
+  Mutex.lock t.lock;
+  (* A handle cancelled before this point is not queued; one cancelled
+     from here on is queued dead and pruned like any other. *)
+  if not (Atomic.get e.claimed) then begin
+    e.seq <- t.next_seq;
+    t.next_seq <- t.next_seq + 1;
+    if t.size >= 64 && Atomic.get t.live < t.size / 2 then begin
+      compact t;
+      refresh_earliest t
+    end;
+    push t e;
+    Atomic.incr t.armed;
+    if e.deadline < Atomic.get t.earliest then Atomic.set t.earliest e.deadline
+  end;
+  Mutex.unlock t.lock
+
+(* A cancelled entry may sit in the heap until its deadline or the next
+   compaction: drop its action now, so the closure — and the fiber
+   continuation it captures — does not stay reachable from there. *)
 let cancel e =
   if Atomic.compare_and_set e.claimed false true then begin
+    e.action <- ignore;
     Atomic.decr e.owner.live;
     true
   end

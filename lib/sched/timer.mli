@@ -33,17 +33,24 @@ val never : int
 
 val create : unit -> t
 
-val arm : t -> deadline:int -> (unit -> unit) -> handle
-(** [arm t ~deadline action] schedules [action] to run once
-    [Qs_obs.Clock.now_ns () >= deadline].  The action runs on whichever
-    worker fires it — scheduler context, not fiber context — so it must
-    not block or perform effects; resuming a suspended fiber is the
-    intended use.  Thread-safe. *)
+val make : t -> deadline:int -> (unit -> unit) -> handle
+(** [make t ~deadline action] is a timer that will run [action] once
+    [Qs_obs.Clock.now_ns () >= deadline], after {!arm} queues it.  The
+    action runs on whichever worker fires it — scheduler context, not
+    fiber context — so it must not block or perform effects; resuming a
+    suspended fiber is the intended use.  The timer counts as
+    {!pending} from here on, and {!cancel} already works on it. *)
+
+val arm : handle -> unit
+(** Queue a timer from {!make}, unless it was cancelled already.
+    Thread-safe. *)
 
 val cancel : handle -> bool
-(** Cancel an armed timer.  Returns [true] iff the cancellation won, i.e.
-    the action had not fired and is now guaranteed never to run.  A single
-    CAS; safe from any domain, idempotent. *)
+(** Cancel a timer.  Returns [true] iff the cancellation won, i.e. the
+    action had not fired and is now guaranteed never to run.  A single
+    CAS; safe from any domain, idempotent.  A won cancellation drops the
+    action at once: a dead entry waiting in the queue for pruning keeps
+    nothing it captured alive. *)
 
 val fire_due : t -> now:int -> int
 (** Pop and run every action whose deadline is [<= now] (oldest first,

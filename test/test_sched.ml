@@ -607,12 +607,10 @@ let test_mutex_timed_lock_race () =
       Atomic.decr holders;
       Mutex.unlock m;
       Latch.wait done_;
-      (* A waiter whose deadline won after it took the free lock hands it
-         back from the scheduler, possibly a moment after its verdict. *)
-      let rec free n =
-        Mutex.try_lock m || (n > 0 && (S.yield (); free (n - 1)))
-      in
-      if free 1000 then Mutex.unlock m else Atomic.incr lost
+      (* A deadline cannot win while the waiter subscribes, so a waiter
+         never takes the free lock only to hand it back after its
+         verdict: the lock is free the moment the verdict is in. *)
+      if Mutex.try_lock m then Mutex.unlock m else Atomic.incr lost
     done);
   check_int "one verdict per round" rounds
     (Atomic.get acquired + Atomic.get timed_out);
@@ -1161,6 +1159,41 @@ let test_timed_suspend_times_out () =
   check_bool "after the deadline" true (dt >= 0.05);
   check_bool "within ~2x the deadline" true (dt <= 0.1 +. 0.05)
 
+(* The deadline is armed only after [register] returns: a resume from
+   inside [register] wins even when the deadline is already due and the
+   other worker is free to fire it. *)
+let test_register_resume_beats_deadline () =
+  let won = ref 0 in
+  S.run ~domains:2 (fun () ->
+    for _ = 1 to 20 do
+      ignore
+        (S.suspend ~timeout:0.0 (fun resume ->
+           Unix.sleepf 1e-3;
+           if resume () then incr won))
+    done);
+  check_int "every resume from register won" 20 !won
+
+(* A cancelled timer waits in the heap until it is pruned, but its
+   action — and whatever that captured — is dropped at once. *)
+let test_timer_cancel_drops_action () =
+  let q = Qs_sched.Timer.create () in
+  let w = Weak.create 1 in
+  let[@inline never] arm () =
+    let v = Bytes.make 64 'x' in
+    Weak.set w 0 (Some v);
+    let h =
+      Qs_sched.Timer.make q ~deadline:max_int (fun () ->
+        ignore (Bytes.length v))
+    in
+    Qs_sched.Timer.arm h;
+    h
+  in
+  let h = arm () in
+  check_bool "cancelled" true (Qs_sched.Timer.cancel h);
+  Gc.full_major ();
+  check_bool "captured value collected" true (Weak.get w 0 = None);
+  ignore (Sys.opaque_identity q)
+
 let test_timeout_race_exactly_once () =
   (* Fulfilment racing the deadline: whatever the winner, each waiter is
      resumed exactly once (a double resume would trip the one-shot
@@ -1483,6 +1516,10 @@ let () =
             test_timed_suspend_times_out;
           Alcotest.test_case "timeout races fulfilment exactly once" `Quick
             test_timeout_race_exactly_once;
+          Alcotest.test_case "resume from register beats deadline" `Quick
+            test_register_resume_beats_deadline;
+          Alcotest.test_case "cancelled timer drops its action" `Quick
+            test_timer_cancel_drops_action;
           Alcotest.test_case "hot-slot fairness regression" `Quick
             test_hot_slot_fairness;
           Alcotest.test_case "workers use minimal timer slack" `Quick

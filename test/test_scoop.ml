@@ -1083,7 +1083,37 @@ let test_lock_reservation_timeout () =
        not have been consumed by the dead timed-out waiter. *)
     R.separate rt h (fun _ -> ());
     check_bool "deadline_exceeded counted" true
-      (get (R.stats rt).Scoop.Stats.deadline_exceeded >= 1))
+      (get (R.stats rt).Scoop.Stats.deadline_exceeded >= 1);
+    (* Multi-reservation takes the locks in id order, so with the
+       higher-id handler held it holds the lower-id lock when its
+       deadline passes: the timed-out reservation must release it. *)
+    let reserve_both =
+      [
+        ( "separate_list",
+          fun lo hi -> R.separate_list ~timeout:0.02 rt [ hi; lo ] ignore );
+        ( "separate2",
+          fun lo hi -> R.separate2 ~timeout:0.02 rt lo hi (fun _ _ -> ()) );
+      ]
+    in
+    List.iter
+      (fun (name, reserve) ->
+        let lo = R.processor rt in
+        let hi = R.processor rt in
+        let entered = Ivar.create () in
+        S.spawn (fun () ->
+          R.separate rt hi (fun _reg ->
+            Ivar.fill entered ();
+            S.sleep 0.2));
+        Ivar.read entered;
+        (match reserve lo hi with
+        | () -> Alcotest.failf "%s: reservation of a held handler must time out" name
+        | exception Scoop.Timeout -> ());
+        match R.separate ~timeout:0.01 rt lo (fun _ -> ()) with
+        | () -> ()
+        | exception Scoop.Timeout ->
+          Alcotest.failf "%s: the timed-out reservation kept the lower-id lock"
+            name)
+      reserve_both)
 
 let test_shutdown_grace_escalates () =
   let s =
