@@ -439,33 +439,31 @@ let timeout_ablation (s : H.scale) =
     "socket transport allocation" alloc_per_msg;
   (ns plain, ns timed, probe, alloc_per_msg)
 
-(* -- scheduler-pool ablation ------------------------------------------------- *)
+(* -- scheduler injection ablation ------------------------------------------ *)
 
-(* Two questions about the sharded injection path and scheduler pools:
+(* Two questions about the scheduler's sharded injection path (the rows
+   keep their historical "pools:" names):
 
    1. Injection contention: the same cross-domain push/pop flood through
       the sharded MPMC at one shard (every producer funnels into a single
-      queue — the pre-pool global-inject shape) vs eight shards (the
+      queue — the old global-inject shape) vs eight shards (the
       per-worker layout the scheduler runs).  Identical code, only the
       shard count moves, so the row pair isolates the sharding itself.
-   2. What does pinning cost?  The same call-heavy handler workload with
-      the handler riding the default pool next to its client vs pinned
-      to a dedicated pool, which owns the second worker alone.
-
-   Plus a forced-imbalance probe for pinning: a pinned handler flooded
-   from default-pool clients counts how many of its calls ran on the
-   hot pool's worker.  CI asserts that all of them did. *)
+   2. What does a handler call cost on a 2-domain runtime? *)
 let pools_ablation (s : H.scale) =
   let module BT = Qs_benchmarks.Bench_types in
   print_newline ();
-  print_endline
-    "pools ablation: sharded injection, pinned handlers, pinning probe";
+  print_endline "pools ablation: sharded injection, handler calls";
   print_endline (String.make 72 '-');
   (* Sampled like the Bechamel rows (which collect ~100+ measurements),
      not like the seconds-long macro tables: 3 samples gave the pools
      rows meaningless stddevs in the committed baseline. *)
   let reps = max 128 s.H.reps in
   let row name ~ops f =
+    (* No row pays for the previous row's garbage: the injection floods
+       leave their spawned domains' heaps behind, and the first handler
+       batch would otherwise collect them at ~150 µs per call. *)
+    Gc.full_major ();
     let samples =
       List.init reps (fun _ -> snd (BT.timed f) *. 1e9 /. float_of_int ops)
     in
@@ -501,11 +499,9 @@ let pools_ablation (s : H.scale) =
   (* One 2-domain runtime per row: each sample is a batch of 1000
      single-call separate blocks closed by a query, timed inside the
      runtime, so the row prices a call rather than a runtime start-up. *)
-  let handler_row name ?(pools = []) ?pool () =
-    Scoop.Runtime.run ~domains:2
-      ~config:Scoop.Config.(qoq |> with_pools pools)
-      (fun rt ->
-      let h = Scoop.Runtime.processor ?pool rt in
+  let handler_row name =
+    Scoop.Runtime.run ~domains:2 ~config:Scoop.Config.qoq (fun rt ->
+      let h = Scoop.Runtime.processor rt in
       let cell = Scoop.Shared.create h (ref 0) in
       row name ~ops:1_000 (fun () ->
         for _ = 1 to 1000 do
@@ -519,41 +515,8 @@ let pools_ablation (s : H.scale) =
      reverse the printed order. *)
   let r1 = row "pools:inject-shard1-20000" ~ops:20_000 (inject_flood ~shards:1) in
   let r2 = row "pools:inject-shard8-20000" ~ops:20_000 (inject_flood ~shards:8) in
-  let r3 = handler_row "pools:handler-default-1000" () in
-  let r4 =
-    handler_row "pools:handler-pinned-1000" ~pools:[ "svc" ] ~pool:"svc" ()
-  in
-  let rows = [ r1; r2; r3; r4 ] in
-  (* Forced imbalance: all the work lives in the pinned handler's pool,
-     all the clients in default. *)
-  let probe =
-    Scoop.Runtime.run ~domains:2
-      ~config:Scoop.Config.(qoq |> with_pools [ "hot" ])
-      (fun rt ->
-      let h = Scoop.Runtime.processor ~pool:"hot" rt in
-      let on_hot = Scoop.Shared.create h (ref 0) in
-      let clients = 4 and per = max 200 (s.H.m / 4) in
-      let latch = Qs_sched.Latch.create clients in
-      for _ = 1 to clients do
-        Qs_sched.Sched.spawn (fun () ->
-          for _ = 1 to per do
-            Scoop.Runtime.separate rt h (fun reg ->
-              Scoop.Shared.apply reg on_hot (fun r ->
-                if Qs_sched.Sched.current_pool () = "hot" then incr r))
-          done;
-          Qs_sched.Latch.count_down latch)
-      done;
-      Qs_sched.Latch.wait latch;
-      let ran =
-        Scoop.Runtime.separate rt h (fun reg ->
-          Scoop.Shared.get reg on_hot (fun r -> !r))
-      in
-      [ ("pinned_calls", clients * per); ("pinned_calls_on_hot", ran) ])
-  in
-  Printf.printf "imbalance probe:";
-  List.iter (fun (k, v) -> Printf.printf " %s=%d" k v) probe;
-  print_newline ();
-  (rows, probe)
+  let r3 = handler_row "pools:handler-default-1000" in
+  [ r1; r2; r3 ]
 
 (* -- remote-endpoint ablation ------------------------------------------------ *)
 
@@ -979,14 +942,9 @@ let json_ints kvs =
   Qs_obs.Json.Obj (List.map (fun (k, v) -> (k, Qs_obs.Json.Int v)) kvs)
 
 let write_json path (s : H.scale) micro_rows batching_rows pipeline_rows
-    timeout_info pools_info alloc_info conformance_info =
+    timeout_info alloc_info conformance_info =
   let open Qs_obs.Json in
   let runtime_counters, runtime_hists, sched_counters = instrumented_probe s in
-  let pools_json =
-    match pools_info with
-    | None -> []
-    | Some (_, probe) -> [ ("pools", json_ints probe) ]
-  in
   let alloc_json =
     match alloc_info with
     | None -> []
@@ -1097,7 +1055,6 @@ let write_json path (s : H.scale) micro_rows batching_rows pipeline_rows
         ("pipeline", List pipeline_json);
       ]
       @ timeout_json
-      @ pools_json
       @ alloc_json
       @ conformance_json
       @ [
@@ -1216,10 +1173,7 @@ let run scale only json trace_out =
   let timeout_info =
     if want "timeout" then Some (timeout_ablation scale) else None
   in
-  let pools_info = if want "pools" then Some (pools_ablation scale) else None in
-  let pools_rows =
-    match pools_info with Some (rows, _) -> rows | None -> []
-  in
+  let pools_rows = if want "pools" then pools_ablation scale else [] in
   let remote_rows = if want "remote" then remote_ablation scale else [] in
   let alloc_info =
     if want "alloc" then Some (allocation_probe scale) else None
@@ -1234,8 +1188,7 @@ let run scale only json trace_out =
     | Some path ->
       write_json path scale
         (micro_rows @ pools_rows @ remote_rows)
-        batching_rows pipeline_rows timeout_info pools_info alloc_info
-        conformance_info
+        batching_rows pipeline_rows timeout_info alloc_info conformance_info
     | None -> ()
   end
   else
@@ -1245,7 +1198,7 @@ let run scale only json trace_out =
            rows and the counters so the output is valid and
            self-describing. *)
         write_json path scale (pools_rows @ remote_rows) [] pipeline_rows
-          timeout_info pools_info alloc_info conformance_info)
+          timeout_info alloc_info conformance_info)
       json;
   Option.iter (fun path -> write_trace path scale) trace_out
 

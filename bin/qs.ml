@@ -10,9 +10,9 @@
          — print simulated scalability curves from the calibrated model.
      qs check [SCENARIO] [--break] [--mailbox m] [--trace-out FILE]
          — run the traced walkthrough scenarios (bank tellers, wait
-           conditions, deadlines, shedding, every failure path, pinned
-           pools, ...), print each one's counters, latency histograms
-           and event tracks, and replay its trace through the
+           conditions, deadlines, shedding, every failure path, a
+           many-client flood, ...), print each one's counters, latency
+           histograms and event tracks, and replay its trace through the
            semantics' conformance automaton; optionally export a Chrome
            trace-event JSON file (chrome://tracing, ui.perfetto.dev).
      qs node <addr>
@@ -191,16 +191,6 @@ let check_run only break_flag domains mailbox trace_out =
     | None -> Sc.all
     | Some name -> [ Option.get (Sc.find name) ]
   in
-  (* Every extra scheduler pool owns a worker of its own. *)
-  let need (sc : Sc.t) = 1 + List.length sc.Sc.config.Scoop.Config.pools in
-  let scenarios, skipped =
-    List.partition (fun sc -> need sc <= domains) scenarios
-  in
-  List.iter
-    (fun (sc : Sc.t) ->
-      Printf.printf "== %s: skipped, its pools need --domains %d or more ==\n\n"
-        sc.Sc.name (need sc))
-    skipped;
   if trace_out <> None && List.length scenarios > 1 then begin
     Printf.eprintf "qs: --trace-out needs a SCENARIO\n";
     exit 1

@@ -50,9 +50,6 @@ type t = {
       (* what a client hitting the bound gets: yield until the handler
          drains, an immediate [Overloaded], or admission with the oldest
          pending request shed instead *)
-  pools : string list;
-      (* extra named scheduler pools created by [Runtime.run] beyond the
-         always-present "default" *)
   endpoint : endpoint; (* where processors live; see [endpoint] above *)
   trace : bool;
       (* record runtime events into a fresh private sink; the runtime's
@@ -73,7 +70,6 @@ let none =
     default_deadline = None;
     bound = 0;
     overflow = `Block;
-    pools = [];
     endpoint = In_process;
     trace = false;
   }
@@ -94,7 +90,6 @@ let all =
     default_deadline = None;
     bound = 0;
     overflow = `Block;
-    pools = [];
     endpoint = In_process;
     trace = false;
   }
@@ -115,7 +110,6 @@ let eve_qs =
     default_deadline = None;
     bound = 0;
     overflow = `Block;
-    pools = [];
     endpoint = In_process;
     trace = false;
   }
@@ -155,7 +149,6 @@ let with_bound bound t =
   { t with bound }
 
 let with_overflow overflow t = { t with overflow }
-let with_pools pools t = { t with pools }
 let with_trace trace t = { t with trace }
 let with_listen addr t = { t with endpoint = Listen addr }
 

@@ -53,10 +53,6 @@ type t = {
       (** policy at the bound: yield until the handler drains ([`Block],
           the default), raise [Scoop.Overloaded] at admission ([`Fail]), or
           admit and shed the oldest pending request ([`Shed_oldest]) *)
-  pools : string list;
-      (** extra named scheduler pools created by [Runtime.run] beyond the
-          always-present ["default"], each owning one worker, so fewer
-          than [domains] ([[]] in every preset) *)
   endpoint : endpoint;
       (** where processors live ({!In_process} in every preset) *)
   trace : bool;
@@ -128,7 +124,6 @@ val with_bound : int -> t -> t
     @raise Invalid_argument if negative. *)
 
 val with_overflow : [ `Block | `Fail | `Shed_oldest ] -> t -> t
-val with_pools : string list -> t -> t
 val with_trace : bool -> t -> t
 val with_listen : addr -> t -> t
 

@@ -470,7 +470,7 @@ let make ?sink ~id ~config ~stats comm =
     h_now = 0;
   }
 
-let create ?sink ?pool ~id ~config ~stats () =
+let create ?sink ~id ~config ~stats () =
   let t, mailbox =
     if Config.uses_qoq config then begin
       let qoq = Qs_sched.Bqueue.Mpsc.create ()
@@ -484,14 +484,7 @@ let create ?sink ?pool ~id ~config ~stats () =
       (make ?sink ~id ~config ~stats (Direct { q; lock }), direct_mailbox q)
     end
   in
-  (* Pinning: a pooled handler fiber is spawned into its scheduler pool,
-     so only that pool's own workers ever drain its requests. *)
-  let spawn_handler =
-    match pool with
-    | Some name -> Qs_sched.Sched.spawn_in name
-    | None -> Qs_sched.Sched.spawn
-  in
-  spawn_handler (fun () ->
+  Qs_sched.Sched.spawn (fun () ->
     Fun.protect
       ~finally:(fun () ->
         Atomic.set t.state (if Atomic.get t.failed then Failed else Stopped);

@@ -46,7 +46,6 @@ type t
 
 val create :
   ?sink:Qs_obs.Sink.t ->
-  ?pool:string ->
   id:int ->
   config:Config.t ->
   stats:Stats.t ->
@@ -55,10 +54,7 @@ val create :
 (** Create a processor and spawn its handler fiber.  Must run inside a
     scheduler.  With [sink], the handler records one ["core"]/["batch"]
     complete span per drained batch (track = processor id, arg = batch
-    size).  With [pool], the handler fiber is pinned to that scheduler
-    pool ([Qs_sched.Sched.spawn_in]): only the pool's own workers drain
-    its requests.
-    @raise Invalid_argument on an unknown pool name. *)
+    size). *)
 
 val create_remote :
   ?sink:Qs_obs.Sink.t ->

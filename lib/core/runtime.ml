@@ -44,9 +44,7 @@ let stats t = t.ctx.Ctx.stats
 let trace t = t.ctx.Ctx.trace
 let obs t = t.ctx.Ctx.sink
 
-(* [?pool] pins the new processor's handler fiber to a scheduler pool;
-   without it the handler runs in the spawner's pool. *)
-let processor ?pool t =
+let processor t =
   let id = Atomic.fetch_and_add t.next_id 1 in
   let proc =
     match t.remotes with
@@ -63,7 +61,7 @@ let processor ?pool t =
       Processor.create_remote ?sink:t.ctx.Ctx.sink ~id
         ~config:t.ctx.Ctx.config ~stats:t.ctx.Ctx.stats ~ops ()
     | None ->
-      Processor.create ?sink:t.ctx.Ctx.sink ?pool ~id ~config:t.ctx.Ctx.config
+      Processor.create ?sink:t.ctx.Ctx.sink ~id ~config:t.ctx.Ctx.config
         ~stats:t.ctx.Ctx.stats ()
   in
   (match t.ctx.Ctx.eve with
@@ -72,7 +70,7 @@ let processor ?pool t =
   Qs_queues.Treiber_stack.push t.procs proc;
   proc
 
-let processors ?pool t n = List.init n (fun _ -> processor ?pool t)
+let processors t n = List.init n (fun _ -> processor t)
 
 (* Orderly remote teardown, after local handlers have drained: announce
    Bye on every node connection and unblock the demultiplexers. *)
@@ -157,8 +155,7 @@ let separate_when ?timeout t proc ~pred body =
 let separate_list_when ?timeout t procs ~pred body =
   Separate.many_when ?timeout t.ctx procs ~pred body
 
-let run ?(domains = 1) ?(config = Config.all) ?grace ?obs ?on_stall
-    ?on_counters main =
+let run ?(domains = 1) ?(config = Config.all) ?grace ?obs ?on_counters main =
   (* Build the sink before the scheduler starts so its workers share it:
      one sink then collects scheduler, handler and client events. *)
   let sink =
@@ -167,14 +164,10 @@ let run ?(domains = 1) ?(config = Config.all) ?grace ?obs ?on_stall
     | None when config.Config.trace -> Some (Qs_obs.Sink.create ())
     | None -> None
   in
-  Qs_sched.Sched.run ~domains ~pools:config.Config.pools ?on_stall
-    ?on_counters ?obs:sink (fun () ->
+  Qs_sched.Sched.run ~domains ?on_counters ?obs:sink (fun () ->
     let t = create ~config ?obs:sink () in
     match main t with
     | v ->
-      (* Pool teardown rides on the processor drain: closing every
-         handler stream empties each pool's injection queue, and the
-         final latch awaits cover pinned handlers in every pool. *)
       shutdown ?grace t;
       v
     | exception e ->

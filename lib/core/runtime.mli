@@ -22,9 +22,6 @@ val create : ?config:Config.t -> ?obs:Qs_obs.Sink.t -> unit -> t
     tracing) supplies the sink — pass the sink already attached to the
     scheduler to get all layers' events in one place.
 
-    Note that [create] does not make scheduler pools — only {!run} does;
-    a [?pool] naming one that does not exist fails at {!processor} time.
-
     With [config.endpoint = Connect addrs] (see {!Config.remote}), the
     runtime connects to those nodes up front and every subsequent
     {!processor} is a client-side proxy whose handler runs remotely —
@@ -36,40 +33,26 @@ val run :
   ?config:Config.t ->
   ?grace:float ->
   ?obs:Qs_obs.Sink.t ->
-  ?on_stall:[ `Raise | `Warn ] ->
   ?on_counters:(Qs_sched.Sched.counters -> unit) ->
   (t -> 'a) ->
   'a
 (** Start a scheduler, create a runtime, run [main], then shut the
     processors down.  Any fiber spawned by [main] should be joined before
     [main] returns.  A deadlocked program raises {!Qs_sched.Sched.Stalled}
-    (see paper §2.5).
-
-    [config.pools] names extra scheduler pools for this run (see
-    [Qs_sched.Sched.run]): each owns one worker of its own, so it needs
-    [List.length config.pools < domains]; {!processor}'s [?pool] pins a
-    handler to one of them.  The shutdown on return drains every pool:
-    stream closes propagate to pinned handlers wherever they run, and
-    their exit latches are awaited like any other ([grace] is passed to
-    {!shutdown}).
+    (see paper §2.5).  [grace] is passed to {!shutdown}.
 
     With [config.trace] (or an explicit [~obs] sink) the whole stack is
     instrumented into one shared sink: scheduler workers record
     dispatch/park spans and steal/handoff instants (["sched"]), handlers
     record per-batch spans (["core"]), client operations record
     reserve/call/sync/query events (["client"]/["core"]) — see
-    {!Qs_obs.Chrome} for exporting it.
-    @raise Invalid_argument when [config.pools] has [domains] or more
-    pools. *)
+    {!Qs_obs.Chrome} for exporting it. *)
 
-val processor : ?pool:string -> t -> Processor.t
-(** Spawn a new processor (handler fiber).  [pool] pins its handler fiber
-    to the named scheduler pool (default: the spawner's pool), so only
-    that pool's workers run the requests it serves.  On a runtime with a
+val processor : t -> Processor.t
+(** Spawn a new processor (handler fiber).  On a runtime with a
     [Connect] endpoint, the processor is instead a remote proxy: its
     handler runs on the node the static shard map routes this
-    processor id to (id mod connection count), and [pool] is ignored.
-    @raise Invalid_argument on an unknown pool name. *)
+    processor id to (id mod connection count). *)
 
 val is_remote : t -> bool
 (** Whether this runtime's processors are remote proxies
@@ -80,7 +63,7 @@ val shutdown_nodes : t -> unit
     connections drain (pairs with [Scoop.Remote.listen] returning on the
     node side).  No-op on an in-process runtime. *)
 
-val processors : ?pool:string -> t -> int -> Processor.t list
+val processors : t -> int -> Processor.t list
 
 val separate : ?timeout:float -> t -> Processor.t -> (Registration.t -> 'a) -> 'a
 (** [separate rt h body] is SCOOP's [separate h do body end]. *)

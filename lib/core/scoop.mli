@@ -97,7 +97,6 @@ val run :
   ?config:Config.t ->
   ?grace:float ->
   ?obs:Qs_obs.Sink.t ->
-  ?on_stall:[ `Raise | `Warn ] ->
   ?on_counters:(Qs_sched.Sched.counters -> unit) ->
   (Runtime.t -> 'a) ->
   'a

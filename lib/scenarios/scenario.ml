@@ -3,7 +3,7 @@
    misbehaves; between them they cover the request vocabulary the
    conformance automaton checks — calls, queries, pipelined queries,
    elided syncs, wait conditions, timeouts, sheds, poisoned
-   registrations, aborts and pinned pools. *)
+   registrations, aborts and a many-client flood. *)
 
 module R = Scoop.Runtime
 module Reg = Scoop.Registration
@@ -192,22 +192,19 @@ let faults rt =
   Printf.printf "abort: discarded %d pending requests unexecuted\n"
     (Qs_obs.Counter.get (R.stats rt).Scoop.Stats.aborted_requests)
 
-(* A handler pinned to a dedicated "hot" pool, flooded from
-   default-pool clients: the hot pool's own worker runs every call. *)
-let pools rt =
-  let h = R.processor ~pool:"hot" rt in
-  let on_hot = Sh.create h (ref 0) in
+(* Four clients flood one handler, one reservation per call: every call
+   runs exactly once, whichever worker serves it. *)
+let flood rt =
+  let h = R.processor rt in
+  let count = Sh.create h (ref 0) in
   let per = 500 in
   clients 4 (fun () ->
     for _ = 1 to per do
-      R.separate rt h (fun reg ->
-        Sh.apply reg on_hot (fun r -> if S.current_pool () = "hot" then incr r))
+      R.separate rt h (fun reg -> Sh.apply reg count incr)
     done);
-  let ran = get rt h on_hot and made = 4 * per in
-  Printf.printf
-    "pools: %d of %d pinned-handler calls ran on the \"hot\" worker\n" ran
-    made;
-  if ran <> made then failwith "pools: pinned calls ran off the hot worker"
+  let ran = get rt h count and made = 4 * per in
+  Printf.printf "flood: %d of %d calls ran\n" ran made;
+  if ran <> made then failwith "flood: calls lost or repeated"
 
 let all =
   let open Scoop.Config in
@@ -221,9 +218,7 @@ let all =
       (all |> with_bound 2 |> with_overflow `Shed_oldest)
       shed;
     s "faults" "every failure path, then shutdown and abort" qoq faults;
-    s "pools" "handler pinned to a hot pool"
-      (qoq |> with_pools [ "hot" ])
-      pools;
+    s "flood" "four clients flood one handler" qoq flood;
   ]
 
 let find name = List.find_opt (fun s -> s.name = name) all

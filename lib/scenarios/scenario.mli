@@ -15,7 +15,7 @@ type t = {
 }
 
 val all : t list
-(** [basic], [bank], [prodcons], [timeout], [shed], [faults], [pools]. *)
+(** [basic], [bank], [prodcons], [timeout], [shed], [faults], [flood]. *)
 
 val find : string -> t option
 
@@ -31,9 +31,7 @@ val run : ?domains:int -> ?mailbox:[ `Qoq | `Direct ] -> t -> outcome
 (** Run the scenario traced ([domains] defaults to 2; [mailbox]
     overrides the scenario's own) and check the recorded trace.  The
     sink holds 65,536 events per domain, enough that no scenario
-    overwrites one on either mailbox at 1 or 2 domains.
-    @raise Invalid_argument when [domains] is not above the number of
-    the scenario's extra pools ([pools] needs 2). *)
+    overwrites one on either mailbox at 1 or 2 domains. *)
 
 val phantom : outcome -> (Qs_conform.report, Qs_conform.error) result option
 (** Negative control: append an execution that the client never logged

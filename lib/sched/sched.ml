@@ -12,23 +12,11 @@
      paper's direct client/handler handoff ("control passes directly from
      the handler to the client, ... avoiding the global scheduler").
    - a Chase–Lev deque for local work (LIFO for the owner, stolen FIFO).
-   - a *sharded* injection queue per pool (see below) used by [yield]
-     (round-robin fairness) and by cross-pool/remote scheduling.  Each
-     worker drains it from its own shard first, so concurrent injectors
-     and drainers fan out instead of convoying on one queue (see the
-     qoq-mpmc and pools:inject ablations).
-
-   Pools: a scheduler owns ["default"] plus any extra named pools, each
-   with its own injection queue and a set of workers fixed in [make]:
-   with [n] workers and [k] extra pools, extra pool [i] (1-based) owns
-   worker [n - i] alone and ["default"] keeps workers [0 .. n-k-1], so
-   [run]'s main fiber (worker 0) stays in ["default"].  Every fiber
-   belongs to the pool it was spawned in.  A worker's hot slot and deque
-   only ever hold work of its own pool: scheduling a fiber from a worker
-   of another pool goes through the home pool's injection queue, and
-   steals are pool-local.  Idle workers wait only for their own pool's
-   work.  A scheduler without extra pools is the plain work-stealing
-   scheduler.
+   - a *sharded* injection queue, shared by all workers, used by [yield]
+     (round-robin fairness) and by scheduling from outside the scheduler.
+     Each worker drains it from its own shard first, so concurrent
+     injectors and drainers fan out instead of convoying on one queue
+     (see the qoq-mpmc and pools:inject ablations).
 
    Idle workers spin briefly, steal, then sleep on a condition variable.
    The last worker to go idle while live fibers remain has found a global
@@ -44,17 +32,8 @@ type resumer = unit -> bool
 
 type task = unit -> unit
 
-(* A pool: a named injection queue and the workers that drain it. *)
-type pool = {
-  pool_name : string;
-  inject : task Qs_queues.Sharded_mpmc.t;
-  lo : int; (* the pool owns workers [lo, hi) *)
-  hi : int;
-}
-
 type worker = {
   wid : int;
-  pool : pool;
   deque : task Qs_queues.Ws_deque.t;
   mutable hot : task option;
   mutable tick : int;
@@ -80,7 +59,7 @@ type counters = {
 }
 
 type t = {
-  pools : pool array; (* index 0 is always "default" *)
+  inject : task Qs_queues.Sharded_mpmc.t; (* one shard per worker *)
   workers : worker array;
   timers : Timer.t; (* per-scheduler deadline queue *)
   poller : Poller.t; (* per-scheduler fd-readiness queue *)
@@ -93,7 +72,6 @@ type t = {
   mutable stalled : bool;
   mutable stop : bool;
   first_exn : exn option Atomic.t;
-  on_stall : [ `Raise | `Warn ];
   obs : Qs_obs.Sink.t option; (* event sink for worker-level tracing *)
 }
 
@@ -120,17 +98,6 @@ let get_worker () = Domain.DLS.get current
 
 let num_workers t = Array.length t.workers
 
-let default_pool t = t.pools.(0)
-
-let find_pool t name =
-  let n = Array.length t.pools in
-  let rec go i =
-    if i = n then None
-    else if t.pools.(i).pool_name = name then Some t.pools.(i)
-    else go (i + 1)
-  in
-  go 0
-
 let wake_idlers t =
   if Atomic.get t.idle_hint > 0 then begin
     Mutex.lock t.idle_mutex;
@@ -138,18 +105,15 @@ let wake_idlers t =
     Mutex.unlock t.idle_mutex
   end
 
-let push_job t pool job =
-  Qs_queues.Sharded_mpmc.push pool.inject job;
+let push_job t job =
+  Qs_queues.Sharded_mpmc.push t.inject job;
   wake_idlers t
 
-(* Schedule [job], a piece of [pool]'s work: hot slot if the caller is a
-   worker of [t] *in [pool]* and the slot is free, else the caller's
-   deque, else the pool's injection queue.  The pool guard is what makes
-   pinning sound: work for pool P only ever sits in queues drained by P's
-   workers. *)
-let schedule t pool job =
+(* Schedule [job]: hot slot if the caller is a worker of [t] and the slot
+   is free, else the caller's deque, else the injection queue. *)
+let schedule t job =
   match get_worker () with
-  | Some (t', w) when t' == t && w.pool == pool ->
+  | Some (t', w) when t' == t ->
     if w.hot = None then begin
       w.n_handoffs <- w.n_handoffs + 1;
       (match t.obs with
@@ -162,16 +126,16 @@ let schedule t pool job =
       Qs_queues.Ws_deque.push w.deque job;
       wake_idlers t
     end
-  | Some _ | None -> push_job t pool job
+  | Some _ | None -> push_job t job
 
 (* Like [schedule] but never uses the hot slot: used by [spawn] so a parent
    that spawns many fibers does not serialize behind each child. *)
-let schedule_cold t pool job =
+let schedule_cold t job =
   match get_worker () with
-  | Some (t', w) when t' == t && w.pool == pool ->
+  | Some (t', w) when t' == t ->
     Qs_queues.Ws_deque.push w.deque job;
     wake_idlers t
-  | Some _ | None -> push_job t pool job
+  | Some _ | None -> push_job t job
 
 (* A one-shot timer on [t]'s timer queue, not yet armed.  The
    armed→fired interval is recorded as a "timer" span when tracing. *)
@@ -206,10 +170,7 @@ let fiber_done t =
   end
 
 (* Run a fresh fiber body under the effect handler.  Continuations resumed
-   later re-enter this handler automatically.  [pool] is the fiber's home
-   pool, captured once at spawn: every later resumption and yield routes
-   through it, so a fiber pinned to a pool stays pinned across suspension
-   points.
+   later re-enter this handler automatically.
 
    Each suspension has a single claim word; its resumer and, for a timed
    suspension, its deadline race on it with one CAS, so the fiber is
@@ -220,7 +181,7 @@ let fiber_done t =
    the resumer already won), so the deadline never wins while [register]
    still runs: a registration that resumes the fiber itself — a lock or
    a value it found free — keeps what it took. *)
-let exec t pool (body : unit -> unit) =
+let exec t (body : unit -> unit) =
   let open Effect.Deep in
   match_with body ()
     {
@@ -239,7 +200,7 @@ let exec t pool (body : unit -> unit) =
                 register (fun () ->
                   Atomic.compare_and_set claim false true
                   && begin
-                    schedule t pool (fun () -> continue k `Resumed);
+                    schedule t (fun () -> continue k `Resumed);
                     true
                   end))
           | Suspend_until (deadline, register) ->
@@ -247,12 +208,12 @@ let exec t pool (body : unit -> unit) =
               (fun (k : (a, unit) continuation) ->
                 let timer =
                   timer_on t ~deadline (fun () ->
-                    schedule t pool (fun () -> continue k `Timed_out))
+                    schedule t (fun () -> continue k `Timed_out))
                 in
                 register (fun () ->
                   Timer.cancel timer
                   && begin
-                    schedule t pool (fun () -> continue k `Resumed);
+                    schedule t (fun () -> continue k `Resumed);
                     true
                   end);
                 (* Parked workers are nudged so a timekeeper picks up the
@@ -261,34 +222,16 @@ let exec t pool (body : unit -> unit) =
                 wake_idlers t)
           | Yield ->
             Some (fun (k : (a, unit) continuation) ->
-              push_job t pool (fun () -> continue k ()))
+              push_job t (fun () -> continue k ()))
           | _ -> None);
     }
 
-let spawn_on_pool t pool body =
-  Atomic.incr t.live;
-  schedule_cold t pool (fun () -> exec t pool body)
-
-(* Fibers inherit the spawner's pool: a worker only runs its own pool's
-   fibers, so children live where their parent lives unless spawned
-   through [spawn_in]. *)
 let spawn body =
   match get_worker () with
-  | Some (t, w) -> spawn_on_pool t w.pool body
+  | Some (t, _) ->
+    Atomic.incr t.live;
+    schedule_cold t (fun () -> exec t body)
   | None -> invalid_arg "Sched.spawn: not running inside a scheduler"
-
-let spawn_in name body =
-  match get_worker () with
-  | Some (t, _) -> (
-    match find_pool t name with
-    | Some pool -> spawn_on_pool t pool body
-    | None -> invalid_arg ("Sched.spawn_in: unknown pool " ^ name))
-  | None -> invalid_arg "Sched.spawn_in: not running inside a scheduler"
-
-let current_pool () =
-  match get_worker () with
-  | Some (_, w) -> w.pool.pool_name
-  | None -> invalid_arg "Sched.current_pool: not running inside a scheduler"
 
 let yield () = Effect.perform Yield
 
@@ -343,11 +286,8 @@ let take_hot w =
     job
   | None -> None
 
-(* Pool-local stealing: only the worker's pool-mates are victims, so a
-   pinned pool's work stays on its own workers. *)
 let try_steal t w =
-  let p = w.pool in
-  let n = p.hi - p.lo in
+  let n = Array.length t.workers in
   if n <= 1 then None
   else begin
     (* xorshift for victim selection; any distribution works, we only need
@@ -361,7 +301,7 @@ let try_steal t w =
     let rec loop i =
       if i = n then None
       else
-        let v = t.workers.(p.lo + ((start + i) mod n)) in
+        let v = t.workers.((start + i) mod n) in
         if v.wid = w.wid then loop (i + 1)
         else
           match Qs_queues.Ws_deque.steal v.deque with
@@ -378,9 +318,9 @@ let try_steal t w =
     loop 0
   end
 
-(* Every [global_check_period] dispatches, look at the pool's injection
-   queue before every other source — including the hot slot — so that
-   yielded fibers are not starved by a busy local supply (needed by retry
+(* Every [global_check_period] dispatches, look at the injection queue
+   before every other source — including the hot slot — so that yielded
+   fibers are not starved by a busy local supply (needed by retry
    loops, e.g. the `condition` benchmark).  The hot slot must be subject
    to this check too: a direct-handoff ping-pong pair (client↔handler on
    one worker) refills the slot on every dispatch, so consulting it first
@@ -404,7 +344,7 @@ let next_task t w =
   w.tick <- w.tick + 1;
   (* Start the shard sweep at the worker's own shard so concurrent
      drainers fan out instead of convoying. *)
-  let from_inject () = Qs_queues.Sharded_mpmc.pop_from w.pool.inject w.wid in
+  let from_inject () = Qs_queues.Sharded_mpmc.pop_from t.inject w.wid in
   let local () = Qs_queues.Ws_deque.pop w.deque in
   fire_due_timers t;
   let periodic = w.tick mod global_check_period = 0 in
@@ -435,25 +375,16 @@ let next_task t w =
         | Some _ as job -> job
         | None -> try_steal t w))
 
-(* Runnable work for [p]'s workers: its injection queue, or a pool-mate's
-   hot slot or deque.  Every "is there work for me" test of an idle
-   worker uses this, so no worker spins, dozes or wakes on a backlog it
-   may not run.  Consulted on every park decision, so it short-circuits:
+(* Runnable work anywhere: the injection queue, or some worker's hot slot
+   or deque.  The one "is there work" test of an idle worker — its wait,
+   the timekeeper's doze, the final spin and the stall verdict.
+   Consulted on every park decision, so it short-circuits:
    [Sharded_mpmc.is_empty] stops at the first non-empty shard. *)
-let pool_work t p =
-  let rec busy i =
-    i < p.hi
-    &&
-    let w = t.workers.(i) in
-    w.hot <> None || Qs_queues.Ws_deque.size w.deque > 0 || busy (i + 1)
-  in
-  (not (Qs_queues.Sharded_mpmc.is_empty p.inject)) || busy p.lo
-
-(* Runnable work in any pool: the stall verdict's test.  A per-pool test
-   there would let the last idler declare a false stall while a worker
-   woken for another pool's job is still on its way out of
-   [Condition.wait]. *)
-let any_work t = Array.exists (pool_work t) t.pools
+let has_work t =
+  (not (Qs_queues.Sharded_mpmc.is_empty t.inject))
+  || Array.exists
+       (fun w -> w.hot <> None || Qs_queues.Ws_deque.size w.deque > 0)
+       t.workers
 
 (* Maximum sleep slice for the parked timekeeper: bounds the latency with
    which an off-condvar sleeper notices [stop], work pushed from outside the
@@ -469,13 +400,12 @@ let timekeeper_slice_ns = 1_000_000
 let timekeeper_spin_ns = 20_000
 
 (* Spin until [deadline] (or an earlier newly armed one) is due, returning
-   early when work for [w] or [stop] shows up.  Runs without the idle
-   mutex. *)
-let spin_until_due t w deadline =
+   early when work or [stop] shows up.  Runs without the idle mutex. *)
+let spin_until_due t deadline =
   let rec go deadline =
     if
       (not t.stop)
-      && (not (pool_work t w.pool))
+      && (not (has_work t))
       && Qs_obs.Clock.now_ns () < deadline
     then begin
       Domain.cpu_relax ();
@@ -484,8 +414,8 @@ let spin_until_due t w deadline =
   in
   go deadline
 
-(* Sleep until work for [w]'s pool arrives, a timer is due, [stop] is set,
-   or a stall is detected.  Returns [false] iff the worker should exit.
+(* Sleep until work arrives, a timer is due, [stop] is set, or a stall is
+   detected.  Returns [false] iff the worker should exit.
 
    Pending timers make parking time-aware: a sleeping fiber is *not* a
    deadlock, so the stall branch additionally requires [Timer.pending] to be
@@ -497,7 +427,7 @@ let spin_until_due t w deadline =
    [worker_loop]), so a slice ends when it was asked to.  The timekeeper
    hands the clock to another parked worker (broadcast) whenever it leaves
    the role with timers still pending. *)
-let park t w =
+let park t =
   Mutex.lock t.idle_mutex;
   if t.stop then begin
     Mutex.unlock t.idle_mutex;
@@ -514,7 +444,7 @@ let park t w =
     in
     let rec wait_for_work () =
       if t.stop then leave false
-      else if pool_work t w.pool then leave true
+      else if has_work t then leave true
       else if Timer.pending t.timers || Poller.has_waiters t.poller then
         if t.has_timekeeper then begin
           (* Someone else is watching the clock. *)
@@ -522,14 +452,11 @@ let park t w =
           wait_for_work ()
         end
         else timekeep ()
-      else if
-        t.idlers = Array.length t.workers
-        && Atomic.get t.live > 0
-        && not (any_work t)
+      else if t.idlers = Array.length t.workers && Atomic.get t.live > 0
       then begin
-        (* Global stall: every runnable source is empty, all workers idle,
-           no timer can fire, yet fibers remain suspended.  No external
-           event can wake them. *)
+        (* Global stall: every runnable source is empty (the [has_work]
+           test above), all workers idle, no timer can fire, yet fibers
+           remain suspended.  No external event can wake them. *)
         t.stalled <- true;
         t.stop <- true;
         Condition.broadcast t.idle_cond;
@@ -542,7 +469,7 @@ let park t w =
     and timekeep () =
       t.has_timekeeper <- true;
       let rec doze () =
-        if t.stop || pool_work t w.pool then relinquish ()
+        if t.stop || has_work t then relinquish ()
         else begin
           let deadline = Timer.next_deadline t.timers in
           if deadline = Timer.never && not (Poller.has_waiters t.poller) then
@@ -574,7 +501,7 @@ let park t w =
                  last [timekeeper_spin_ns] before a deadline are spun. *)
               let left = deadline - now in
               Mutex.unlock t.idle_mutex;
-              if left <= timekeeper_spin_ns then spin_until_due t w deadline
+              if left <= timekeeper_spin_ns then spin_until_due t deadline
               else begin
                 let slice =
                   Qs_obs.Clock.s_of_ns
@@ -641,11 +568,11 @@ let worker_loop t w =
           w.n_parks <- w.n_parks + 1;
           let continue_ =
             match t.obs with
-            | None -> park t w
+            | None -> park t
             | Some sink ->
               (* Park span: the worker is asleep (or deciding to). *)
               let t0 = Qs_obs.Sink.now sink in
-              let continue_ = park t w in
+              let continue_ = park t in
               Qs_obs.Sink.complete sink ~cat:obs_cat ~name:"park" ~track:w.wid
                 ~ts:t0
                 ~dur:(Qs_obs.Sink.now sink -. t0)
@@ -660,48 +587,17 @@ let worker_loop t w =
   if old_slack > 0 then ignore (set_timer_slack old_slack : int);
   Domain.DLS.set current None
 
-let make ?(domains = 1) ?(pools = []) ?obs ~on_stall () =
+let make ?(domains = 1) ?obs () =
   let n = max 1 domains in
-  let k = List.length pools in
-  let names = "default" :: pools in
-  let () =
-    let seen = Hashtbl.create 8 in
-    List.iter
-      (fun name ->
-        if name = "" then invalid_arg "Sched.make: empty pool name";
-        if Hashtbl.mem seen name then
-          invalid_arg ("Sched.make: duplicate pool " ^ name);
-        Hashtbl.add seen name ())
-      names
-  in
-  if k >= n then
-    invalid_arg
-      (Printf.sprintf
-         "Sched.make: %d extra pool(s) need at least %d workers, got %d" k
-         (k + 1) n);
-  let pools =
-    Array.of_list
-      (List.mapi
-         (fun i pool_name ->
-           let lo, hi = if i = 0 then (0, n - k) else (n - i, n - i + 1) in
-           {
-             pool_name;
-             (* One shard per worker: injection traffic splits across
-                domains instead of convoying on one queue. *)
-             inject = Qs_queues.Sharded_mpmc.create_sharded ~shards:n ();
-             lo;
-             hi;
-           })
-         names)
-  in
   {
     obs;
-    pools;
+    (* One shard per worker: injection traffic splits across domains
+       instead of convoying on one queue. *)
+    inject = Qs_queues.Sharded_mpmc.create_sharded ~shards:n ();
     workers =
       Array.init n (fun wid ->
         {
           wid;
-          pool = (if wid < n - k then pools.(0) else pools.(n - wid));
           deque = Qs_queues.Ws_deque.create ();
           hot = None;
           tick = 0;
@@ -722,7 +618,6 @@ let make ?(domains = 1) ?(pools = []) ?obs ~on_stall () =
     stalled = false;
     stop = false;
     first_exn = Atomic.make None;
-    on_stall;
   }
 
 (* Live counters snapshot: per-worker fields are plain (unsynchronized)
@@ -765,15 +660,13 @@ let counters_assoc c =
     ("sched_timer_fires", c.c_timer_fires);
   ]
 
-let run ?(domains = 1) ?(pools = []) ?(on_stall = `Raise) ?on_counters ?obs
-    main =
+let run ?(domains = 1) ?on_counters ?obs main =
   if get_worker () <> None then
     invalid_arg "Sched.run: already inside a scheduler (nested run)";
-  let t = make ~domains ~pools ?obs ~on_stall () in
+  let t = make ~domains ?obs () in
   let result = ref None in
   Atomic.incr t.live;
-  push_job t (default_pool t) (fun () ->
-    exec t (default_pool t) (fun () -> result := Some (main ())));
+  push_job t (fun () -> exec t (fun () -> result := Some (main ())));
   let others =
     Array.init
       (Array.length t.workers - 1)
@@ -784,13 +677,7 @@ let run ?(domains = 1) ?(pools = []) ?(on_stall = `Raise) ?on_counters ?obs
   (match on_counters with
   | Some f -> f (counters t)
   | None -> ());
-  if t.stalled then begin
-    let stuck = Atomic.get t.live in
-    match t.on_stall with
-    | `Raise -> raise (Stalled stuck)
-    | `Warn ->
-      Logs.warn (fun m -> m "sched: stalled with %d stuck fibers" stuck)
-  end;
+  if t.stalled then raise (Stalled (Atomic.get t.live));
   (match Atomic.get t.first_exn with Some e -> raise e | None -> ());
   match !result with
   | Some v -> v

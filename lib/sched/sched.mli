@@ -10,9 +10,9 @@
     fiber invokes its resumer. *)
 
 exception Stalled of int
-(** Raised by {!run} (with [~on_stall:`Raise], the default) when all workers
-    went idle while fibers remained suspended — i.e. the program deadlocked.
-    The payload is the number of stuck fibers. *)
+(** Raised by {!run} when all workers went idle while fibers remained
+    suspended — i.e. the program deadlocked.  The payload is the number of
+    stuck fibers. *)
 
 type t
 (** A scheduler instance. *)
@@ -39,8 +39,6 @@ type counters = {
 
 val run :
   ?domains:int ->
-  ?pools:string list ->
-  ?on_stall:[ `Raise | `Warn ] ->
   ?on_counters:(counters -> unit) ->
   ?obs:Qs_obs.Sink.t ->
   (unit -> 'a) ->
@@ -53,18 +51,7 @@ val run :
     sink: every worker then records dispatch and park spans plus steal and
     handoff instants under the ["sched"] category (track = worker id).
     Nested [run]s on the same domain are not allowed.
-
-    [pools] names extra scheduler pools beyond the always-present
-    ["default"] (duplicates and [""] are rejected).  Each pool has its own
-    sharded injection queue and a fixed set of workers: with [n] workers
-    and [k] extra pools, extra pool [i] (1-based, in [pools] order) owns
-    worker [n - i] alone, and ["default"] keeps workers [0 .. n-k-1].
-    Fibers spawned with {!spawn_in} are pinned to their pool (only its
-    workers run them, across every suspension and resumption).  The main
-    fiber and plain {!spawn}s run in the spawner's pool (["default"] at
-    the root).
-    @raise Invalid_argument when [k >= domains]: every pool needs a worker
-    of its own. *)
+    @raise Stalled when the run deadlocks. *)
 
 val current_counters : unit -> counters option
 (** Live aggregate of the per-worker scheduling counters of the scheduler
@@ -77,19 +64,8 @@ val counters_assoc : counters -> (string * int) list
 (** Name→value view of {!counters} (for machine-readable output). *)
 
 val spawn : (unit -> unit) -> unit
-(** Create a new fiber in the spawner's current pool.  Must be called from
-    inside a running scheduler. *)
-
-val spawn_in : string -> (unit -> unit) -> unit
-(** [spawn_in pool body] creates a fiber pinned to [pool]: only that
-    pool's workers ever run it, across every suspension point.
-    @raise Invalid_argument on an unknown pool name or outside a
+(** Create a new fiber.  Must be called from inside a running
     scheduler. *)
-
-val current_pool : unit -> string
-(** Name of the pool whose worker is executing the current fiber.  Inside
-    a fiber this is the fiber's home pool (a worker only runs its own
-    pool's fibers). *)
 
 val suspend :
   ?timeout:float -> (resumer -> unit) -> [ `Resumed | `Timed_out ]

@@ -92,7 +92,7 @@ let test_yield_interleaves () =
     | [ `A1; `B1; `A2; `B2 ] | [ `B1; `A1; `B2; `A2 ] -> true
     | _ -> false)
 
-(* A yield is one trip through the pool's injection queue.  The node it
+(* A yield is one trip through the injection queue.  The node it
    leaves behind must not pin its successors: with a minor GC every 4096
    yields, 100k yields on one domain promote well under half a word
    each (7 if a consumed node kept its [next] link). *)
@@ -166,18 +166,27 @@ let test_nested_run_rejected () =
          false
        with Invalid_argument _ -> true))
 
+(* Every fiber completes exactly once across 4 domains, also when each
+   one yields (a trip through the injection queue) before it counts. *)
 let test_multi_domain_sum () =
-  let n = 1000 in
-  let acc = Atomic.make 0 in
-  S.run ~domains:4 (fun () ->
-    let latch = Latch.create n in
-    for i = 1 to n do
-      S.spawn (fun () ->
-        ignore (Atomic.fetch_and_add acc i : int);
-        Latch.count_down latch)
-    done;
-    Latch.wait latch);
-  check_int "sum" (n * (n + 1) / 2) (Atomic.get acc)
+  let sum ~n ~yield =
+    let acc = Atomic.make 0 in
+    S.run ~domains:4 (fun () ->
+      let latch = Latch.create n in
+      for i = 1 to n do
+        S.spawn (fun () ->
+          if yield then S.yield ();
+          ignore (Atomic.fetch_and_add acc i : int);
+          Latch.count_down latch)
+      done;
+      Latch.wait latch);
+    check_int
+      (Printf.sprintf "sum of %d%s" n (if yield then ", yielding" else ""))
+      (n * (n + 1) / 2)
+      (Atomic.get acc)
+  in
+  sum ~n:1000 ~yield:false;
+  sum ~n:2000 ~yield:true
 
 (* -- ivar -------------------------------------------------------------------- *)
 
@@ -1254,109 +1263,6 @@ let test_hot_slot_fairness () =
   check_bool "yielded fiber progressed before the round cap" true
     (!rounds < cap)
 
-(* -- scheduler pools -------------------------------------------------------- *)
-
-let test_pool_unknown_rejected () =
-  check_bool "unknown pool" true
-    (try
-       S.run (fun () -> S.spawn_in "nope" (fun () -> ()));
-       false
-     with Invalid_argument _ -> true);
-  check_bool "duplicate pool name" true
-    (try
-       S.run ~pools:[ "a"; "a" ] (fun () -> ());
-       false
-     with Invalid_argument _ -> true)
-
-let test_pool_pinning () =
-  (* A fiber spawned into a pool observes that pool at every execution
-     slice — across yields, suspensions and resumptions — because only
-     member workers of its pool ever run it.  Unpinned fibers stay in
-     "default" likewise. *)
-  let ok_hot = Atomic.make true and ok_def = Atomic.make true in
-  let observe flag expected =
-    if S.current_pool () <> expected then Atomic.set flag false
-  in
-  S.run ~domains:2 ~pools:[ "hot" ] (fun () ->
-    let latch = Latch.create 40 in
-    for _ = 1 to 20 do
-      S.spawn_in "hot" (fun () ->
-        observe ok_hot "hot";
-        S.yield ();
-        observe ok_hot "hot";
-        S.sleep 0.001;
-        observe ok_hot "hot";
-        S.spawn (fun () ->
-          (* children inherit the pool *)
-          observe ok_hot "hot";
-          Latch.count_down latch);
-        Latch.count_down latch)
-    done;
-    check_int "spawner still in default" 0
-      (if S.current_pool () = "default" then 0 else 1);
-    Latch.wait latch;
-    observe ok_def "default");
-  check_bool "pinned fibers ran only in their pool" true (Atomic.get ok_hot);
-  check_bool "main fiber stayed in default" true (Atomic.get ok_def)
-
-let test_pool_needs_own_worker () =
-  (* Every extra pool owns a worker of its own, next to at least one
-     "default" worker. *)
-  let rejected ~domains pools =
-    try
-      S.run ~domains ~pools (fun () -> ());
-      false
-    with Invalid_argument _ -> true
-  in
-  check_bool "one worker, one extra pool" true (rejected ~domains:1 [ "hot" ]);
-  check_bool "two workers, two extra pools" true
-    (rejected ~domains:2 [ "a"; "b" ])
-
-let test_pool_idle_worker_sleeps () =
-  (* A backlog in "hot" is no work for the "default" worker: while the
-     hot worker busy-computes with a second hot fiber queued behind it,
-     the idle default worker must sleep instead of spinning through
-     park/unpark cycles on work it may not run. *)
-  let final = ref None in
-  S.run ~domains:2 ~pools:[ "hot" ] ~on_counters:(fun c -> final := Some c)
-    (fun () ->
-    let latch = Latch.create 2 in
-    S.spawn_in "hot" (fun () ->
-      let until = Unix.gettimeofday () +. 0.02 in
-      while Unix.gettimeofday () < until do
-        ()
-      done;
-      Latch.count_down latch);
-    S.spawn_in "hot" (fun () -> Latch.count_down latch);
-    Latch.wait latch);
-  match !final with
-  | Some c ->
-    check_bool
-      (Printf.sprintf "few parks (%d) while hot is busy" c.S.c_parks)
-      true (c.S.c_parks < 50)
-  | None -> Alcotest.fail "final counters missing"
-
-let test_pool_multi_domain_flood () =
-  (* Cross-domain pools under load: all fibers complete and pinning
-     holds. *)
-  let n = 2_000 in
-  let hits = Atomic.make 0 in
-  let ok = Atomic.make true in
-  S.run ~domains:4 ~pools:[ "hot"; "cold" ] (fun () ->
-      let latch = Latch.create n in
-      for i = 1 to n do
-        let pool = if i mod 4 = 0 then "cold" else "hot" in
-        S.spawn_in pool (fun () ->
-          if S.current_pool () <> pool then Atomic.set ok false;
-          S.yield ();
-          if S.current_pool () <> pool then Atomic.set ok false;
-          Atomic.incr hits;
-          Latch.count_down latch)
-      done;
-      Latch.wait latch);
-  check_int "all pooled fibers ran" n (Atomic.get hits);
-  check_bool "pinning held under load" true (Atomic.get ok)
-
 (* -- poller: fd readiness as a wake source ------------------------------- *)
 
 let nonblock_pipe () =
@@ -1484,19 +1390,6 @@ let () =
             test_spawned_exception_propagates;
           Alcotest.test_case "multi-domain sum" `Quick test_multi_domain_sum;
           Alcotest.test_case "nested run rejected" `Quick test_nested_run_rejected;
-        ] );
-      ( "pools",
-        [
-          Alcotest.test_case "unknown/duplicate rejected" `Quick
-            test_pool_unknown_rejected;
-          Alcotest.test_case "pinning across suspensions" `Quick
-            test_pool_pinning;
-          Alcotest.test_case "each pool needs its own worker" `Quick
-            test_pool_needs_own_worker;
-          Alcotest.test_case "idle worker sleeps on another pool's backlog"
-            `Quick test_pool_idle_worker_sleeps;
-          Alcotest.test_case "multi-domain flood" `Quick
-            test_pool_multi_domain_flood;
         ] );
       ( "timer",
         [

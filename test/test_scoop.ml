@@ -326,77 +326,6 @@ let test_mean_batch () =
   check_bool "mean batch = 1 at batch 1" true
     (Scoop.Stats.mean_batch serial = 1.0)
 
-(* -- scheduler pools: processor pinning ------------------------------------- *)
-
-(* A processor created with [?pool] runs its handler fiber in that pool:
-   every *call* closure the handler executes observes the pool, across
-   the handler's many mailbox suspensions.  (Queries are no probe here —
-   under sync elision a synced client executes query closures itself, on
-   the client's own pool; only calls are guaranteed handler-side.) *)
-let test_processor_pool_pinning () =
-  R.run ~domains:2 ~config:Cfg.(all |> with_pools [ "hot" ]) (fun rt ->
-    let pinned = R.processor ~pool:"hot" rt in
-    let free = R.processor rt in
-    let cell = Sh.create pinned (ref []) in
-    let probe = Sh.create free (ref "") in
-    for _ = 1 to 20 do
-      R.separate rt pinned (fun reg ->
-        Sh.apply reg cell (fun r -> r := S.current_pool () :: !r))
-    done;
-    R.separate rt free (fun reg ->
-      Sh.apply reg probe (fun r -> r := S.current_pool ()));
-    let seen = R.separate rt pinned (fun reg -> Sh.get reg cell (fun r -> !r)) in
-    check_int "every call ran" 20 (List.length seen);
-    check_bool "every call saw hot" true (List.for_all (( = ) "hot") seen);
-    let seen_free =
-      R.separate rt free (fun reg -> Sh.get reg probe (fun r -> !r))
-    in
-    Alcotest.(check string) "unpinned handler in default" "default" seen_free)
-
-let test_unknown_pool_rejected () =
-  R.run (fun rt ->
-    Alcotest.check_raises "unknown pool"
-      (Invalid_argument "Sched.spawn_in: unknown pool nope") (fun () ->
-        ignore (R.processor ~pool:"nope" rt : Scoop.Processor.t)))
-
-(* Equivalence: the banking workload of [test_mailbox_batch_equivalence]
-   must produce the same balance and the same request-path stats whether
-   the handler rides the global default pool or a dedicated pinned pool —
-   pools reroute scheduling, never requests. *)
-let test_pools_equivalence () =
-  let tellers = 4 and deposits = 150 and initial = 100 in
-  let expected = initial + (tellers * deposits) in
-  let run ?pool () =
-    let config = Cfg.(all |> with_pools (Option.to_list pool)) in
-    R.run ~domains:2 ~config (fun rt ->
-      let account = R.processor ?pool rt in
-      let balance = Sh.create account (ref initial) in
-      let latch = Latch.create tellers in
-      for _ = 1 to tellers do
-        S.spawn (fun () ->
-          for _ = 1 to deposits do
-            R.separate rt account (fun reg ->
-              Sh.apply reg balance (fun b -> b := !b + 1))
-          done;
-          Latch.count_down latch)
-      done;
-      Latch.wait latch;
-      let final =
-        R.separate rt account (fun reg -> Sh.get reg balance (fun b -> !b))
-      in
-      (final, Scoop.Stats.assoc (R.stats rt)))
-  in
-  let final_global, s_global = run () in
-  let final_pooled, s_pooled = run ~pool:"bank" () in
-  check_int "global balance" expected final_global;
-  check_int "pooled balance" expected final_pooled;
-  let picture s =
-    List.map (counter s)
-      [ "calls"; "queries"; "reservations"; "handler_failures" ]
-  in
-  check_bool "same request-path stats" true
-    (picture s_global = picture s_pooled)
-
 let test_stats_queries () =
   let snap config =
     R.run ~config (fun rt ->
@@ -1763,15 +1692,6 @@ let () =
             test_mailbox_batch_equivalence;
           Alcotest.test_case "batched drain amortizes wakeups" `Quick
             test_mean_batch;
-        ] );
-      ( "pools",
-        [
-          Alcotest.test_case "processor pinning" `Quick
-            test_processor_pool_pinning;
-          Alcotest.test_case "unknown pool rejected" `Quick
-            test_unknown_pool_rejected;
-          Alcotest.test_case "pooled vs global equivalence" `Quick
-            test_pools_equivalence;
         ] );
       ( "pipelined queries",
         per_config "promise order" test_query_async_order
