@@ -357,10 +357,13 @@ let test_truncated_trace_rejected () =
 (* -- the scenario table of `qs check` ----------------------------------------- *)
 
 (* Every scenario conforms on both mailboxes, loses no event to ring
-   overflow, and its --break negative control is flagged. *)
-let scenario_conforms (sc : Qs_scenarios.Scenario.t) mailbox () =
+   overflow, and its --break negative control is flagged.  Also at one
+   domain, the schedule of `qs check --domains 1`: every scenario runs
+   there, none is skipped. *)
+let scenario_conforms ?(domains = 2) (sc : Qs_scenarios.Scenario.t) mailbox
+    () =
   let module Sc = Qs_scenarios.Scenario in
-  let o = Sc.run ~domains:2 ~mailbox sc in
+  let o = Sc.run ~domains ~mailbox sc in
   check_int "events dropped" 0 (Qs_obs.Sink.dropped o.Sc.sink);
   if not (Qs_conform.ok o.Sc.verdict) then
     Alcotest.failf "%s: %s" sc.Sc.name
@@ -498,6 +501,12 @@ let () =
                   (sc.Qs_scenarios.Scenario.name ^ " " ^ mname)
                   `Quick (scenario_conforms sc m))
               [ ("qoq", `Qoq); ("direct", `Direct) ])
+          Qs_scenarios.Scenario.all );
+      ( "one domain",
+        List.map
+          (fun (sc : Qs_scenarios.Scenario.t) ->
+            Alcotest.test_case sc.Qs_scenarios.Scenario.name `Quick
+              (scenario_conforms ~domains:1 sc `Qoq))
           Qs_scenarios.Scenario.all );
       ("properties", [ qc prop_random_runs_conform ]);
     ]

@@ -188,6 +188,32 @@ let test_multi_domain_sum () =
   sum ~n:1000 ~yield:false;
   sum ~n:2000 ~yield:true
 
+(* One pool, one "is there work" test: a fiber spawned behind a parent
+   that busy-computes without ever yielding sits in the parent worker's
+   deque, and the idle second worker must wake, steal and run it.  The
+   parent spins until the child has run (or a 5 s deadline passes, so a
+   lost wake-up fails instead of hanging). *)
+let test_idle_worker_steals () =
+  let parent_wid = ref (-1) and child_wid = Atomic.make (-1) in
+  let ran = Atomic.make false and ran_in_time = ref false in
+  let final = ref None in
+  S.run ~domains:2 ~on_counters:(fun c -> final := Some c) (fun () ->
+    parent_wid := S.self ();
+    S.spawn (fun () ->
+      Atomic.set child_wid (S.self ());
+      Atomic.set ran true);
+    let until = Unix.gettimeofday () +. 5.0 in
+    while (not (Atomic.get ran)) && Unix.gettimeofday () < until do
+      Domain.cpu_relax ()
+    done;
+    ran_in_time := Atomic.get ran);
+  check_bool "child ran while the parent computed" true !ran_in_time;
+  check_bool "child ran on the other worker" true
+    (Atomic.get child_wid <> !parent_wid);
+  match !final with
+  | Some c -> check_bool "the child was stolen" true (c.S.c_steals >= 1)
+  | None -> Alcotest.fail "final counters missing"
+
 (* -- ivar -------------------------------------------------------------------- *)
 
 let test_ivar_basic () =
@@ -1389,6 +1415,8 @@ let () =
           Alcotest.test_case "spawned exception propagates" `Quick
             test_spawned_exception_propagates;
           Alcotest.test_case "multi-domain sum" `Quick test_multi_domain_sum;
+          Alcotest.test_case "idle worker steals backlog"
+            `Quick test_idle_worker_steals;
           Alcotest.test_case "nested run rejected" `Quick test_nested_run_rejected;
         ] );
       ( "timer",

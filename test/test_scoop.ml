@@ -287,6 +287,41 @@ let test_mailbox_batch_equivalence () =
         [ 1; 4; 64 ])
     [ `Qoq; `Direct ]
 
+(* The bank workload gives the same balance and the same request-path
+   stats at one and at two domains: the worker count reroutes
+   scheduling, never requests. *)
+let test_domains_equivalence () =
+  let tellers = 4 and deposits = 150 and initial = 100 in
+  let expected = initial + (tellers * deposits) in
+  let run ~domains =
+    R.run ~domains ~config:Cfg.all (fun rt ->
+      let account = R.processor rt in
+      let balance = Sh.create account (ref initial) in
+      let latch = Latch.create tellers in
+      for _ = 1 to tellers do
+        S.spawn (fun () ->
+          for _ = 1 to deposits do
+            R.separate rt account (fun reg ->
+              Sh.apply reg balance (fun b -> b := !b + 1))
+          done;
+          Latch.count_down latch)
+      done;
+      Latch.wait latch;
+      let final =
+        R.separate rt account (fun reg -> Sh.get reg balance (fun b -> !b))
+      in
+      (final, Scoop.Stats.assoc (R.stats rt)))
+  in
+  let final_one, s_one = run ~domains:1 in
+  let final_two, s_two = run ~domains:2 in
+  check_int "balance at one domain" expected final_one;
+  check_int "balance at two domains" expected final_two;
+  let picture s =
+    List.map (counter s)
+      [ "calls"; "queries"; "reservations"; "handler_failures" ]
+  in
+  check_bool "same request-path stats" true (picture s_one = picture s_two)
+
 (* Batched drain amortizes wakeups: a call-heavy workload under QoQ with
    batch > 1 delivers more than one request per handler wakeup, while
    batch 1 reproduces the old one-request-per-park loop exactly. *)
@@ -1690,6 +1725,8 @@ let () =
         [
           Alcotest.test_case "qoq/direct x batch equivalence" `Quick
             test_mailbox_batch_equivalence;
+          Alcotest.test_case "one vs two domains equivalence" `Quick
+            test_domains_equivalence;
           Alcotest.test_case "batched drain amortizes wakeups" `Quick
             test_mean_batch;
         ] );
