@@ -612,6 +612,26 @@ let remote_ablation (s : H.scale) =
 
 (* -- per-request allocation probe ------------------------------------------- *)
 
+(* Backlog promotion: the Table 2 [mutex] body (32 clients x 800 blocks
+   of one asynchronous call) at one domain, in promoted words per block.
+   A client that outruns its handler leaves every block's private queue
+   and closures waiting in a backlog that the minor GC promotes (~83
+   words a block on the qoq preset, ~55 on none).  The median of three
+   runs, each window bracketed by [Gc.minor ()] as in [allocation_probe]
+   below. *)
+let backlog_promotion config =
+  let n = 32 and m = 800 in
+  let run () =
+    Gc.minor ();
+    let promoted0 = (Gc.quick_stat ()).Gc.promoted_words in
+    ignore
+      (Qs_benchmarks.Conc_scoop.mutex ~config ~domains:1 ~n ~m
+        : Qs_benchmarks.Bench_types.timings);
+    Gc.minor ();
+    ((Gc.quick_stat ()).Gc.promoted_words -. promoted0) /. float_of_int (n * m)
+  in
+  List.nth (List.sort Float.compare (List.init 3 (fun _ -> run ()))) 1
+
 (* What does one request allocate, and how much of it survives?  The
    call+query round-trip workload on the qoq preset, measured with GC
    word deltas (the same idiom as the transport row of the timeout
@@ -673,7 +693,17 @@ let allocation_probe (s : H.scale) =
   let ((minor, promoted, ns) as timed) = best (measure ~timeout:60.0) in
   Printf.printf "%-36s %10.1f minor, %6.2f promoted words, %6.0f ns/request\n"
     "call + query, ~timeout:60.0" minor promoted ns;
-  (untimed, timed, 2 * rounds)
+  let backlog =
+    List.map
+      (fun config ->
+        let per = backlog_promotion config in
+        Printf.printf "%-36s %10.2f promoted words/block\n"
+          ("mutex backlog, " ^ config.Scoop.Config.name)
+          per;
+        (config.Scoop.Config.name, per))
+      [ Scoop.Config.qoq; Scoop.Config.none ]
+  in
+  (untimed, timed, 2 * rounds, backlog)
 
 (* -- trace conformance probe ------------------------------------------------- *)
 
@@ -948,8 +978,11 @@ let write_json path (s : H.scale) micro_rows batching_rows pipeline_rows
   let alloc_json =
     match alloc_info with
     | None -> []
-    | Some ((minor, promoted, ns), (timed_minor, timed_promoted, _), requests)
-      ->
+    | Some
+        ( (minor, promoted, ns),
+          (timed_minor, timed_promoted, _),
+          requests,
+          backlog ) ->
       [
         ( "allocation",
           Obj
@@ -961,6 +994,9 @@ let write_json path (s : H.scale) micro_rows batching_rows pipeline_rows
               ("ns_per_request", Float ns);
               ("timed_minor_words_per_request", Float timed_minor);
               ("timed_promoted_words_per_request", Float timed_promoted);
+              ( "backlog_promoted_words_per_block",
+                Obj (List.map (fun (name, per) -> (name, Float per)) backlog)
+              );
             ] );
       ]
   in

@@ -9,12 +9,48 @@
 
 exception Closed
 
+(* The buffer: a FIFO of linked cells whose consumed cell lets go of its
+   successor.  [Stdlib.Queue] keeps a taken cell's [next], so a cell the
+   minor GC promoted roots every cell linked after it, and each of those
+   is promoted in turn. *)
+module Fifo = struct
+  type 'a cell = Nil | Cons of { value : 'a; mutable next : 'a cell }
+
+  type 'a t = {
+    mutable first : 'a cell;
+    mutable last : 'a cell;
+    mutable length : int;
+  }
+
+  let create () = { first = Nil; last = Nil; length = 0 }
+
+  let length q = q.length
+
+  let push v q =
+    let cell = Cons { value = v; next = Nil } in
+    (match q.last with
+    | Nil -> q.first <- cell
+    | Cons last -> last.next <- cell);
+    q.last <- cell;
+    q.length <- q.length + 1
+
+  let take_opt q =
+    match q.first with
+    | Nil -> None
+    | Cons c ->
+      q.first <- c.next;
+      c.next <- Nil;
+      if q.first == Nil then q.last <- Nil;
+      q.length <- q.length - 1;
+      Some c.value
+end
+
 type 'a t = {
   capacity : int; (* 0 = rendezvous *)
   mutex : Qs_sched.Fiber_mutex.t;
   not_empty : Qs_sched.Fiber_cond.t;
   not_full : Qs_sched.Fiber_cond.t;
-  buffer : 'a Queue.t;
+  buffer : 'a Fifo.t;
   mutable taken : int; (* receives completed; rendezvous bookkeeping *)
   mutable closed : bool;
 }
@@ -26,7 +62,7 @@ let create ?(capacity = 0) () =
     mutex = Qs_sched.Fiber_mutex.create ();
     not_empty = Qs_sched.Fiber_cond.create ();
     not_full = Qs_sched.Fiber_cond.create ();
-    buffer = Queue.create ();
+    buffer = Fifo.create ();
     taken = 0;
     closed = false;
   }
@@ -34,14 +70,14 @@ let create ?(capacity = 0) () =
 let send t v =
   Qs_sched.Fiber_mutex.lock t.mutex;
   let limit = max t.capacity 1 in
-  while (not t.closed) && Queue.length t.buffer >= limit do
+  while (not t.closed) && Fifo.length t.buffer >= limit do
     Qs_sched.Fiber_cond.wait t.not_full t.mutex
   done;
   if t.closed then begin
     Qs_sched.Fiber_mutex.unlock t.mutex;
     raise Closed
   end;
-  Queue.push v t.buffer;
+  Fifo.push v t.buffer;
   Qs_sched.Fiber_cond.signal t.not_empty;
   if t.capacity = 0 then begin
     (* Rendezvous: wait until a receiver has taken this element (any
@@ -49,7 +85,7 @@ let send t v =
        FIFO pairing of Go's unbuffered channels).  If the channel closes
        first and the element was never taken, the send did not happen:
        raise, as Go panics on send-on-closed. *)
-    let target = t.taken + Queue.length t.buffer in
+    let target = t.taken + Fifo.length t.buffer in
     while (not t.closed) && t.taken < target do
       Qs_sched.Fiber_cond.wait t.not_full t.mutex
     done;
@@ -61,11 +97,11 @@ let send t v =
 
 let recv_opt t =
   Qs_sched.Fiber_mutex.lock t.mutex;
-  while (not t.closed) && Queue.is_empty t.buffer do
+  while (not t.closed) && Fifo.length t.buffer = 0 do
     Qs_sched.Fiber_cond.wait t.not_empty t.mutex
   done;
   let result =
-    match Queue.take_opt t.buffer with
+    match Fifo.take_opt t.buffer with
     | Some v ->
       t.taken <- t.taken + 1;
       (* Wake a sender blocked on a full buffer or on rendezvous. *)
@@ -84,7 +120,7 @@ let recv t =
 let try_recv t =
   Qs_sched.Fiber_mutex.lock t.mutex;
   let result =
-    match Queue.take_opt t.buffer with
+    match Fifo.take_opt t.buffer with
     | Some v ->
       t.taken <- t.taken + 1;
       Qs_sched.Fiber_cond.broadcast t.not_full;

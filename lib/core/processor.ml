@@ -106,6 +106,10 @@ type t = {
      conditions parked on this handler (see [announce]). *)
   changes : int Atomic.t;
   waiters : Qs_sched.Sched.resumer list Atomic.t;
+  (* Registrations whose [End] a client has logged ([release]) and the
+     handler has not yet drained: how far the handler is behind.  A hint
+     for [release], never a bound; remote processors leave it at 0. *)
+  behind : int Atomic.t;
   (* The handler's current notion of "now" (ns), used as the service
      start stamp of the next request it serves: refreshed once per
      drained batch and after every completed request, so latency
@@ -261,6 +265,7 @@ let serve t ~last ~quiet req =
        eventually accounted here (the lock-based loop used to drop the
        marker silently). *)
     Qs_obs.Counter.incr t.stats.Stats.ends_drained;
+    Atomic.decr t.behind;
     if changed then announce t
 
 (* Abort path: fail requests without executing them.  Syncs are still
@@ -273,7 +278,9 @@ let discard t req =
     Qs_obs.Counter.incr t.stats.Stats.aborted_requests;
     fail t req (Aborted t.id) (Printexc.get_callstack 0)
   | Request.Sync resume -> ignore (resume () : bool)
-  | Request.End _ -> Qs_obs.Counter.incr t.stats.Stats.ends_drained
+  | Request.End _ ->
+    Qs_obs.Counter.incr t.stats.Stats.ends_drained;
+    Atomic.decr t.behind
 
 (* Backpressure: requests that count against the admission bound.  Sync
    and End are control-flow, not work — they are always admitted, always
@@ -467,6 +474,7 @@ let make ?sink ~id ~config ~stats comm =
     shed_debt = Atomic.make 0;
     changes = Atomic.make 0;
     waiters = Atomic.make [];
+    behind = Atomic.make 0;
     h_now = 0;
   }
 
@@ -538,10 +546,44 @@ let reserve ?timeout t ~poison =
     Qs_sched.Bqueue.Mpsc.enqueue q
   | Remote ops -> ops.rem_open ~poison
 
-let release t =
+let unlock t =
   match t.comm with
   | Direct { lock; _ } -> Qs_sched.Fiber_mutex.unlock lock
   | Qoq _ | Remote _ -> ()
+
+(* How many registrations a client may leave undrained on a local
+   handler before block exit hands the handler the worker.  8, 16 and 32
+   measure alike on the Table 2 mutex and prodcons bodies; 2 switches so
+   often that prodcons slows down. *)
+let handoff_depth = 16
+
+(* The paper's direct handoff (§3.2) on the client side.  On one domain
+   a handler runs only when a client suspends, and a client issuing only
+   asynchronous calls never does: every block's private queue and
+   closures would wait in a backlog the minor GC promotes.  So a client
+   that has outrun its handler by [handoff_depth] registrations yields
+   once, and the handler, woken by the enqueues, gets the worker.  A
+   hint, never a wait: the count only decides whether to yield, so
+   [End]s dropped by a closed stream cannot wedge a client.  Remote
+   handlers run on their node, whose own local processors apply this.
+
+   [outran t] counts one logged [End] and says whether [t] is now that
+   far behind. *)
+let outran t =
+  match t.comm with
+  | Remote _ -> false
+  | Qoq _ | Direct _ -> Atomic.fetch_and_add t.behind 1 + 1 >= handoff_depth
+
+let release t =
+  unlock t;
+  if outran t then Qs_sched.Sched.yield ()
+
+(* Every lock is given up before the one yield, so a client never holds
+   one handler while it lets another catch up. *)
+let release_many ts =
+  List.iter unlock ts;
+  if List.fold_left (fun yield t -> outran t || yield) false ts then
+    Qs_sched.Sched.yield ()
 
 (* Multi-reservation, the generalized separate rule (§2.4, Fig. 11): the
    reservations of all handlers must be one atomic event, or two clients'
@@ -566,7 +608,8 @@ let reserve_many ?timeout handlers =
         match reserve ?timeout:left t ~poison with
         | log -> take ((t, log) :: held) rest
         | exception e ->
-          List.iter (fun (t, _) -> release t) held;
+          (* A rollback never logged an [End]: unlock without counting. *)
+          List.iter (fun (t, _) -> unlock t) held;
           raise e)
     in
     let logs = take [] sorted in

@@ -118,7 +118,22 @@ val reserve_many :
 
 val release : t -> unit
 (** End a reservation once its [End] is logged: releases the handler
-    lock in lock mode, a no-op otherwise. *)
+    lock in lock mode.  On a local handler it then counts the logged
+    [End]; once the handler is {!handoff_depth} or more registrations
+    behind, the client yields its worker once, so a client issuing only
+    asynchronous calls cannot outrun its handler (the client side of the
+    direct handoff of §3.2).  The yield is a hint, never a wait: [End]s a
+    stopped handler never drains leave the count high, and later
+    releases only yield. *)
+
+val release_many : t list -> unit
+(** {!release} for the handlers of one multi-reservation, once every
+    [End] is logged: every lock is released before the client yields, at
+    most once. *)
+
+val handoff_depth : int
+(** How many undrained registrations {!release} lets a client leave on a
+    local handler before it yields: 16. *)
 
 (** {1 Wait conditions}
 

@@ -3,9 +3,10 @@
    How a handler is reserved depends on its mailbox and is
    [Processor]'s business: [Processor.reserve] is the separate rule for
    one handler (Fig. 8), [Processor.reserve_many] the atomic
-   multi-reservation of Fig. 11 and §3.3, and [Processor.release] the
-   matching exit.  This module scopes them around a body, counts and
-   traces them, and turns a reservation deadline into [Timeout].
+   multi-reservation of Fig. 11 and §3.3, and [Processor.release] and
+   [Processor.release_many] the matching exits.  This module scopes them
+   around a body, counts and traces them, and turns a reservation
+   deadline into [Timeout].
 
    Block exit re-surfaces poison (SCOOP's dirty-processor rule): after
    the body has completed normally and the registrations are closed, a
@@ -109,10 +110,13 @@ let many ?timeout ctx procs body =
       with Qs_sched.Timer.Timeout -> reservation_timed_out ctx
     in
     List.iter (trace_reserved ctx) regs;
-    (* endMany: signal END to every reserved handler (§2.4). *)
-    let v =
-      Fun.protect ~finally:(fun () -> List.iter exit regs) (fun () -> body regs)
+    (* endMany: signal END to every reserved handler (§2.4), then release
+       them together. *)
+    let exit_many () =
+      List.iter Registration.close regs;
+      Processor.release_many (List.map Registration.processor regs)
     in
+    let v = Fun.protect ~finally:exit_many (fun () -> body regs) in
     List.iter Registration.check_poison regs;
     v
 

@@ -12,31 +12,37 @@
    an abandoned (timed-out) waiter is skipped instead of being handed a
    lock it will never release. *)
 
+(* The waiters as a FIFO of two lists: [front] oldest first, [back]
+   newest first.  A waiter joins [back]; a hand-off takes the head of
+   [front], reversing [back] into [front] only when [front] is empty, so
+   each waiter is reversed at most once and a hand-off is amortized
+   O(1). *)
 type state =
   | Unlocked
-  | Locked of Sched.resumer list (* newest first *)
+  | Locked of Sched.resumer list * Sched.resumer list (* front, back *)
 
 type t = { state : state Atomic.t }
 
 let create () = { state = Atomic.make Unlocked }
 
-let try_lock t = Atomic.compare_and_set t.state Unlocked (Locked [])
-
-(* Remove the oldest waiter (the list is newest-first). *)
-let split_oldest waiters =
-  match List.rev waiters with
-  | [] -> assert false
-  | oldest :: rest -> (oldest, List.rev rest)
+let try_lock t = Atomic.compare_and_set t.state Unlocked (Locked ([], []))
 
 let unlock t =
   let rec loop () =
     match Atomic.get t.state with
     | Unlocked -> invalid_arg "Fiber_mutex.unlock: not locked"
-    | Locked [] as old ->
+    | Locked ([], []) as old ->
       if not (Atomic.compare_and_set t.state old Unlocked) then loop ()
-    | Locked waiters as old ->
-      let oldest, rest = split_oldest waiters in
-      if Atomic.compare_and_set t.state old (Locked rest) then begin
+    | Locked (front, back) as old ->
+      let oldest, rest =
+        match front with
+        | oldest :: front -> (oldest, Locked (front, back))
+        | [] -> (
+          match List.rev back with
+          | oldest :: front -> (oldest, Locked (front, []))
+          | [] -> assert false)
+      in
+      if Atomic.compare_and_set t.state old rest then begin
         (* Ownership passes to [oldest] (the state stays [Locked]) unless
            it timed out and is gone: then unlock towards the next one. *)
         if not (oldest ()) then loop ()
@@ -55,11 +61,11 @@ let lock ?timeout t =
             (* Freed while we were suspending: acquire and wake ourselves.
                The deadline is armed only after this registration returns,
                so the wake always wins and the lock is ours. *)
-            if Atomic.compare_and_set t.state Unlocked (Locked []) then
+            if Atomic.compare_and_set t.state Unlocked (Locked ([], [])) then
               ignore (resume () : bool)
             else subscribe ()
-          | Locked waiters as old ->
-            let next = Locked (resume :: waiters) in
+          | Locked (front, back) as old ->
+            let next = Locked (front, resume :: back) in
             if not (Atomic.compare_and_set t.state old next) then subscribe ()
         in
         subscribe ())

@@ -164,6 +164,33 @@ let test_negative_capacity_rejected () =
       (Invalid_argument "Channel.create: negative capacity") (fun () ->
         ignore (Ch.create ~capacity:(-1) () : int Ch.t)))
 
+(* A buffered channel that always holds one element, over [n] send+recv
+   steps with a minor GC every 4096: the channel is promoted by the
+   opening [Gc.minor ()], and so is the buffered cell at every later
+   one.  If a received cell kept its successor link, that promoted cell
+   would root every cell sent after it, and each GC would promote the
+   whole chain (3 words an element).  Promoted words are read in a window
+   bracketed by [Gc.minor ()], as in test_queues' "promotion" group. *)
+let test_consumed_cells_do_not_promote () =
+  Sched.run (fun () ->
+    let n = 100_000 in
+    let c = Ch.create ~capacity:4 () in
+    Ch.send c 0;
+    Gc.minor ();
+    let p0 = (Gc.quick_stat ()).Gc.promoted_words in
+    for i = 1 to n do
+      Ch.send c i;
+      if Ch.recv c <> i - 1 then Alcotest.fail "recv lost an element";
+      if i land 4095 = 0 then Gc.minor ()
+    done;
+    Gc.minor ();
+    let per =
+      ((Gc.quick_stat ()).Gc.promoted_words -. p0) /. float_of_int n
+    in
+    check_bool
+      (Printf.sprintf "%.2f promoted words/element < 0.5" per)
+      true (per < 0.5))
+
 let prop_pipeline_preserves_sum =
   QCheck2.Test.make ~count:30 ~name:"channel pipeline preserves the sum"
     QCheck2.Gen.(pair (int_range 0 100) (int_range 0 8))
@@ -199,6 +226,8 @@ let () =
           Alcotest.test_case "blocks at capacity" `Quick
             test_buffered_blocks_at_capacity;
           Alcotest.test_case "try_recv" `Quick test_try_recv;
+          Alcotest.test_case "consumed cells do not promote" `Quick
+            test_consumed_cells_do_not_promote;
         ] );
       ( "rendezvous",
         [

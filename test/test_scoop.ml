@@ -1459,6 +1459,40 @@ let test_call_flood config =
   in
   check_int "every call served" n total
 
+(* A client issuing only asynchronous calls never suspends, so on one
+   domain its handler runs only when the client yields at block exit.
+   Each of 1,000 one-call blocks records how far the client is ahead of
+   the handler when it logs its call: release must keep that within
+   [handoff_depth] (+1 for the call being logged).  Without the yield
+   the handler runs after the client has finished, 1,000 behind.  Then,
+   once the handler has stopped, the blocks' [End]s are dropped by the
+   closed stream and the count stays high: later blocks must still exit
+   without looping or raising. *)
+let test_client_cannot_outrun mailbox () =
+  let blocks = 1_000 in
+  let depth = Scoop.Processor.handoff_depth in
+  R.run ~domains:1 ~config:Cfg.(all |> with_mailbox mailbox) (fun rt ->
+    let h = R.processor rt in
+    let issued = ref 0 and executed = ref 0 and lag = ref 0 in
+    for _ = 1 to blocks do
+      R.separate rt h (fun reg ->
+        incr issued;
+        lag := max !lag (!issued - !executed);
+        Reg.call reg (fun () -> incr executed))
+    done;
+    R.separate rt h (fun reg -> ignore (Reg.query reg (fun () -> ()) : unit));
+    check_int "every call served" blocks !executed;
+    check_bool
+      (Printf.sprintf "client at most %d ahead (was %d)" (depth + 1) !lag)
+      true
+      (!lag <= depth + 1);
+    Scoop.Processor.shutdown h;
+    Scoop.Processor.await_stopped h;
+    for _ = 1 to 4 * depth do
+      R.separate rt h (fun reg -> Reg.call reg (fun () -> incr executed))
+    done;
+    check_int "no call served after shutdown" blocks !executed)
+
 let test_timeout_abandons_wait config =
   (* A timed-out query abandons the wait, never the work: the handler
      still runs it, and later round trips through the same registration
@@ -1729,6 +1763,11 @@ let () =
             test_domains_equivalence;
           Alcotest.test_case "batched drain amortizes wakeups" `Quick
             test_mean_batch;
+          Alcotest.test_case "client cannot outrun its handler [qoq]" `Quick
+            (test_client_cannot_outrun `Qoq);
+          Alcotest.test_case "client cannot outrun its handler [direct]"
+            `Quick
+            (test_client_cannot_outrun `Direct);
         ] );
       ( "pipelined queries",
         per_config "promise order" test_query_async_order
